@@ -47,9 +47,9 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/analyze"
 	"repro/internal/apps"
 	"repro/internal/cilk"
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/depa"
 	"repro/internal/elide"
@@ -179,14 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatal(err)
 		}
-		if eo.enabled {
-			code, err := replayTraceElided(stdout, *replay, det, *jsonOut, tr, eo)
-			if err != nil {
-				return fatal(err)
-			}
-			return code
-		}
-		code, err := replayTrace(stdout, *replay, det, *jsonOut, tr)
+		code, err := replayTrace(stdout, *replay, det, *jsonOut, tr, eo)
 		if err != nil {
 			return fatal(err)
 		}
@@ -469,108 +462,6 @@ func writeProfile(tr *obs.Trace, sdoc *obs.SpanDoc, path string) error {
 	return f.Close()
 }
 
-// replaySpan closes a "replay" span annotated with the stream accounting,
-// and emits one "detector:<name>" span per detector carrying its event
-// counts and verdict, so a -profile-out of a replay shows both the decode
-// and the per-detector consumption.
-func replaySpan(span *obs.Span, tr *obs.Trace, stats *trace.ReplayStats, dets []core.Detector) {
-	span.Arg("events", stats.Events).Arg("bytes", stats.Bytes).
-		Arg("frames", stats.Frames).Arg("labels", stats.InternedLabels).End()
-	for _, d := range dets {
-		dspan := tr.Start("detector:" + d.Name())
-		if ec, ok := d.(core.EventCountsProvider); ok {
-			for _, a := range ec.EventCounts().Args() {
-				dspan.Arg(a.Key, a.Value)
-			}
-		}
-		if rp := d.Report(); rp != nil {
-			dspan.Arg("races", rp.Distinct())
-		}
-		dspan.End()
-	}
-}
-
-func replayTrace(stdout io.Writer, path string, detName rader.DetectorName, jsonOut bool, tr *obs.Trace) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return exitError, err
-	}
-	defer f.Close()
-	if detName == rader.All {
-		dets := rader.NewAllDetectors()
-		hooks := make([]cilk.Hooks, len(dets))
-		for i, d := range dets {
-			hooks[i] = d
-		}
-		var stats trace.ReplayStats
-		span := tr.Start("replay")
-		n, err := trace.ReplayAllStats(f, &stats, hooks...)
-		if err != nil {
-			span.Arg("error", err.Error()).End()
-			return exitError, err
-		}
-		replaySpan(span, tr, &stats, dets)
-		m := report.FromDetectors("", n, dets)
-		if jsonOut {
-			b, err := m.Marshal()
-			if err != nil {
-				return exitError, err
-			}
-			fmt.Fprintln(stdout, string(b))
-		} else {
-			fmt.Fprintf(stdout, "replayed %d events from %s in one pass under %d detectors\n",
-				n, path, len(dets))
-			for _, d := range dets {
-				fmt.Fprintf(stdout, "%s: %s\n", d.Name(), d.Report().Summary())
-			}
-		}
-		if !m.Clean {
-			return exitRaces, nil
-		}
-		return exitClean, nil
-	}
-	det, hooks, err := rader.NewDetector(detName)
-	if err != nil {
-		return exitError, err
-	}
-	if det == nil {
-		return exitError, fmt.Errorf("replay needs an analysing detector (got %s)", detName)
-	}
-	if dd, ok := det.(*depa.Detector); ok {
-		// The parallel detector's finalize phase emits per-shard spans on
-		// worker lanes when profiling is on.
-		dd.Trace = tr
-	}
-	var stats trace.ReplayStats
-	span := tr.Start("replay")
-	n, err := trace.ReplayAllStats(f, &stats, hooks)
-	if err != nil {
-		span.Arg("error", err.Error()).End()
-		return exitError, err
-	}
-	replaySpan(span, tr, &stats, []core.Detector{det})
-	rp := det.Report()
-	if jsonOut {
-		b, err := report.FromDetector(string(detName), "", n, det).Marshal()
-		if err != nil {
-			return exitError, err
-		}
-		fmt.Fprintln(stdout, string(b))
-	} else {
-		fmt.Fprintf(stdout, "replayed %d events from %s under %s\n", n, path, detName)
-		fmt.Fprintln(stdout, rp.Summary())
-		if pp, ok := det.(depa.ParallelStatsProvider); ok {
-			ps := pp.ParallelStats()
-			fmt.Fprintf(stdout, "parallel: workers=%d shard-merges=%d fast-path=%.2f\n",
-				ps.Workers, ps.ShardMerges, ps.FastPathRate())
-		}
-	}
-	if !rp.Empty() {
-		return exitRaces, nil
-	}
-	return exitClean, nil
-}
-
 // elideOpts is the -elide flag family: run the static elision pre-pass
 // over the replayed trace and optionally persist its artifacts.
 type elideOpts struct {
@@ -579,45 +470,64 @@ type elideOpts struct {
 	outPath   string // -elide-out: filtered trace stream
 }
 
-// replayTraceElided is -replay with the static elision pre-pass in
-// front: the trace is analyzed once to prove addresses race-free, the
-// detectors then replay only the must-keep accesses (via the skip-set
-// fast path), and the verdict document is fixed up to be byte-identical
-// to a full replay — same races, same provenance ordinals, same event
-// accounting.
-func replayTraceElided(stdout io.Writer, path string, detName rader.DetectorName, jsonOut bool, tr *obs.Trace, eo elideOpts) (int, error) {
+// replayTrace analyzes a recorded trace through the same pipeline raderd
+// runs (internal/analyze) and prints the verdict. With -elide the
+// detectors replay only the accesses the static pre-pass could not prove
+// race-free, and the verdict stays byte-identical to a full replay.
+func replayTrace(stdout io.Writer, path string, det rader.DetectorName, jsonOut bool, tr *obs.Trace, eo elideOpts) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return exitError, err
 	}
-	espan := tr.Start("elide")
-	plan, err := elide.Analyze(data)
+	res, err := analyze.Trace(data, analyze.Options{Detector: det, Elide: eo.enabled, Trace: tr})
 	if err != nil {
-		espan.Arg("error", err.Error()).End()
 		return exitError, err
 	}
-	aud := plan.Audit()
-	espan.Arg("originalEvents", aud.OriginalEvents).Arg("elidedEvents", aud.ElidedEvents).
-		Arg("elidedBytes", aud.ElidedBytes).End()
-	if eo.auditPath != "" {
-		b, err := aud.Marshal()
+	if res.Plan != nil {
+		if err := eo.write(res.Plan, data); err != nil {
+			return exitError, err
+		}
+	}
+	if jsonOut {
+		b, err := res.Doc.Marshal()
 		if err != nil {
 			return exitError, err
 		}
+		fmt.Fprintln(stdout, string(b))
+	} else {
+		printReplay(stdout, path, det, eo, res)
+	}
+	if !res.Clean {
+		return exitRaces, nil
+	}
+	return exitClean, nil
+}
+
+// write persists the -elide-audit and -elide-out artifacts of plan.
+func (eo elideOpts) write(plan *elide.Plan, data []byte) error {
+	if eo.auditPath != "" {
+		b, err := plan.Audit().Marshal()
+		if err != nil {
+			return err
+		}
 		if err := os.WriteFile(eo.auditPath, b, 0o644); err != nil {
-			return exitError, err
+			return err
 		}
 	}
 	if eo.outPath != "" {
 		filtered, _, err := plan.Filter(data)
 		if err != nil {
-			return exitError, err
+			return err
 		}
-		if err := os.WriteFile(eo.outPath, filtered, 0o644); err != nil {
-			return exitError, err
-		}
+		return os.WriteFile(eo.outPath, filtered, 0o644)
 	}
-	if !jsonOut {
+	return nil
+}
+
+// printReplay is the human-readable verdict of one replay.
+func printReplay(stdout io.Writer, path string, det rader.DetectorName, eo elideOpts, res *analyze.Result) {
+	if res.Plan != nil {
+		aud := res.Plan.Audit()
 		fmt.Fprintf(stdout, "elision: %d of %d events proven race-free and skipped (%.2fx shrink, %d bytes)\n",
 			aud.ElidedEvents, aud.OriginalEvents, aud.Shrink, aud.ElidedBytes)
 		if eo.auditPath != "" {
@@ -627,79 +537,24 @@ func replayTraceElided(stdout io.Writer, path string, detName rader.DetectorName
 			fmt.Fprintf(stdout, "filtered trace written to %s\n", eo.outPath)
 		}
 	}
-	skip := plan.SkipSet()
-	if detName == rader.All {
-		dets := rader.NewAllDetectors()
-		hooks := make([]cilk.Hooks, len(dets))
-		for i, d := range dets {
-			hooks[i] = d
+	if det == rader.All {
+		fmt.Fprintf(stdout, "replayed %d events from %s in one pass under %d detectors\n",
+			res.Events, path, len(res.Detectors))
+		for _, d := range res.Detectors {
+			fmt.Fprintf(stdout, "%s: %s\n", d.Name(), d.Report().Summary())
 		}
-		var stats trace.ReplayStats
-		span := tr.Start("replay")
-		n, err := trace.ReplayAllBytesSkip(data, skip, &stats, hooks...)
-		if err != nil {
-			span.Arg("error", err.Error()).End()
-			return exitError, err
-		}
-		replaySpan(span, tr, &stats, dets)
-		m := report.FromDetectors("", n, dets)
-		plan.FixupMulti(m)
-		if jsonOut {
-			b, err := m.Marshal()
-			if err != nil {
-				return exitError, err
-			}
-			fmt.Fprintln(stdout, string(b))
-		} else {
-			fmt.Fprintf(stdout, "replayed %d events from %s in one pass under %d detectors\n",
-				n, path, len(dets))
-			for _, d := range dets {
-				fmt.Fprintf(stdout, "%s: %s\n", d.Name(), d.Report().Summary())
-			}
-		}
-		if !m.Clean {
-			return exitRaces, nil
-		}
-		return exitClean, nil
+		return
 	}
-	det, hooks, err := rader.NewDetector(detName)
-	if err != nil {
-		return exitError, err
+	fmt.Fprintf(stdout, "replayed %d events from %s under %s\n", res.Events, path, det)
+	if len(res.Detectors) == 0 {
+		fmt.Fprintln(stdout, "(no detector attached: stream validated)")
+		return
 	}
-	if det == nil {
-		return exitError, fmt.Errorf("replay needs an analysing detector (got %s)", detName)
+	fmt.Fprintln(stdout, res.Detectors[0].Report().Summary())
+	if p := res.Doc.(*report.Report).Parallel; p != nil {
+		fmt.Fprintf(stdout, "parallel: workers=%d shard-merges=%d fast-path=%.2f\n",
+			p.Workers, p.ShardMerges, p.FastPathRate)
 	}
-	if dd, ok := det.(*depa.Detector); ok {
-		dd.Trace = tr
-	}
-	var stats trace.ReplayStats
-	span := tr.Start("replay")
-	n, err := trace.ReplayAllBytesSkip(data, skip, &stats, hooks)
-	if err != nil {
-		span.Arg("error", err.Error()).End()
-		return exitError, err
-	}
-	replaySpan(span, tr, &stats, []core.Detector{det})
-	doc := report.FromDetector(string(detName), "", n, det)
-	plan.FixupReport(doc)
-	if jsonOut {
-		b, err := doc.Marshal()
-		if err != nil {
-			return exitError, err
-		}
-		fmt.Fprintln(stdout, string(b))
-	} else {
-		fmt.Fprintf(stdout, "replayed %d events from %s under %s\n", n, path, detName)
-		fmt.Fprintln(stdout, det.Report().Summary())
-		if doc.Parallel != nil {
-			fmt.Fprintf(stdout, "parallel: workers=%d shard-merges=%d fast-path=%.2f\n",
-				doc.Parallel.Workers, doc.Parallel.ShardMerges, doc.Parallel.FastPathRate)
-		}
-	}
-	if !doc.Clean {
-		return exitRaces, nil
-	}
-	return exitClean, nil
 }
 
 // runLive executes a bridged workload live on the work-stealing runtime

@@ -79,7 +79,7 @@ func (c *remoteClient) run(req remoteRequest) (int, error) {
 // Resumable-upload shape: traces at or past resumableThreshold go
 // through PUT /traces/{digest} in uploadChunk-sized pieces (each fsynced
 // server-side before acknowledgment) and are then analyzed by reference,
-// so neither end ever holds the trace in memory and an interrupted
+// so the upload runs in constant memory on both ends and an interrupted
 // upload resumes from the last durable byte. Smaller traces — and any
 // daemon without a store — use a single streamed POST body.
 var (

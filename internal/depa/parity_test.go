@@ -107,7 +107,7 @@ func TestDepaSPBagsParityReplay(t *testing.T) {
 
 			bags := spbags.New()
 			dep := New()
-			if _, err := trace.ReplayAllBytes(data, bags, dep); err != nil {
+			if _, err := trace.ReplayAll(data, nil, nil, bags, dep); err != nil {
 				t.Fatalf("%s: replay: %v", name, err)
 			}
 			requireParity(t, name, bags, dep)
@@ -116,7 +116,7 @@ func TestDepaSPBagsParityReplay(t *testing.T) {
 			for _, shards := range []int{1, 2, 3, 8} {
 				d2 := New()
 				d2.Shards = shards
-				if _, err := trace.ReplayAllBytes(data, d2); err != nil {
+				if _, err := trace.ReplayAll(data, nil, nil, d2); err != nil {
 					t.Fatalf("%s: replay shards=%d: %v", name, shards, err)
 				}
 				if got := renderReport(d2.Report(), false); got != base {
@@ -150,8 +150,8 @@ func TestDepaSPBagsParityTruncated(t *testing.T) {
 	for cut := 0; cut <= len(data); cut += 7 {
 		bags := spbags.New()
 		dep := New()
-		_, errB := trace.ReplayAllBytes(data[:cut], bags)
-		_, errD := trace.ReplayAllBytes(data[:cut], dep)
+		_, errB := trace.ReplayAll(data[:cut], nil, nil, bags)
+		_, errD := trace.ReplayAll(data[:cut], nil, nil, dep)
 		if (errB == nil) != (errD == nil) {
 			t.Fatalf("cut=%d: replay error divergence: sp-bags %v, depa %v", cut, errB, errD)
 		}

@@ -33,7 +33,7 @@
 // A Plan can be applied two ways with identical observable behaviour:
 // materialize a filtered trace in the same CILKTRACE format (Filter,
 // backed by trace.FilterAccesses) or replay the full trace under the
-// Plan's address-range skip set (trace.ReplayAllSkip), which every
+// Plan's address-range skip set (trace.ReplayAll), which every
 // existing consumer supports unchanged.
 package elide
 
@@ -291,7 +291,7 @@ type Plan struct {
 // or corrupt trace fails here with the usual *streamerr.Error kinds.
 func Analyze(data []byte) (*Plan, error) {
 	c := &classifier{addrs: make(map[mem.Addr]*addrState)}
-	n, err := trace.ReplayAllBytes(data, c)
+	n, err := trace.ReplayAll(data, nil, nil, c)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +323,7 @@ func Analyze(data []byte) (*Plan, error) {
 	}
 
 	p2 := &ordPass{elided: elided}
-	if _, err := trace.ReplayAllBytes(data, p2); err != nil {
+	if _, err := trace.ReplayAll(data, nil, nil, p2); err != nil {
 		return nil, err
 	}
 
@@ -360,7 +360,7 @@ func Analyze(data []byte) (*Plan, error) {
 // Audit returns the plan's "why elided" artifact.
 func (p *Plan) Audit() *Audit { return p.aud }
 
-// SkipSet returns the elided address ranges for trace.ReplayAllSkip.
+// SkipSet returns the elided address ranges for trace.ReplayAll.
 func (p *Plan) SkipSet() *trace.SkipSet { return p.skip }
 
 // Keep reports whether address a survives elision.

@@ -65,7 +65,7 @@ func newCase(t testing.TB, c detCase) (core.Detector, cilk.Hooks) {
 func docSingle(t testing.TB, data []byte, c detCase, skip *trace.SkipSet) []byte {
 	t.Helper()
 	det, hooks := newCase(t, c)
-	n, err := trace.ReplayAllBytesSkip(data, skip, nil, hooks)
+	n, err := trace.ReplayAll(data, skip, nil, hooks)
 	if err != nil {
 		t.Fatalf("replay %s: %v", c.name, err)
 	}
@@ -85,7 +85,7 @@ func docAll(t testing.TB, data []byte, skip *trace.SkipSet) ([]byte, *report.Mul
 	for i, d := range dets {
 		hooks[i] = d.(cilk.Hooks)
 	}
-	n, err := trace.ReplayAllBytesSkip(data, skip, nil, hooks...)
+	n, err := trace.ReplayAll(data, skip, nil, hooks...)
 	if err != nil {
 		t.Fatalf("replay all: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestElideFilteredStreamIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st trace.ReplayStats
-	n, err := trace.ReplayAllBytesStats(filtered, &st)
+	n, err := trace.ReplayAll(filtered, nil, &st)
 	if err != nil {
 		t.Fatalf("filtered stream does not replay: %v", err)
 	}
@@ -301,7 +301,7 @@ func TestElideFilteredStreamIntegrity(t *testing.T) {
 		t.Fatalf("plain replay reports %d skipped events", st.Skipped)
 	}
 	var sst trace.ReplayStats
-	nSkip, err := trace.ReplayAllBytesSkip(data, plan.SkipSet(), &sst)
+	nSkip, err := trace.ReplayAll(data, plan.SkipSet(), &sst)
 	if err != nil {
 		t.Fatalf("skip replay: %v", err)
 	}

@@ -69,9 +69,9 @@ func FuzzElide(f *testing.F) {
 		// Truncation: cutting the final byte beheads the footer of full
 		// and filtered stream alike; both must fail with the same typed
 		// kind, and Analyze must reject the damage exactly like a replay.
-		_, fullErr := trace.ReplayAllBytes(data[:len(data)-1], cilk.Empty{})
+		_, fullErr := trace.ReplayAll(data[:len(data)-1], nil, nil, cilk.Empty{})
 		fullKind := kindOf(t, "truncated full replay", fullErr)
-		_, filtErr := trace.ReplayAllBytes(filtered[:len(filtered)-1], cilk.Empty{})
+		_, filtErr := trace.ReplayAll(filtered[:len(filtered)-1], nil, nil, cilk.Empty{})
 		if filtKind := kindOf(t, "truncated filtered replay", filtErr); filtKind != fullKind {
 			t.Fatalf("truncated filtered trace fails with kind %v, full trace with %v", filtKind, fullKind)
 		}
@@ -89,7 +89,7 @@ func FuzzElide(f *testing.F) {
 		corrupt := func(what string, stream []byte) {
 			mod := append([]byte(nil), stream...)
 			mod[len(trace.Magic)+(len(mod)-len(trace.Magic))/2] ^= 0xff
-			if _, err := trace.ReplayAllBytes(mod, cilk.Empty{}); err == nil {
+			if _, err := trace.ReplayAll(mod, nil, nil, cilk.Empty{}); err == nil {
 				t.Fatalf("%s: bit-flipped stream replayed clean", what)
 			} else {
 				kindOf(t, what+" replay", err)

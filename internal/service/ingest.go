@@ -21,10 +21,10 @@ import (
 // where to resume. The final chunk carries complete=1 (or the client sends
 // a zero-length complete-only PUT), which verifies the SHA-256 of every
 // received byte against {digest} plus the trace's own CRC footer, then
-// atomically finalizes it. Chunks stream straight to disk: peak memory is
-// independent of trace size, which is what lets multi-GB traces through a
-// daemon with a small heap. The finalized trace is analyzed by reference
-// with POST /analyze?digest={digest}.
+// atomically finalizes it. Chunks stream straight to disk, so ingest
+// memory is independent of trace size. The finalized trace is analyzed by
+// reference with POST /analyze?digest={digest}, which reads it into
+// memory once.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	digest := strings.TrimPrefix(r.URL.Path, "/traces/")
 	// GET /traces/{digest}/trace is the span-tree surface, not ingest:

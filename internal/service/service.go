@@ -58,8 +58,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cilk"
-	"repro/internal/elide"
+	"repro/internal/analyze"
 	"repro/internal/obs"
 	"repro/internal/rader"
 	"repro/internal/report"
@@ -372,57 +371,21 @@ func writeErr(w http.ResponseWriter, status int, format string, a ...any) {
 }
 
 // analyzeUnit is one fully-resolved analysis request: either an uploaded
-// trace replay or a live run of a named program. run records its phases
-// on the per-request server trace it is handed (nil-safe throughout, per
-// the obs contract).
+// or stored trace replay or a live run of a named program. run records its
+// phases on the per-request server trace it is handed (nil-safe
+// throughout, per the obs contract).
 type analyzeUnit struct {
 	digest   string
 	detector rader.DetectorName
 	specStr  string // "" for replays
 	elide    bool   // static elision pre-pass requested
-	run      func(tr *obs.Trace) (*analysisResult, error)
+	run      func(tr *obs.Trace) (*analyze.Result, error)
 }
 
+// key is the unit's cache key. Elision leaves the verdict document
+// byte-identical, so the key never mentions it.
 func (u *analyzeUnit) key() string {
 	return u.digest + "|" + string(u.detector) + "|" + u.specStr
-}
-
-// analysisResult is one successful analysis: the document to return and,
-// for an all-detectors pass, the per-detector sub-documents to seed into
-// the cache under their own digest|detector|spec keys.
-type analysisResult struct {
-	doc    interface{ Marshal() ([]byte, error) }
-	clean  bool
-	events int64
-	subs   []subResult
-	// parallel is the depa detector's machinery stats, nil for every
-	// serial detector; it feeds the raderd_depa_* series.
-	parallel *report.Parallel
-	// elidedEvents/elidedBytes account for the static elision pre-pass
-	// (?elide=1): access events proven race-free and skipped, and the
-	// encoded bytes they occupied. Zero when elision was off. They feed
-	// the raderd_elide_* series.
-	elidedEvents int64
-	elidedBytes  int64
-}
-
-// subResult is one detector's verdict extracted from an all-mode pass.
-// The document is built by report.FromCore exactly as a standalone
-// request for that detector would build it, so the seeded cache entry is
-// byte-identical to what the single-detector path computes.
-type subResult struct {
-	detector rader.DetectorName
-	doc      *report.Report
-}
-
-// subsFromMulti pairs each sub-report of a Multi document with its
-// detector name for cache seeding.
-func subsFromMulti(m *report.Multi) []subResult {
-	subs := make([]subResult, len(m.Reports))
-	for i, rep := range m.Reports {
-		subs[i] = subResult{detector: rader.DetectorName(rep.Detector), doc: rep}
-	}
-	return subs
 }
 
 // resolveAnalyze parses an /analyze request into a unit without running
@@ -466,7 +429,7 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 			digest:   programDigest(identity),
 			detector: det,
 			specStr:  canon,
-			run: func(tr *obs.Trace) (*analysisResult, error) {
+			run: func(tr *obs.Trace) (*analyze.Result, error) {
 				out, err := rader.Run(prog.Factory(), rader.Config{
 					Detector:    det,
 					Spec:        spec,
@@ -479,17 +442,17 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 				}
 				if det == rader.All {
 					m := report.FromAllOutcome(out, canon)
-					return &analysisResult{doc: m, clean: m.Clean, subs: subsFromMulti(m)}, nil
+					return &analyze.Result{Doc: m, Clean: m.Clean}, nil
 				}
 				rep := report.FromOutcome(out, canon)
-				return &analysisResult{doc: rep, clean: rep.Clean, parallel: rep.Parallel}, nil
+				return &analyze.Result{Doc: rep, Clean: rep.Clean}, nil
 			},
 		}
 	}
 
 	// A previously ingested trace, analyzed by reference: the body stays
-	// empty and the trace streams from the store — multi-GB traces never
-	// transit RAM whole.
+	// empty and the trace is read from the store, so a large trace never
+	// has to transit a request body.
 	if digest := q.Get("digest"); digest != "" {
 		if s.store == nil {
 			writeErr(w, http.StatusNotImplemented,
@@ -505,8 +468,8 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 			digest:   digest,
 			detector: det,
 			elide:    elideOn,
-			run: func(tr *obs.Trace) (*analysisResult, error) {
-				return s.analyzeStored(digest, det, elideOn, tr)
+			run: func(tr *obs.Trace) (*analyze.Result, error) {
+				return s.analyzeStored(digest, analyze.Options{Detector: det, Elide: elideOn, Trace: tr})
 			},
 		}
 	}
@@ -528,79 +491,10 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 		digest:   digest.String(),
 		detector: det,
 		elide:    elideOn,
-		run: func(tr *obs.Trace) (*analysisResult, error) {
-			return analyzeTraceBytes(data, det, elideOn, tr)
+		run: func(tr *obs.Trace) (*analyze.Result, error) {
+			return analyze.Trace(data, analyze.Options{Detector: det, Elide: elideOn, Trace: tr})
 		},
 	}
-}
-
-// analyzeTraceBytes replays an in-memory trace into the requested
-// detector configuration, optionally behind the static elision pre-pass.
-// With elision the detectors consume only the accesses the pass could
-// not prove race-free, and the verdict document is fixed up afterwards
-// so it is byte-identical to the full replay — the cache key therefore
-// never needs to mention elision.
-func analyzeTraceBytes(data []byte, det rader.DetectorName, elideOn bool, tr *obs.Trace) (*analysisResult, error) {
-	var plan *elide.Plan
-	var skip *trace.SkipSet
-	res := &analysisResult{}
-	if elideOn {
-		espan := tr.Start("elide")
-		p, err := elide.Analyze(data)
-		if err != nil {
-			espan.Arg("error", err.Error()).End()
-			return nil, err
-		}
-		plan, skip = p, p.SkipSet()
-		aud := p.Audit()
-		res.elidedEvents = aud.ElidedEvents
-		res.elidedBytes = aud.ElidedBytes
-		espan.Arg("elidedEvents", aud.ElidedEvents).Arg("elidedBytes", aud.ElidedBytes).End()
-	}
-	if det == rader.All {
-		dets := rader.NewAllDetectors()
-		hooks := make([]cilk.Hooks, len(dets))
-		for i, d := range dets {
-			hooks[i] = d
-		}
-		rspan := tr.Start("replay")
-		events, err := trace.ReplayAllBytesSkip(data, skip, nil, hooks...)
-		rspan.Arg("events", events).End()
-		if err != nil {
-			return nil, err
-		}
-		m := report.FromDetectors("", events, dets)
-		if plan != nil {
-			plan.FixupMulti(m)
-		}
-		res.doc, res.clean, res.events, res.subs = m, m.Clean, events, subsFromMulti(m)
-		return res, nil
-	}
-	d, hooks, err := rader.NewDetector(det)
-	if err != nil {
-		return nil, err
-	}
-	if hooks == nil {
-		// Replaying into no detector still validates the stream.
-		hooks = cilk.Empty{}
-	}
-	rspan := tr.Start("replay")
-	events, err := trace.ReplayAllBytesSkip(data, skip, nil, hooks)
-	rspan.Arg("events", events).End()
-	if err != nil {
-		return nil, err
-	}
-	var rep *report.Report
-	if d != nil {
-		rep = report.FromDetector(string(det), "", events, d)
-	} else {
-		rep = report.FromCore(string(det), "", events, nil)
-	}
-	if plan != nil {
-		plan.FixupReport(rep)
-	}
-	res.doc, res.clean, res.events, res.parallel = rep, rep.Clean, events, rep.Parallel
-	return res, nil
 }
 
 // storeLookup is the read-through path: on a RAM miss, a verified
@@ -715,7 +609,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	encodeStart := time.Now()
 	espan := tr.Start("encode")
-	raw, err := res.doc.Marshal()
+	raw, err := res.Doc.Marshal()
 	espan.End()
 	s.metrics.observePhase(phaseEncode, time.Since(encodeStart))
 	if err != nil {
@@ -724,26 +618,31 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "encoding report: %v", err)
 		return
 	}
-	s.metrics.done(string(unit.detector), dur, res.events)
-	s.metrics.depa(res.parallel)
-	s.metrics.elide(res.elidedEvents, res.elidedBytes)
-	log.Info("analyze done", "dur", dur, "events", res.events, "clean", res.clean,
+	s.metrics.done(string(unit.detector), dur, res.Events)
+	s.metrics.elide(res.ElidedEvents, res.ElidedBytes)
+	log.Info("analyze done", "dur", dur, "events", res.Events, "clean", res.Clean,
 		"cacheHit", false, "elide", unit.elide)
 	s.saveSpans(unit.digest, tr, log)
-	entry := &cached{digest: unit.digest, report: raw, clean: res.clean}
+	entry := &cached{digest: unit.digest, report: raw, clean: res.Clean}
 	s.cache.put(unit.key(), entry)
-	s.storePersist(unit.key(), unit.digest, string(unit.detector), unit.specStr, res.clean, raw, log)
-	// An all-detectors pass also seeds one cache entry per detector, so a
-	// later single-detector request for the same digest and spec is a hit
-	// — one upload, one decode, four cache entries.
-	for _, sub := range res.subs {
-		sraw, err := sub.doc.Marshal()
-		if err != nil {
-			continue
+	s.storePersist(unit.key(), unit.digest, string(unit.detector), unit.specStr, res.Clean, raw, log)
+	switch doc := res.Doc.(type) {
+	case *report.Report:
+		s.metrics.depa(doc.Parallel)
+	case *report.Multi:
+		// An all-detectors pass also seeds one cache entry per detector,
+		// so a later single-detector request for the same digest and spec
+		// is a hit — one upload, one decode, four cache entries. Each
+		// sub-report is built exactly as a standalone request builds it.
+		for _, sub := range doc.Reports {
+			sraw, err := sub.Marshal()
+			if err != nil {
+				continue
+			}
+			skey := unit.digest + "|" + sub.Detector + "|" + unit.specStr
+			s.cache.put(skey, &cached{digest: unit.digest, report: sraw, clean: sub.Clean})
+			s.storePersist(skey, unit.digest, sub.Detector, unit.specStr, sub.Clean, sraw, log)
 		}
-		skey := unit.digest + "|" + string(sub.detector) + "|" + unit.specStr
-		s.cache.put(skey, &cached{digest: unit.digest, report: sraw, clean: sub.doc.Clean})
-		s.storePersist(skey, unit.digest, string(sub.detector), unit.specStr, sub.doc.Clean, sraw, log)
 	}
 	writeJSON(w, http.StatusOK, AnalyzeResponse{
 		Digest:     entry.digest,
@@ -982,60 +881,20 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// analyzeStored replays a store-resident trace straight from disk into
-// the requested detector. The trace streams through trace.ReplayAll, so
-// peak memory is independent of trace size — the property that makes
-// multi-GB resumable uploads worth having. The elision pre-pass needs
-// random access to classify addresses before replaying, so elide=1
-// materializes the stored trace and takes the in-memory path instead.
-func (s *Server) analyzeStored(digest string, det rader.DetectorName, elideOn bool, tr *obs.Trace) (*analysisResult, error) {
+// analyzeStored analyzes a store-resident trace. Ingest wrote it to disk
+// in constant memory, chunk by chunk; analysis reads it into memory once,
+// because the replay engine decodes from one contiguous buffer.
+func (s *Server) analyzeStored(digest string, opts analyze.Options) (*analyze.Result, error) {
 	rc, _, err := s.store.OpenTrace(digest)
 	if err != nil {
 		return nil, fmt.Errorf("opening stored trace %s: %w", digest, err)
 	}
 	defer rc.Close()
-	if elideOn {
-		data, err := io.ReadAll(rc)
-		if err != nil {
-			return nil, fmt.Errorf("reading stored trace %s: %w", digest, err)
-		}
-		return analyzeTraceBytes(data, det, true, tr)
-	}
-	if det == rader.All {
-		dets := rader.NewAllDetectors()
-		hooks := make([]cilk.Hooks, len(dets))
-		for i, d := range dets {
-			hooks[i] = d
-		}
-		rspan := tr.Start("replay")
-		events, err := trace.ReplayAll(rc, hooks...)
-		rspan.Arg("events", events).End()
-		if err != nil {
-			return nil, err
-		}
-		m := report.FromDetectors("", events, dets)
-		return &analysisResult{doc: m, clean: m.Clean, events: events, subs: subsFromMulti(m)}, nil
-	}
-	d, hooks, err := rader.NewDetector(det)
+	data, err := io.ReadAll(rc)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("reading stored trace %s: %w", digest, err)
 	}
-	if hooks == nil {
-		hooks = cilk.Empty{}
-	}
-	rspan := tr.Start("replay")
-	events, err := trace.ReplayAll(rc, hooks)
-	rspan.Arg("events", events).End()
-	if err != nil {
-		return nil, err
-	}
-	var rep *report.Report
-	if d != nil {
-		rep = report.FromDetector(string(det), "", events, d)
-	} else {
-		rep = report.FromCore(string(det), "", events, nil)
-	}
-	return &analysisResult{doc: rep, clean: rep.Clean, events: events, parallel: rep.Parallel}, nil
+	return analyze.Trace(data, opts)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -243,6 +243,32 @@ func TestAnalyzeTruncatedUpload(t *testing.T) {
 	}
 }
 
+// Detectors none and empty analyze an upload as a validate-only pass:
+// an intact trace yields an empty clean report, a truncated one is still
+// rejected with 422 — the same contract as rader -replay.
+func TestAnalyzeValidateOnly(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	raw := fixture(t, "fig1_v2.trace")
+	for _, det := range []string{"none", "empty"} {
+		resp, body := postAnalyze(t, ts.URL+"/analyze?detector="+det, raw)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", det, resp.StatusCode, body)
+		}
+		ar := decodeAnalyze(t, body)
+		var rep report.Report
+		if err := json.Unmarshal(ar.Report, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if !ar.Clean || rep.Detector != det || rep.Events == 0 || len(rep.Races) != 0 {
+			t.Fatalf("%s: validate-only verdict is not an empty clean report: %s", det, ar.Report)
+		}
+		resp, body = postAnalyze(t, ts.URL+"/analyze?detector="+det, raw[:len(raw)-20])
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "truncated") {
+			t.Fatalf("%s: truncated upload: %d %s", det, resp.StatusCode, body)
+		}
+	}
+}
+
 // Saturation: with the pool full and the queue full, further requests are
 // shed with 429, and the worker bound is never exceeded.
 func TestAnalyzeSheddingUnderSaturation(t *testing.T) {

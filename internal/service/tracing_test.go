@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analyze"
 	"repro/internal/obs"
+	"repro/internal/rader"
 )
 
 // analyzeWithTraceparent posts one /analyze request carrying a client
@@ -117,6 +119,54 @@ func TestTraceparentLinksServerSpans(t *testing.T) {
 	}
 	if !haveX || !haveMeta {
 		t.Errorf("chrome rendering needs X spans and M metadata, got X=%v M=%v", haveX, haveMeta)
+	}
+}
+
+// An uploaded trace's server span tree carries the analysis pipeline's
+// spans — the same names a local rader -profile-out replay records —
+// beneath the service's queue/run/encode phases.
+func TestAnalyzeSpanTreeMatchesLocalReplay(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	raw := fixture(t, "fig1_v2.trace")
+	resp, body := postAnalyze(t, ts.URL+"/analyze?detector=depa", raw)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze: %d %s", resp.StatusCode, body)
+	}
+	ar := decodeAnalyze(t, body)
+	tresp, err := http.Get(ts.URL + "/traces/" + ar.Digest + "/trace?format=spans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, _ := io.ReadAll(tresp.Body)
+	tresp.Body.Close()
+	doc, err := obs.DecodeSpans(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := map[string]bool{}
+	for _, sp := range doc.Spans {
+		server[sp.Name] = true
+		if sp.Name == "replay" {
+			for _, arg := range []string{"events", "bytes", "frames"} {
+				if sp.Args[arg] == nil {
+					t.Errorf("replay span lacks %q: %v", arg, sp.Args)
+				}
+			}
+		}
+	}
+
+	local := obs.NewTrace()
+	if _, err := analyze.Trace(raw, analyze.Options{Detector: rader.Depa, Trace: local}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"queue", "run", "encode"}
+	for _, sp := range local.Spans() {
+		want = append(want, sp.Name)
+	}
+	for _, name := range append(want, "replay", "detector:depa", "rader_depa_shard") {
+		if !server[name] {
+			t.Errorf("server span tree lacks %q (have %v)", name, server)
+		}
 	}
 }
 

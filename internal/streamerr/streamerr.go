@@ -5,8 +5,8 @@
 // executor validate the event contract as they consume the stream. A live
 // execution can never violate the contract, so the validation failure mode
 // is a panic — but the panic *value* is always a *streamerr.Error, never a
-// bare string. Recovery points (trace.Replay, rader.Run, the rader sweep
-// workers) translate that panic value back into an ordinary error carrying
+// bare string. Recovery points (trace.Replay and trace.ReplayAll,
+// rader.Run, the rader sweep workers) translate that panic value back into an ordinary error carrying
 // the layer that detected the fault, the event index, the offending frame
 // and, for byte-level trace faults, the stream offset. Anything else that
 // escapes as a panic — a crashing downstream consumer, a runtime fault in

@@ -13,12 +13,12 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/analyze"
 	"repro/internal/apps"
 	"repro/internal/cilk"
 	"repro/internal/elide"
 	"repro/internal/mem"
 	"repro/internal/rader"
-	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -35,8 +35,9 @@ type ElideApp struct {
 	// ordinal fixup) is byte-identical to the full trace's.
 	Parity bool `json:"parity"`
 	// AnalyzeMS is the elision pass itself; FullReplayMS and
-	// ElidedReplayMS are the all-detectors fan-out over the full stream
-	// and over the skip-set fast path (medians over trials).
+	// ElidedReplayMS are the whole all-detectors analysis without and
+	// with elision — the elided figure includes AnalyzeMS plus the
+	// skip-set replay and fixup (medians over trials).
 	AnalyzeMS      float64 `json:"analyzeMs"`
 	FullReplayMS   float64 `json:"fullReplayMs"`
 	ElidedReplayMS float64 `json:"elidedReplayMs"`
@@ -68,24 +69,15 @@ func medianMS(trials int, f func()) float64 {
 	return float64(samples[len(samples)/2].Nanoseconds()) / 1e6
 }
 
-// allDetectorsDoc replays data under the all-detectors fan-out
-// (optionally through a skip set) and returns the marshaled Multi
-// verdict, fixed up by plan when one is given.
-func allDetectorsDoc(data []byte, skip *trace.SkipSet, plan *elide.Plan) ([]byte, error) {
-	dets := rader.NewAllDetectors()
-	hooks := make([]cilk.Hooks, len(dets))
-	for i, d := range dets {
-		hooks[i] = d.(cilk.Hooks)
-	}
-	n, err := trace.ReplayAllBytesSkip(data, skip, nil, hooks...)
+// allDetectorsDoc analyzes data under the all-detectors fan-out, with
+// or without the elision pre-pass, and returns the marshaled Multi
+// verdict.
+func allDetectorsDoc(data []byte, elideOn bool) ([]byte, error) {
+	res, err := analyze.Trace(data, analyze.Options{Detector: rader.All, Elide: elideOn})
 	if err != nil {
 		return nil, err
 	}
-	m := report.FromDetectors("", n, dets)
-	if plan != nil {
-		plan.FixupMulti(m)
-	}
-	return m.Marshal()
+	return res.Doc.Marshal()
 }
 
 // MeasureElide records every benchmark at the given scale under
@@ -121,11 +113,11 @@ func MeasureElide(trials int, scale apps.Scale, scaleName string) (*ElideBench, 
 			Shrink:         aud.Shrink,
 		}
 
-		full, err := allDetectorsDoc(data, nil, nil)
+		full, err := allDetectorsDoc(data, false)
 		if err != nil {
 			return nil, fmt.Errorf("full replay of %s: %w", app.Name, err)
 		}
-		elided, err := allDetectorsDoc(data, plan.SkipSet(), plan)
+		elided, err := allDetectorsDoc(data, true)
 		if err != nil {
 			return nil, fmt.Errorf("elided replay of %s: %w", app.Name, err)
 		}
@@ -138,13 +130,12 @@ func MeasureElide(trials int, scale apps.Scale, scaleName string) (*ElideBench, 
 			}
 		})
 		row.FullReplayMS = medianMS(trials, func() {
-			if _, err := allDetectorsDoc(data, nil, nil); err != nil {
+			if _, err := allDetectorsDoc(data, false); err != nil {
 				panic(err)
 			}
 		})
-		skip := plan.SkipSet()
 		row.ElidedReplayMS = medianMS(trials, func() {
-			if _, err := allDetectorsDoc(data, skip, plan); err != nil {
+			if _, err := allDetectorsDoc(data, true); err != nil {
 				panic(err)
 			}
 		})

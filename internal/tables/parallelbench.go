@@ -201,7 +201,7 @@ func MeasureParallel(o ParallelOptions) (*ParallelBench, error) {
 				det := depa.New()
 				det.Shards = shards
 				det.Sequential = true
-				events, err := trace.ReplayAllBytes(data, det)
+				events, err := trace.ReplayAll(data, nil, nil, det)
 				if err != nil {
 					return nil, fmt.Errorf("tables: replaying %s: %w", w.name, err)
 				}

@@ -103,7 +103,7 @@ func MeasureReplay(trials int) (*ReplayBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	events, err := trace.ReplayAllBytes(data, cilk.Empty{})
+	events, err := trace.ReplayAll(data, nil, nil, cilk.Empty{})
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func MeasureReplay(trials int) (*ReplayBench, error) {
 		for i, d := range dets {
 			hooks[i] = d.(cilk.Hooks)
 		}
-		if _, err := trace.ReplayAllBytes(data, hooks...); err != nil {
+		if _, err := trace.ReplayAll(data, nil, nil, hooks...); err != nil {
 			panic(err)
 		}
 	})
@@ -163,7 +163,7 @@ func MeasureReplay(trials int) (*ReplayBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	plainEvents, err := trace.ReplayAllBytes(plain, cilk.Empty{})
+	plainEvents, err := trace.ReplayAll(plain, nil, nil, cilk.Empty{})
 	if err != nil {
 		return nil, err
 	}

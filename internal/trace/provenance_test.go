@@ -30,7 +30,7 @@ func TestDetectorProvenanceAndCounts(t *testing.T) {
 	for i, d := range dets {
 		hooks[i] = d.(cilk.Hooks)
 	}
-	if _, err := ReplayAllBytes(data, hooks...); err != nil {
+	if _, err := ReplayAll(data, nil, nil, hooks...); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,7 +24,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -50,7 +49,7 @@ const maxInterned = 4096
 // registered cilk.Hooks consumer — detectors, the dag recorder, digest
 // accounting — in event order, producing behaviour bit-identical to one
 // streaming Replay per consumer. The zero value is not ready; use
-// NewReplayer (or the pooled ReplayAll/ReplayAllBytes front doors).
+// NewReplayer (or the pooled ReplayAll front door).
 //
 // A Replayer is not safe for concurrent use, and the *cilk.Frame and
 // *cilk.Reducer objects it synthesizes are owned by its arena: they are
@@ -65,8 +64,6 @@ type Replayer struct {
 	stack    []*cilk.Frame
 	reducers map[int]*cilk.Reducer
 	labels   map[string]string // intern table; persists across replays
-
-	scratch []byte // pooled read buffer for ReplayAll's io.Reader front door
 
 	// per-replay decode state
 	body    []byte
@@ -95,28 +92,22 @@ func NewReplayer() *Replayer {
 
 var replayerPool = sync.Pool{New: func() any { return NewReplayer() }}
 
-// ReplayAll reads r to EOF and replays the stream exactly once into every
-// hook, using a pooled engine. It is Replay's single-pass counterpart:
-// three detectors cost one decode, not three.
-func ReplayAll(r io.Reader, hooks ...cilk.Hooks) (int64, error) {
+// ReplayAll replays an in-memory stream exactly once into every hook
+// through a pooled engine — the package's one front door to the
+// single-pass Replayer: three detectors cost one decode, not three.
+// Access events whose address falls in skip are decoded and validated
+// but never reach the hooks (see Replayer.ReplaySkip); a nil skip
+// replays everything. A non-nil stats is filled with the replay's
+// ReplayStats, successful or not — a truncated stream still reports what
+// was decoded.
+func ReplayAll(data []byte, skip *SkipSet, stats *ReplayStats, hooks ...cilk.Hooks) (int64, error) {
 	rp := replayerPool.Get().(*Replayer)
 	defer replayerPool.Put(rp)
-	buf := bytes.NewBuffer(rp.scratch[:0])
-	if _, err := buf.ReadFrom(r); err != nil {
-		return 0, streamerr.Errorf("trace", streamerr.KindTruncated,
-			"reading stream: %v", err)
+	n, err := rp.ReplaySkip(data, skip, hooks...)
+	if stats != nil {
+		*stats = rp.Stats()
 	}
-	rp.scratch = buf.Bytes()
-	return rp.Replay(rp.scratch, hooks...)
-}
-
-// ReplayAllBytes replays an in-memory stream through a pooled engine —
-// the zero-copy entry point for callers (like the analysis service) that
-// already hold the encoded bytes.
-func ReplayAllBytes(data []byte, hooks ...cilk.Hooks) (int64, error) {
-	rp := replayerPool.Get().(*Replayer)
-	defer replayerPool.Put(rp)
-	return rp.Replay(data, hooks...)
+	return n, err
 }
 
 // reset rewinds the engine for a fresh stream, keeping the arenas and the

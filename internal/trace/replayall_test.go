@@ -53,7 +53,7 @@ func checkSeqVsAll(t *testing.T, name string, data []byte) {
 	for i, d := range all {
 		hooks[i] = d.(cilk.Hooks)
 	}
-	n, err := ReplayAllBytes(data, hooks...)
+	n, err := ReplayAll(data, nil, nil, hooks...)
 	if err != nil {
 		t.Fatalf("%s: single-pass replay: %v", name, err)
 	}
@@ -149,7 +149,7 @@ func TestReplayAllErrorParity(t *testing.T) {
 	check := func(name string, stream []byte) {
 		t.Helper()
 		wantN, wantErr := Replay(bytes.NewReader(stream), spplus.New())
-		gotN, gotErr := ReplayAllBytes(stream, spplus.New())
+		gotN, gotErr := ReplayAll(stream, nil, nil, spplus.New())
 		if wantN != gotN {
 			t.Fatalf("%s: events %d (streaming) vs %d (single-pass)", name, wantN, gotN)
 		}
@@ -192,31 +192,12 @@ func TestReplayAllErrorParity(t *testing.T) {
 	}
 }
 
-// TestReplayAllReaderMatchesBytes checks the io.Reader front door against
-// the in-memory one.
-func TestReplayAllReaderMatchesBytes(t *testing.T) {
-	al := mem.NewAllocator()
-	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
-	a, b := spplus.New(), spplus.New()
-	na, err := ReplayAll(bytes.NewReader(data), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := ReplayAllBytes(data, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if na != nb || verdict(a.Report()) != verdict(b.Report()) {
-		t.Fatalf("front doors diverge: %d/%d events", na, nb)
-	}
-}
-
 // TestReplayAllConsumerPanic: a hook panic surfaces as the same typed
 // consumer error the streaming replayer produces.
 func TestReplayAllConsumerPanic(t *testing.T) {
 	al := mem.NewAllocator()
 	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
-	_, err := ReplayAllBytes(data, panicky{})
+	_, err := ReplayAll(data, nil, nil, panicky{})
 	var se *streamerr.Error
 	if !errors.As(err, &se) || se.Kind != streamerr.KindConsumer {
 		t.Fatalf("got %v, want KindConsumer", err)
@@ -256,25 +237,52 @@ func reducerFreeTrace(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestReplayAllSteadyStateAllocs pins the tentpole's core claim: once an
-// engine is warm, replaying a reducer-free stream performs ZERO
-// allocations — no per-event frame churn, no label copies, no buffer
-// growth. The CI allocation-regression step runs this test.
-func TestReplayAllSteadyStateAllocs(t *testing.T) {
-	data := reducerFreeTrace(t)
+// replayPaths are the two ways to drive the decode loop: a caller-held
+// engine and the pooled ReplayAll front door. The race detector makes
+// sync.Pool drop entries at random, so the pooled path is only measured
+// without it.
+func replayPaths() map[string]func([]byte) (int64, error) {
 	rp := NewReplayer()
+	paths := map[string]func([]byte) (int64, error){
+		"engine": func(data []byte) (int64, error) { return rp.Replay(data, cilk.Empty{}) },
+	}
+	if !raceEnabled {
+		paths["ReplayAll"] = func(data []byte) (int64, error) { return ReplayAll(data, nil, nil, cilk.Empty{}) }
+	}
+	return paths
+}
+
+// allocsPerReplay warms replay on data, then returns the mean allocation
+// count of one further replay and the stream's event count.
+func allocsPerReplay(t *testing.T, replay func([]byte) (int64, error), data []byte) (float64, int64) {
+	t.Helper()
+	var events int64
 	for i := 0; i < 2; i++ { // warm the arena, stack, and intern table
-		if _, err := rp.Replay(data, cilk.Empty{}); err != nil {
+		n, err := replay(data)
+		if err != nil {
 			t.Fatal(err)
 		}
+		events = n
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := rp.Replay(data, cilk.Empty{}); err != nil {
+		if _, err := replay(data); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state decode loop allocates %.2f times per replay, want 0", allocs)
+	return allocs, events
+}
+
+// TestReplayAllSteadyStateAllocs pins the tentpole's core claim: once an
+// engine is warm, replaying a reducer-free stream performs ZERO
+// allocations — no per-event frame churn, no label copies, no buffer
+// growth — whether the caller holds the engine or ReplayAll lends it one
+// from the pool. The CI allocation-regression step runs this test.
+func TestReplayAllSteadyStateAllocs(t *testing.T) {
+	data := reducerFreeTrace(t)
+	for name, replay := range replayPaths() {
+		if allocs, _ := allocsPerReplay(t, replay, data); allocs != 0 {
+			t.Fatalf("%s: steady-state decode loop allocates %.2f times per replay, want 0", name, allocs)
+		}
 	}
 }
 
@@ -284,24 +292,12 @@ func TestReplayAllSteadyStateAllocs(t *testing.T) {
 func TestReplayAllAmortizedAllocs(t *testing.T) {
 	al := mem.NewAllocator()
 	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{N: 64}), cilk.StealAll{})
-	rp := NewReplayer()
-	var events int64
-	for i := 0; i < 2; i++ {
-		n, err := rp.Replay(data, cilk.Empty{})
-		if err != nil {
-			t.Fatal(err)
+	for name, replay := range replayPaths() {
+		allocs, events := allocsPerReplay(t, replay, data)
+		if perEvent := allocs / float64(events); perEvent > 0.01 {
+			t.Fatalf("%s: %.4f allocs/event amortized (%.1f per replay of %d events), want <= 0.01",
+				name, perEvent, allocs, events)
 		}
-		events = n
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := rp.Replay(data, cilk.Empty{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perEvent := allocs / float64(events)
-	if perEvent > 0.01 {
-		t.Fatalf("%.4f allocs/event amortized (%.1f per replay of %d events), want <= 0.01",
-			perEvent, allocs, events)
 	}
 }
 
@@ -314,7 +310,7 @@ func BenchmarkReplayAll(b *testing.B) {
 	al := mem.NewAllocator()
 	data := traceOf(b, progs.Fig1(al, progs.Fig1Options{N: 256}), cilk.StealAll{})
 	events := func() int64 {
-		n, err := ReplayAllBytes(data, cilk.Empty{})
+		n, err := ReplayAll(data, nil, nil, cilk.Empty{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,7 +336,7 @@ func BenchmarkReplayAll(b *testing.B) {
 			for j, d := range dets {
 				hooks[j] = d.(cilk.Hooks)
 			}
-			if _, err := ReplayAllBytes(data, hooks...); err != nil {
+			if _, err := ReplayAll(data, nil, nil, hooks...); err != nil {
 				b.Fatal(err)
 			}
 		}

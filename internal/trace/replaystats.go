@@ -1,13 +1,5 @@
 package trace
 
-import (
-	"bytes"
-	"io"
-
-	"repro/internal/cilk"
-	"repro/internal/streamerr"
-)
-
 // ReplayStats is one replay's decode accounting: what the single-pass
 // engine consumed and what its pooled resources look like afterwards. It
 // is the observability face of the Replayer — the data behind a "replay"
@@ -55,8 +47,8 @@ var classNames = [evMax]string{
 }
 
 // Stats snapshots the engine's accounting for the most recent Replay
-// call. Call before handing a pooled engine back (the front doors below
-// do this for their callers).
+// call. Call before handing a pooled engine back (ReplayAll does this for
+// its callers).
 func (rp *Replayer) Stats() ReplayStats {
 	st := ReplayStats{
 		Events:         rp.events,
@@ -73,68 +65,4 @@ func (rp *Replayer) Stats() ReplayStats {
 		}
 	}
 	return st
-}
-
-// ReplayAllStats is ReplayAll with decode accounting: when stats is
-// non-nil it is filled with the replay's ReplayStats (successful or not —
-// a truncated stream still reports what was decoded). A nil stats makes
-// it exactly ReplayAll.
-func ReplayAllStats(r io.Reader, stats *ReplayStats, hooks ...cilk.Hooks) (int64, error) {
-	rp := replayerPool.Get().(*Replayer)
-	defer replayerPool.Put(rp)
-	buf := bytes.NewBuffer(rp.scratch[:0])
-	if _, err := buf.ReadFrom(r); err != nil {
-		return 0, streamerr.Errorf("trace", streamerr.KindTruncated,
-			"reading stream: %v", err)
-	}
-	rp.scratch = buf.Bytes()
-	n, err := rp.Replay(rp.scratch, hooks...)
-	if stats != nil {
-		*stats = rp.Stats()
-	}
-	return n, err
-}
-
-// ReplayAllBytesStats is ReplayAllBytes with decode accounting, under the
-// same contract as ReplayAllStats.
-func ReplayAllBytesStats(data []byte, stats *ReplayStats, hooks ...cilk.Hooks) (int64, error) {
-	rp := replayerPool.Get().(*Replayer)
-	defer replayerPool.Put(rp)
-	n, err := rp.Replay(data, hooks...)
-	if stats != nil {
-		*stats = rp.Stats()
-	}
-	return n, err
-}
-
-// ReplayAllSkip is ReplayAll under an elision skip set: access events
-// whose address falls in skip are decoded and validated but never reach
-// the hooks (see Replayer.ReplaySkip). A nil stats skips the accounting;
-// a nil or empty skip makes it exactly ReplayAllStats.
-func ReplayAllSkip(r io.Reader, skip *SkipSet, stats *ReplayStats, hooks ...cilk.Hooks) (int64, error) {
-	rp := replayerPool.Get().(*Replayer)
-	defer replayerPool.Put(rp)
-	buf := bytes.NewBuffer(rp.scratch[:0])
-	if _, err := buf.ReadFrom(r); err != nil {
-		return 0, streamerr.Errorf("trace", streamerr.KindTruncated,
-			"reading stream: %v", err)
-	}
-	rp.scratch = buf.Bytes()
-	n, err := rp.ReplaySkip(rp.scratch, skip, hooks...)
-	if stats != nil {
-		*stats = rp.Stats()
-	}
-	return n, err
-}
-
-// ReplayAllBytesSkip is ReplayAllBytes under an elision skip set, with
-// the same contract as ReplayAllSkip.
-func ReplayAllBytesSkip(data []byte, skip *SkipSet, stats *ReplayStats, hooks ...cilk.Hooks) (int64, error) {
-	rp := replayerPool.Get().(*Replayer)
-	defer replayerPool.Put(rp)
-	n, err := rp.ReplaySkip(data, skip, hooks...)
-	if stats != nil {
-		*stats = rp.Stats()
-	}
-	return n, err
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/cilk"
@@ -9,25 +8,25 @@ import (
 	"repro/internal/progs"
 )
 
-// TestReplayStats checks the accounting front doors against the plain
-// ones: same event count, byte count matching the stream, and per-class
-// counts summing to the total.
+// TestReplayStats checks ReplayAll's accounting against its plain
+// replay: same event count, byte count matching the stream, and
+// per-class counts summing to the total.
 func TestReplayStats(t *testing.T) {
 	al := mem.NewAllocator()
 	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
 
-	n0, err := ReplayAllBytes(data, cilk.Empty{})
+	n0, err := ReplayAll(data, nil, nil, cilk.Empty{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var st ReplayStats
-	n, err := ReplayAllBytesStats(data, &st, cilk.Empty{})
+	n, err := ReplayAll(data, nil, &st, cilk.Empty{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != n0 || st.Events != n0 {
-		t.Fatalf("events: plain %d, stats front door %d, ReplayStats %d", n0, n, st.Events)
+		t.Fatalf("events: plain %d, with stats %d, ReplayStats %d", n0, n, st.Events)
 	}
 	if st.Bytes != int64(len(data)) {
 		t.Fatalf("Bytes = %d, stream is %d bytes", st.Bytes, len(data))
@@ -50,21 +49,6 @@ func TestReplayStats(t *testing.T) {
 			t.Fatalf("fig1 under steal-all decoded no %q events: %v", want, st.Classes)
 		}
 	}
-
-	// Reader front door agrees with the bytes one.
-	var st2 ReplayStats
-	n2, err := ReplayAllStats(bytes.NewReader(data), &st2, cilk.Empty{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 != n || st2.Events != st.Events || st2.Bytes != st.Bytes {
-		t.Fatalf("reader front door: events %d/%d, bytes %d/%d", n2, n, st2.Bytes, st.Bytes)
-	}
-
-	// Nil stats is exactly ReplayAllBytes.
-	if n3, err := ReplayAllBytesStats(data, nil, cilk.Empty{}); err != nil || n3 != n {
-		t.Fatalf("nil-stats front door: %d events, err %v", n3, err)
-	}
 }
 
 // A truncated stream still reports what was decoded before the error.
@@ -74,7 +58,7 @@ func TestReplayStatsTruncated(t *testing.T) {
 	cut := data[:len(data)-10]
 
 	var st ReplayStats
-	if _, err := ReplayAllBytesStats(cut, &st, cilk.Empty{}); err == nil {
+	if _, err := ReplayAll(cut, nil, &st, cilk.Empty{}); err == nil {
 		t.Fatal("truncated stream replayed without error")
 	}
 	if st.Events == 0 || st.Classes["frame-enter-spawn"] == 0 {

@@ -89,7 +89,7 @@ func TestVerifyIntegrityV1IsVacuous(t *testing.T) {
 // any stream Replay accepts, VerifyIntegrity accepts.
 func TestVerifyIntegrityAgreesWithReplay(t *testing.T) {
 	data := recordedFig1(t)
-	if _, err := ReplayAllBytes(data); err != nil {
+	if _, err := ReplayAll(data, nil, nil); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	if err := VerifyIntegrity(bytes.NewReader(data)); err != nil {
