@@ -305,11 +305,11 @@ func BenchmarkCoverageSweepScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep times the §7 coverage sweep with and without prefix
-// sharing on the SweepStress workload (92 specifications, long serial
-// preamble shared by every unit) — the testing.B view of the
-// BENCH_PR5.json comparison. Workers is pinned to 1 so the ratio
-// measures work saved, not scheduling.
+// BenchmarkSweep times the §7 coverage sweep against the per-specification
+// reference sweep (rader.SweepReference, the "naive" case) on the
+// SweepStress workload (92 specifications, long serial preamble shared by
+// every unit) — the testing.B view of the BENCH_PR5.json comparison.
+// Workers is pinned to 1 so the ratio measures work saved, not scheduling.
 func BenchmarkSweep(b *testing.B) {
 	factory := func() func(*cilk.Ctx) {
 		return progs.SweepStress(mem.NewAllocator(), 7, 2048, 64)
@@ -319,13 +319,16 @@ func BenchmarkSweep(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name  string
-		naive bool
-	}{{"naive", true}, {"prefix", false}} {
+		sweep func() *rader.CoverageResult
+	}{
+		{"naive", func() *rader.CoverageResult { return rader.SweepReference(factory, 0, 0, 0) }},
+		{"prefix", func() *rader.CoverageResult { return rader.Sweep(factory, rader.SweepOptions{Workers: 1}) }},
+	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
 			var cr *rader.CoverageResult
 			for i := 0; i < b.N; i++ {
-				cr = rader.Sweep(factory, rader.SweepOptions{Workers: 1, Naive: mode.naive})
+				cr = mode.sweep()
 			}
 			if !cr.Complete() || !cr.Clean() {
 				b.Fatalf("benchmark sweep misbehaved: failures=%v races=%v", cr.Failures, cr.Races)

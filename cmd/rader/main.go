@@ -205,7 +205,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *coverage {
-		return runCoverage(stdout, prog, rader.SweepOptions{
+		// Sweep lanes run program instances concurrently, and the apps
+		// carry mutable state, so every sweep run gets a fresh instance.
+		// buildProgram already succeeded with these arguments, so its
+		// error cannot occur here.
+		factory := func() func(*cilk.Ctx) {
+			p, _, _, _ := buildProgram(*progName, *scale, *reads)
+			return p
+		}
+		return runCoverage(stdout, factory, rader.SweepOptions{
 			Workers:     *sweepW,
 			SampleSpecs: *sweepN,
 			Timeout:     *timeout,
@@ -315,11 +323,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exitClean
 }
 
-func runCoverage(stdout io.Writer, prog func(*cilk.Ctx), opts rader.SweepOptions, jsonOut bool) int {
+func runCoverage(stdout io.Writer, factory func() func(*cilk.Ctx), opts rader.SweepOptions, jsonOut bool) int {
 	if opts.Workers < 1 {
 		opts.Workers = runtime.NumCPU()
 	}
-	cr := rader.Sweep(func() func(*cilk.Ctx) { return prog }, opts)
+	cr := rader.Sweep(factory, opts)
 	if jsonOut {
 		b, err := report.FromCoverage(cr).Marshal()
 		if err != nil {

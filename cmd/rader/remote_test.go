@@ -106,6 +106,38 @@ func TestRemoteCoverageSweep(t *testing.T) {
 	}
 }
 
+// Sweep lanes run program instances concurrently, so a local sweep must
+// build a fresh instance per run, as raderd does: apps that carry mutable
+// state print byte-identical verdicts at 1 and 8 workers, and the same
+// bytes raderd returns for the same program.
+func TestCoverageSweepWidthAndRemoteParity(t *testing.T) {
+	_, base := startDaemon(t, service.Config{Workers: 2})
+	for _, prog := range []string{"pbfs", "dedup"} {
+		sweep := func(extra ...string) (int, string) {
+			args := append([]string{"-prog", prog, "-scale", "test", "-coverage", "-json"}, extra...)
+			code, out, errOut := exec(t, args...)
+			if code != exitClean && code != exitRaces {
+				t.Fatalf("%s %v: exit %d\n%s%s", prog, extra, code, out, errOut)
+			}
+			return code, out
+		}
+		code1, w1 := sweep("-sweep-workers", "1")
+		code8, w8 := sweep("-sweep-workers", "8")
+		if code1 != code8 || w1 != w8 {
+			t.Fatalf("%s: sweep differs between 1 and 8 workers (exit %d vs %d):\n1: %s\n8: %s",
+				prog, code1, code8, w1, w8)
+		}
+		if prog != "pbfs" {
+			continue
+		}
+		codeR, remote := sweep("-remote", base)
+		if codeR != code1 || remote != w1 {
+			t.Fatalf("%s: remote sweep differs from local (exit %d vs %d):\nremote: %s\nlocal:  %s",
+				prog, codeR, code1, remote, w1)
+		}
+	}
+}
+
 // Daemon errors surface as exit 2 with the server's explanation.
 func TestRemoteErrors(t *testing.T) {
 	_, base := startDaemon(t, service.Config{Workers: 1})

@@ -374,9 +374,10 @@ func updateList(c *cilk.Ctx, opts Fig1Options, list *MyList, region mem.Region) 
 // reducer. Every §7 specification of this program shares the preamble —
 // the first continuation probe fires only after the first child returns —
 // so a prefix-sharing sweep pays the preamble's detector cost once, while
-// the naive sweep pays it once per specification. The program is race-free
-// and ostensibly deterministic; with spawns = 7 its §7 family has 92
-// members, comfortably past the ≥50-spec bar the benchmark calls for.
+// a per-specification sweep pays it once per specification. The program
+// is race-free and ostensibly deterministic; with spawns = 7 its §7
+// family has 92 members, comfortably past the ≥50-spec bar the benchmark
+// calls for.
 func SweepStress(al *mem.Allocator, spawns, preamble, body int) func(*cilk.Ctx) {
 	region := al.Alloc("sweep-stress", preamble+spawns*body)
 	return func(c *cilk.Ctx) {

@@ -28,16 +28,14 @@ func slowFlat(k int, delay time.Duration) func(*cilk.Ctx) {
 
 // A deadline landing mid-sweep must split the family cleanly: units that
 // finished keep their verdicts, units that never started fail with
-// KindDeadline — on both the prefix-sharing and the naive path. The
-// deadline derives from one monotonic start reading, so completed work is
-// never retroactively failed.
+// KindDeadline. The deadline derives from one monotonic start reading, so
+// completed work is never retroactively failed.
 func TestSweepDeadlineMidSweep(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts SweepOptions
 	}{
 		{"prefix", SweepOptions{Workers: 1, Timeout: 60 * time.Millisecond}},
-		{"naive", SweepOptions{Workers: 1, Timeout: 60 * time.Millisecond, Naive: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			factory := func() func(*cilk.Ctx) { return slowFlat(7, 2*time.Millisecond) }

@@ -140,18 +140,15 @@ func stealSensitive(k, readAt int) func(*cilk.Ctx) {
 
 // A seeded unit that panics mid-run fails exactly its own group; the
 // failure must land on the same specifications, with the same error text,
-// as the naive sweep — at any worker count — and every group must still
-// run exactly once.
+// as in the reference sweep — at any worker count — and every group must
+// still run exactly once.
 func TestSweepPanicInSeededUnits(t *testing.T) {
 	factory := func() func(*cilk.Ctx) { return stealSensitive(6, 3) }
+	ref := SweepReference(factory, 0, 0, 0)
 	var byWorkers []*CoverageResult
 	for _, workers := range []int{1, 8} {
 		prefix := Sweep(factory, SweepOptions{Workers: workers})
-		naive := Sweep(factory, SweepOptions{Workers: workers, Naive: true})
-		if prefix.Stats.Strategy != "prefix" {
-			t.Fatalf("strategy %q, want prefix", prefix.Stats.Strategy)
-		}
-		requireEquivalent(t, prefix, naive)
+		requireEquivalent(t, prefix, ref)
 		if len(prefix.Failures) == 0 {
 			t.Fatal("no specification panicked; the program is not steal-sensitive")
 		}
@@ -302,8 +299,8 @@ func TestSweepDequeStressEightWorkers(t *testing.T) {
 		t.Fatalf("stress sweep failed: %v", cr.Failures)
 	}
 	st := cr.Stats
-	if st.Strategy != "prefix" || st.Workers != 8 {
-		t.Fatalf("ran strategy %q at %d workers, want prefix at 8", st.Strategy, st.Workers)
+	if st.Workers != 8 {
+		t.Fatalf("ran at %d workers, want 8", st.Workers)
 	}
 	if units := st.SnapshotHits + st.SnapshotMisses; units != int64(st.Groups) {
 		t.Errorf("ran %d units for %d groups", units, st.Groups)

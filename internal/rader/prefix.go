@@ -27,7 +27,8 @@ import (
 // workers, handing the snapshot off with each stolen unit. The
 // budget/deadline guard sits outside the gate, so every unit counts the
 // full event stream — budget and deadline aborts land on the same event,
-// with the same error text, as the naive per-spec sweep.
+// with the same error text, as a run of the same specification in
+// SweepReference.
 
 // SweepStats accounts for how a sweep was executed. It is diagnostic
 // output: two sweeps over the same program are equivalent iff their
@@ -37,16 +38,14 @@ import (
 // the sampling fields (SpecsTotal, Sampled, CoverageFraction, Confidence)
 // are deterministic and do.
 type SweepStats struct {
-	// Strategy is "prefix" or "naive".
-	Strategy string
 	// SnapshotHits counts sweep units seeded from a detector snapshot;
 	// SnapshotMisses counts units that ran fully live (the root unit, and
 	// any fallback unit respawned after a failure upstream of its subtree).
 	SnapshotHits   int64
 	SnapshotMisses int64
 	// EventsSkipped is the total number of instrumentation events the
-	// prefix gates suppressed — work the naive sweep would have fed to a
-	// live detector.
+	// prefix gates suppressed — work a per-specification sweep would have
+	// fed to a live detector.
 	EventsSkipped int64
 	// PagesCopied counts shadow-memory pages cloned by copy-on-write
 	// across all units — the cost side of forking detectors.
@@ -126,13 +125,26 @@ type prefixSweep struct {
 // specAt returns the specification at position pos of the selection.
 func (s *prefixSweep) specAt(pos int) cilk.StealSpec { return s.fam.At(s.sel[pos]) }
 
-// sweepPrefix runs the §7 sweep with prefix sharing on the work-stealing
-// scheduler. Equivalence contract: the returned CoverageResult's canonical
-// fields (Profile, SpecsRun, ViewReads, Races, Failures, TotalReports) are
-// byte-identical to the naive per-specification sweep's, at any worker
-// count and under the same sampling options.
-func sweepPrefix(factory func() func(*cilk.Ctx), opts SweepOptions, workers int, clock sweepClock) *CoverageResult {
-	cr := &CoverageResult{ViewReads: &core.Report{}, Stats: SweepStats{Strategy: "prefix", Workers: workers}}
+// Sweep is the hardened §7 coverage sweep: prefix sharing on the
+// work-stealing scheduler, with per-unit panic isolation, an event budget
+// and an overall deadline. Each failing unit is reported in
+// CoverageResult.Failures with its typed error while every other
+// specification still contributes its verdict. With Workers > 1, lanes
+// run program instances concurrently, so factory must return a fresh,
+// independent instance per call; instances must allocate identical
+// address layouts (e.g. a fresh mem.Allocator each), so findings from
+// different units describe the same locations.
+//
+// Equivalence contract: the returned CoverageResult's canonical fields
+// (Profile, SpecsRun, ViewReads, Races, Failures, TotalReports) are
+// byte-identical to SweepReference's, at any worker count and under the
+// same budget and sampling options.
+func Sweep(factory func() func(*cilk.Ctx), opts SweepOptions) *CoverageResult {
+	workers := max(opts.Workers, 1)
+	// All deadline arithmetic derives from this one monotonic reading, so a
+	// wall-clock step mid-sweep cannot expire (or revive) the timeout.
+	clock := newSweepClock(opts.Timeout)
+	cr := &CoverageResult{ViewReads: &core.Report{}, Stats: SweepStats{Workers: workers}}
 
 	pspan := opts.Trace.Start("profile")
 	profile, probes, err := measureProbes(factory)
@@ -172,9 +184,9 @@ func sweepPrefix(factory func() func(*cilk.Ctx), opts SweepOptions, workers int,
 		cr.Stats.PagesPooled += w.pooled
 	}
 
-	// Collect exactly as the naive sweep does, replicating each group's
-	// verdict to every member specification in selection order so race
-	// attribution (first spec to report a distinct race wins) matches.
+	// Replicate each group's verdict to every member specification in
+	// selection order, so race attribution (the first spec to report a
+	// distinct race wins) matches a per-specification sweep.
 	cspan := opts.Trace.Start("collect")
 	groupOf := make([]int, len(sel))
 	for g, members := range s.trie.Groups {
@@ -189,7 +201,7 @@ func sweepPrefix(factory func() func(*cilk.Ctx), opts SweepOptions, workers int,
 			name := sched.Format(s.specAt(pos))
 			if pos == 0 && s.psErr != nil {
 				// The root unit carried the Peer-Set pass too; its loss must
-				// be visible under both names, as in the naive piggyback.
+				// be visible under both names.
 				cr.Failures = append(cr.Failures, SpecFailure{Spec: "peer-set", Err: s.psErr})
 			}
 			cr.Failures = append(cr.Failures, SpecFailure{Spec: name, Err: res.err})
@@ -214,8 +226,8 @@ func sweepPrefix(factory func() func(*cilk.Ctx), opts SweepOptions, workers int,
 	return cr
 }
 
-// applySampleStats fills the deterministic sampling fields shared by both
-// sweep strategies.
+// applySampleStats fills the deterministic sampling fields of a sweep's
+// stats.
 func applySampleStats(st *SweepStats, total, selected int) {
 	st.SpecsTotal = total
 	st.CoverageFraction = 1
@@ -286,8 +298,15 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 	} else {
 		s.misses.Add(1)
 	}
+	// A fault-injection wrap sits between the gate and the detector, so it
+	// addresses the events this unit actually analyses; outside the gate,
+	// a seeded unit's closed prefix would swallow the fault.
+	var inner cilk.Hooks = det
+	if s.opts.Wrap != nil {
+		inner = s.opts.Wrap(s.sel[s.trie.Groups[leaf][0]], leafSpec, det)
+	}
 	gate := w.gate
-	gate.Rearm(det, !seeded)
+	gate.Rearm(inner, !seeded)
 
 	// nextBranch is shared with the recovery path: sibling subtrees of
 	// branch nodes the failing unit never reached must still be analysed,
@@ -340,9 +359,9 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 	var ps core.Detector
 	if t.root {
 		// The root unit's leftmost leaf is the all-serial group (the
-		// no-steal edge sorts first at every branch), so — exactly like the
-		// naive sweep's first unit — the schedule-independent Peer-Set pass
-		// piggybacks on its execution.
+		// no-steal edge sorts first at every branch), so — exactly like
+		// SweepReference's first run — the schedule-independent Peer-Set
+		// pass piggybacks on its execution.
 		psDet, psHooks, _ := NewDetector(PeerSet)
 		ps = psDet
 		hooks = cilk.MultiHooks(psHooks, gate)

@@ -20,100 +20,107 @@ func sweepEntry(e corpus.Entry, opts SweepOptions) *CoverageResult {
 	}, opts)
 }
 
-// requireEquivalent asserts the canonical CoverageResult fields of a
-// prefix-sharing sweep and a naive sweep are identical. SweepStats is
-// deliberately excluded: it describes how the sweep executed, not what it
-// concluded.
-func requireEquivalent(t *testing.T, prefix, naive *CoverageResult) {
+// referenceEntry runs SweepReference over one corpus entry with a fresh
+// allocator per instance, like sweepEntry.
+func referenceEntry(e corpus.Entry, budget int64, sample int, seed uint64) *CoverageResult {
+	return SweepReference(func() func(*cilk.Ctx) {
+		return e.Build(mem.NewAllocator())
+	}, budget, sample, seed)
+}
+
+// requireEquivalent asserts the canonical CoverageResult fields of two
+// sweeps are identical. SweepStats is deliberately excluded: it describes
+// how a sweep executed, not what it concluded.
+func requireEquivalent(t *testing.T, got, want *CoverageResult) {
 	t.Helper()
-	if prefix.Profile != naive.Profile {
-		t.Errorf("Profile: prefix %+v, naive %+v", prefix.Profile, naive.Profile)
+	if got.Profile != want.Profile {
+		t.Errorf("Profile: got %+v, want %+v", got.Profile, want.Profile)
 	}
-	if prefix.SpecsRun != naive.SpecsRun {
-		t.Errorf("SpecsRun: prefix %d, naive %d", prefix.SpecsRun, naive.SpecsRun)
+	if got.SpecsRun != want.SpecsRun {
+		t.Errorf("SpecsRun: got %d, want %d", got.SpecsRun, want.SpecsRun)
 	}
-	if prefix.TotalReports() != naive.TotalReports() {
-		t.Errorf("TotalReports: prefix %d, naive %d", prefix.TotalReports(), naive.TotalReports())
+	if got.TotalReports() != want.TotalReports() {
+		t.Errorf("TotalReports: got %d, want %d", got.TotalReports(), want.TotalReports())
 	}
-	if !reflect.DeepEqual(prefix.ViewReads.Races(), naive.ViewReads.Races()) ||
-		prefix.ViewReads.Total() != naive.ViewReads.Total() {
-		t.Errorf("ViewReads: prefix %v, naive %v",
-			prefix.ViewReads.Summary(), naive.ViewReads.Summary())
+	if !reflect.DeepEqual(got.ViewReads.Races(), want.ViewReads.Races()) ||
+		got.ViewReads.Total() != want.ViewReads.Total() {
+		t.Errorf("ViewReads: got %v, want %v",
+			got.ViewReads.Summary(), want.ViewReads.Summary())
 	}
-	if !reflect.DeepEqual(prefix.Races, naive.Races) {
-		t.Errorf("Races:\nprefix: %v\nnaive:  %v", prefix.Races, naive.Races)
+	if !reflect.DeepEqual(got.Races, want.Races) {
+		t.Errorf("Races:\ngot:  %v\nwant: %v", got.Races, want.Races)
 	}
-	if fmt.Sprint(prefix.Failures) != fmt.Sprint(naive.Failures) {
-		t.Errorf("Failures:\nprefix: %v\nnaive:  %v", prefix.Failures, naive.Failures)
+	if fmt.Sprint(got.Failures) != fmt.Sprint(want.Failures) {
+		t.Errorf("Failures:\ngot:  %v\nwant: %v", got.Failures, want.Failures)
 	}
 }
 
 // The prefix-sharing sweep must be observationally indistinguishable from
-// the naive per-specification sweep on every corpus program, serial and
-// parallel — the correctness contract that lets it be the default path.
+// the per-specification reference sweep on every corpus program, serial
+// and parallel.
 func TestSweepPrefixEquivalence(t *testing.T) {
 	for _, e := range corpus.All() {
 		t.Run(e.Name, func(t *testing.T) {
+			ref := referenceEntry(e, 0, 0, 0)
 			for _, workers := range []int{1, 4, 8} {
-				prefix := sweepEntry(e, SweepOptions{Workers: workers})
-				naive := sweepEntry(e, SweepOptions{Workers: workers, Naive: true})
-				if prefix.Stats.Strategy != "prefix" {
-					t.Fatalf("default sweep took strategy %q, want prefix", prefix.Stats.Strategy)
-				}
-				if naive.Stats.Strategy != "naive" {
-					t.Fatalf("Naive sweep took strategy %q, want naive", naive.Stats.Strategy)
-				}
-				requireEquivalent(t, prefix, naive)
+				requireEquivalent(t, sweepEntry(e, SweepOptions{Workers: workers}), ref)
 			}
 		})
 	}
 }
 
-// Budget aborts must land identically on both paths: the guard wraps the
+// Budget aborts must land identically on both sweeps: the guard wraps the
 // gate, so a prefix unit counts the full event stream — suppressed prefix
 // included — and fails on the same event with the same error text as the
-// naive run of the same specification.
+// reference run of the same specification.
 func TestSweepPrefixEquivalenceUnderBudget(t *testing.T) {
 	for _, e := range corpus.All() {
 		t.Run(e.Name, func(t *testing.T) {
 			for _, budget := range []int64{40, 400} {
-				prefix := sweepEntry(e, SweepOptions{Workers: 4, EventBudget: budget})
-				naive := sweepEntry(e, SweepOptions{Workers: 4, EventBudget: budget, Naive: true})
-				requireEquivalent(t, prefix, naive)
+				sweep := sweepEntry(e, SweepOptions{Workers: 4, EventBudget: budget})
+				requireEquivalent(t, sweep, referenceEntry(e, budget, 0, 0))
 			}
 		})
 	}
 }
 
-// Fault injection addresses runs by specification index, which has no
-// meaning for a shared-prefix unit covering many specifications — so a
-// wrapped sweep must fall back to the naive path, and a sweep requested
-// without the Naive flag must still match one requested with it.
-func TestSweepPrefixEquivalenceUnderFaults(t *testing.T) {
+// Fault injection addresses trie units: the wrap sees the family index of
+// the first specification in each unit's leaf group and perturbs the
+// events that unit analyses. A faulted sweep must be as deterministic
+// across widths as a clean one, and at least one plan must fail a unit,
+// or the test could not tell a dead seam from a working one.
+func TestSweepPrefixFaultsDeterministicAcrossWidths(t *testing.T) {
 	e := mustEntry(t, "figure1-shallow-copy")
-	for _, plan := range faults.Plans(7, 6, 400) {
+	plans := faults.Plans(7, 6, 400)
+	ran, failed := 0, 0
+	for _, plan := range plans {
 		t.Run(plan.String(), func(t *testing.T) {
+			ran++
 			wrap := func(index int, _ cilk.StealSpec, hooks cilk.Hooks) cilk.Hooks {
 				if index%3 == 0 { // fault a third of the units, spare the rest
 					return faults.New(hooks, plan)
 				}
 				return hooks
 			}
-			def := sweepEntry(e, SweepOptions{Workers: 4, Wrap: wrap})
-			naive := sweepEntry(e, SweepOptions{Workers: 4, Wrap: wrap, Naive: true})
-			if def.Stats.Strategy != "naive" {
-				t.Fatalf("wrapped sweep took strategy %q, want naive fallback", def.Stats.Strategy)
+			serial := sweepEntry(e, SweepOptions{Workers: 1, Wrap: wrap})
+			for _, workers := range []int{4, 8} {
+				requireEquivalent(t, sweepEntry(e, SweepOptions{Workers: workers, Wrap: wrap}), serial)
 			}
-			requireEquivalent(t, def, naive)
+			if len(serial.Failures) > 0 {
+				failed++
+			}
 		})
+	}
+	if ran == len(plans) && failed == 0 {
+		t.Fatal("no fault plan failed a unit")
 	}
 }
 
 // Sampling is part of the equivalence contract: a sampled sweep must pick
-// the identical coverage-guided subset on the naive and the prefix path,
-// at any worker count, and report the deterministic sampling stats on
-// both. Every race a sampled sweep reports must also appear in the full
-// sweep (sampling runs fewer schedules; it never invents findings).
+// the identical coverage-guided subset as the reference, at any worker
+// count, and report the deterministic sampling stats on both. Every race
+// a sampled sweep reports must also appear in the full sweep (sampling
+// runs fewer schedules; it never invents findings).
 func TestSweepSampledEquivalence(t *testing.T) {
 	for _, e := range corpus.All() {
 		t.Run(e.Name, func(t *testing.T) {
@@ -121,18 +128,18 @@ func TestSweepSampledEquivalence(t *testing.T) {
 			total := full.Stats.SpecsTotal
 			n := total/2 + 1
 			prefix := sweepEntry(e, SweepOptions{Workers: 8, SampleSpecs: n, SampleSeed: 11})
-			naive := sweepEntry(e, SweepOptions{Workers: 1, SampleSpecs: n, SampleSeed: 11, Naive: true})
-			requireEquivalent(t, prefix, naive)
+			ref := referenceEntry(e, 0, n, 11)
+			requireEquivalent(t, prefix, ref)
 			if n >= total {
 				return // family too small to sample below full coverage
 			}
-			for _, cr := range []*CoverageResult{prefix, naive} {
+			for name, cr := range map[string]*CoverageResult{"sweep": prefix, "reference": ref} {
 				st := cr.Stats
 				if !st.Sampled || st.SpecsTotal != total || st.Confidence == "" {
-					t.Errorf("%s sampling stats not reported: %+v", st.Strategy, st)
+					t.Errorf("%s sampling stats not reported: %+v", name, st)
 				}
 				if st.CoverageFraction <= 0 || st.CoverageFraction >= 1 {
-					t.Errorf("%s coverage fraction %v, want in (0,1)", st.Strategy, st.CoverageFraction)
+					t.Errorf("%s coverage fraction %v, want in (0,1)", name, st.CoverageFraction)
 				}
 			}
 			if prefix.SpecsRun+len(prefix.Failures) > n {
@@ -161,9 +168,6 @@ func TestSweepPrefixActuallyShares(t *testing.T) {
 	cr := sweepEntry(e, SweepOptions{Workers: 4})
 	specs := cr.SpecsRun
 	st := cr.Stats
-	if st.Strategy != "prefix" {
-		t.Fatalf("strategy = %q, want prefix", st.Strategy)
-	}
 	if st.Groups >= specs {
 		t.Errorf("no spec dedup: %d groups for %d specs", st.Groups, specs)
 	}

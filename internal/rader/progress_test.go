@@ -83,17 +83,6 @@ func TestSweepProgressPrefix(t *testing.T) {
 	}
 }
 
-func TestSweepProgressNaive(t *testing.T) {
-	cr, snaps := sweepWithProgress(t, "figure1-shallow-copy", SweepOptions{Workers: 4, Naive: true})
-	last := snaps[len(snaps)-1]
-	if last.UnitsDone != last.UnitsTotal || last.UnitsTotal != cr.SpecsRun {
-		t.Fatalf("naive final snapshot %+v, want %d/%d specs", last, cr.SpecsRun, cr.SpecsRun)
-	}
-	if len(snaps) != 1+last.UnitsTotal {
-		t.Fatalf("got %d snapshots, want %d", len(snaps), 1+last.UnitsTotal)
-	}
-}
-
 // TestSweepProgressNilCallback pins that a sweep without OnProgress pays
 // nothing and still works (the sink is nil and inert).
 func TestSweepProgressNilCallback(t *testing.T) {

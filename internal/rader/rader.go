@@ -88,10 +88,6 @@ type Config struct {
 	// passes it (zero time = no deadline). The check is amortized over
 	// events, so a run with no instrumentation is not interrupted.
 	Deadline time.Time
-	// Wrap, when set, wraps the assembled hook chain (detector plus any
-	// guard) before the run — the seam the fault-injection harness uses
-	// to perturb the stream a detector sees.
-	Wrap func(cilk.Hooks) cilk.Hooks
 	// Trace, when set, collects a span per run phase (nil disables span
 	// collection at zero cost — the obs nil fast path).
 	Trace *obs.Trace
@@ -180,7 +176,7 @@ func NewAllDetectors() []core.Detector {
 // *streamerr.Error; the process never dies on a misbehaving run.
 func Run(prog func(*cilk.Ctx), cfg Config) (out *Outcome, err error) {
 	if cfg.Detector == All {
-		return RunDetectors(prog, AllDetectors, cfg)
+		return runDetectors(prog, AllDetectors, cfg)
 	}
 	det, hooks, err := NewDetector(cfg.Detector)
 	if err != nil {
@@ -191,9 +187,6 @@ func Run(prog func(*cilk.Ctx), cfg Config) (out *Outcome, err error) {
 	}
 	if cfg.EventBudget > 0 || !cfg.Deadline.IsZero() {
 		hooks = newGuard(hooks, cfg.EventBudget, cfg.Deadline)
-	}
-	if cfg.Wrap != nil {
-		hooks = cfg.Wrap(hooks)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -231,14 +224,13 @@ func Run(prog func(*cilk.Ctx), cfg Config) (out *Outcome, err error) {
 	return out, nil
 }
 
-// RunDetectors executes prog once with every named detector attached to
+// runDetectors executes prog once with every named detector attached to
 // the same hook stream via cilk.MultiHooks — the live-run counterpart of
-// trace.ReplayAll. The budget/deadline guard and cfg.Wrap enclose the
-// whole fan-out, so a guard abort or injected fault is observed (or not)
-// by all detectors identically. The merged Outcome carries Detector ==
-// All when names is the canonical set, per-detector verdicts in All, and
-// the first detector's Report/Stats as its headline verdict.
-func RunDetectors(prog func(*cilk.Ctx), names []DetectorName, cfg Config) (out *Outcome, err error) {
+// trace.ReplayAll. The budget/deadline guard encloses the whole fan-out,
+// so a guard abort is observed by all detectors identically. The merged
+// Outcome carries Detector == All, per-detector verdicts in All, and the
+// first detector's Report/Stats as its headline verdict.
+func runDetectors(prog func(*cilk.Ctx), names []DetectorName, cfg Config) (out *Outcome, err error) {
 	dets := make([]core.Detector, 0, len(names))
 	chains := make([]cilk.Hooks, 0, len(names))
 	for _, name := range names {
@@ -255,9 +247,6 @@ func RunDetectors(prog func(*cilk.Ctx), names []DetectorName, cfg Config) (out *
 	hooks := cilk.MultiHooks(chains...)
 	if cfg.EventBudget > 0 || !cfg.Deadline.IsZero() {
 		hooks = newGuard(hooks, cfg.EventBudget, cfg.Deadline)
-	}
-	if cfg.Wrap != nil {
-		hooks = cfg.Wrap(hooks)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -351,9 +340,9 @@ type CoverageResult struct {
 	// panicking program. The remaining specifications' results are still
 	// reported — a sweep degrades, it does not die.
 	Failures []SpecFailure
-	// Stats accounts for how the sweep executed (prefix sharing vs naive,
-	// snapshot and copy-on-write counters). It is diagnostic, not part of
-	// the canonical verdict: two equivalent sweeps may differ here.
+	// Stats accounts for how the sweep executed (prefix sharing, snapshot
+	// and copy-on-write counters, scheduling). It is diagnostic, not part
+	// of the canonical verdict: two equivalent sweeps may differ here.
 	Stats SweepStats
 	total int
 }
@@ -372,8 +361,8 @@ func (cr *CoverageResult) TotalReports() int { return cr.total }
 
 // SweepOptions configures a hardened §7 sweep.
 type SweepOptions struct {
-	// Workers is the number of goroutines running per-specification SP+
-	// analyses (<1 means 1).
+	// Workers is the number of work-stealing lanes running sweep units
+	// (<1 means 1).
 	Workers int
 	// EventBudget bounds each run's event stream (0 = unlimited).
 	EventBudget int64
@@ -381,34 +370,30 @@ type SweepOptions struct {
 	// started) by the deadline are reported in Failures as
 	// deadline-exceeded; completed specifications keep their results.
 	Timeout time.Duration
-	// Wrap, when set, wraps the hook chain of the run for each
-	// specification index — the fault-injection seam. Index -1 is the
-	// Peer-Set pass. Wrapped sweeps always take the naive path: injection
-	// is addressed per specification index, which has no meaning for a
-	// shared-prefix unit covering many specifications at once.
+	// Wrap, when set, is the fault-injection seam. The sweep calls it once
+	// per trie unit, with the family index and specification of the first
+	// member of the unit's leaf group, and wraps the unit's SP+ detector
+	// inside the prefix gate: a seeded unit's wrapped hooks see only the
+	// events after its divergence probe, a fault that fails the unit fails
+	// every specification of its group, and the snapshots the unit hands
+	// its sibling subtrees carry whatever the wrapped stream did to the
+	// detector. The root unit's piggybacked Peer-Set pass is never wrapped.
 	Wrap func(index int, spec cilk.StealSpec, hooks cilk.Hooks) cilk.Hooks
-	// Naive forces the per-specification sweep, disabling prefix sharing.
-	// The default sweep groups specifications by longest common prefix of
-	// steal decisions and analyses each shared prefix once, seeding the
-	// divergent suffixes from copy-on-write detector snapshots; both paths
-	// produce byte-identical canonical CoverageResults.
-	Naive bool
 	// SampleSpecs, when positive and below the family size, caps how many
 	// specifications the sweep runs: the budget-aware sampler
 	// (specgen.SampleFamily) picks that many coverage-guided — stratified
 	// by first-steal divergence point, always keeping the all-serial base
 	// schedule — and the sweep reports Sampled, CoverageFraction and a
 	// Confidence note in its Stats. Sampling is deterministic for a given
-	// seed and applies identically to every sweep strategy, so naive and
-	// prefix sweeps of a sampled family still produce byte-identical
-	// canonical results.
+	// seed, so a sampled sweep matches SweepReference over the same sample
+	// at any worker count.
 	SampleSpecs int
 	// SampleSeed seeds the sampler's shuffle (0 is a valid, fixed seed —
 	// never wall-clock randomness, which would break result caching).
 	SampleSeed uint64
-	// Trace, when set, collects per-phase spans: "profile", "peer-set",
-	// one "spec:<name>" per sweep unit (on the worker's lane), and
-	// "collect" for the merge. Nil disables collection at zero cost.
+	// Trace, when set, collects per-phase spans: "profile", one
+	// "spec:<name>" per sweep unit (on the worker's lane), and "collect"
+	// for the merge. Nil disables collection at zero cost.
 	Trace *obs.Trace
 	// OnProgress, when set, receives monotone progress snapshots: once
 	// when the unit count is known, then after every resolved sweep unit.
@@ -482,198 +467,6 @@ func Coverage(prog func(*cilk.Ctx)) *CoverageResult {
 	return Sweep(func() func(*cilk.Ctx) { return prog }, SweepOptions{})
 }
 
-// CoverageParallel is Coverage with the per-specification SP+ runs spread
-// across workers goroutines — the sweep is embarrassingly parallel since
-// each specification analyses an independent execution. Because program
-// instances usually carry mutable workload state, the caller supplies a
-// factory producing a fresh, independent instance per run; instances must
-// allocate identical address layouts (e.g. a fresh mem.Allocator each) so
-// findings from different runs describe the same locations.
-func CoverageParallel(factory func() func(*cilk.Ctx), workers int) *CoverageResult {
-	return Sweep(factory, SweepOptions{Workers: workers})
-}
-
-// Sweep is the hardened §7 coverage sweep: CoverageParallel plus per-run
-// panic isolation, an event budget, and an overall deadline. Each failing
-// unit is reported in CoverageResult.Failures with its typed error while
-// every other specification still contributes its verdict.
-func Sweep(factory func() func(*cilk.Ctx), opts SweepOptions) *CoverageResult {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// All deadline arithmetic derives from this one monotonic reading, so a
-	// wall-clock step mid-sweep cannot expire (or revive) the timeout.
-	clock := newSweepClock(opts.Timeout)
-	if !opts.Naive && opts.Wrap == nil {
-		return sweepPrefix(factory, opts, workers, clock)
-	}
-	deadline := clock.deadline()
-	wrapFor := func(i int, spec cilk.StealSpec) func(cilk.Hooks) cilk.Hooks {
-		if opts.Wrap == nil {
-			return nil
-		}
-		return func(h cilk.Hooks) cilk.Hooks { return opts.Wrap(i, spec, h) }
-	}
-
-	cr := &CoverageResult{ViewReads: &core.Report{}, Stats: SweepStats{Strategy: "naive", Workers: workers}}
-
-	pspan := opts.Trace.Start("profile")
-	var profile specgen.Profile
-	var probes []specgen.ProbeRecord
-	var err error
-	if opts.SampleSpecs > 0 {
-		// The coverage-guided sampler stratifies by first-steal probe, so a
-		// sampled naive sweep records the probe sequence the prefix sweep
-		// would — both strategies then select the identical subset.
-		profile, probes, err = measureProbes(factory)
-	} else {
-		profile, err = measure(factory)
-	}
-	pspan.End()
-	if err != nil {
-		// Without a profile there is no specification family to sweep;
-		// report the single failure and return an empty (but non-nil)
-		// result rather than crashing.
-		cr.Failures = append(cr.Failures, SpecFailure{Spec: "profile", Err: err})
-		return cr
-	}
-	cr.Profile = profile
-
-	fam := specgen.NewFamily(cr.Profile)
-	sel := specgen.SampleFamily(fam, probes, opts.SampleSpecs, opts.SampleSeed)
-	applySampleStats(&cr.Stats, fam.Len(), len(sel))
-	specs := make([]cilk.StealSpec, len(sel))
-	for i, idx := range sel {
-		specs[i] = fam.At(idx)
-	}
-	sink := newProgressSink(opts.OnProgress)
-	sink.start(len(specs))
-
-	// Peer-Set is schedule-independent, so its verdict can ride along any
-	// one execution. When nothing injects per-pass faults (opts.Wrap is the
-	// seam addressing the standalone pass as index -1) and there is at
-	// least one specification to run anyway, fold the Peer-Set analysis
-	// into the first specification's SP+ run via RunDetectors — one
-	// execution feeding both detectors instead of two executions. The
-	// standalone pass remains for wrapped sweeps and spec-less programs.
-	piggyback := opts.Wrap == nil && len(specs) > 0
-	if !piggyback {
-		psSpan := opts.Trace.Start("peer-set")
-		ps, err := Run(factory(), Config{
-			Detector: PeerSet, EventBudget: opts.EventBudget, Deadline: deadline,
-			Wrap: wrapFor(-1, nil),
-		})
-		psSpan.End()
-		if err != nil {
-			cr.Failures = append(cr.Failures, SpecFailure{Spec: "peer-set", Err: err})
-		} else {
-			cr.ViewReads = ps.Report
-		}
-	}
-
-	type specResult struct {
-		spec      string
-		races     []core.Race
-		total     int
-		err       error
-		viewReads *core.Report // piggybacked Peer-Set verdict, first spec only
-	}
-	results := make([]specResult, len(specs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			for i := range next {
-				name := sched.Format(specs[i])
-				span := opts.Trace.StartTID(lane, "spec:"+name)
-				if clock.expired() {
-					results[i] = specResult{spec: name, err: deadlineSkip()}
-					span.Arg("skipped", "deadline").End()
-					sink.unitDone(1, 0, 0, 0)
-					continue
-				}
-				if piggyback && i == 0 {
-					out, err := RunDetectors(factory(), []DetectorName{PeerSet, SPPlus}, Config{
-						Spec:        specs[i],
-						EventBudget: opts.EventBudget, Deadline: deadline,
-					})
-					if err != nil {
-						results[i] = specResult{spec: name, err: err}
-						span.Arg("error", err.Error()).End()
-						sink.unitDone(1, 0, 0, 0)
-						continue
-					}
-					results[i] = specResult{
-						spec:      name,
-						races:     out.All[1].Report.Races(),
-						total:     out.All[1].Report.Total(),
-						viewReads: out.All[0].Report,
-					}
-					span.Arg("races", out.All[1].Report.Distinct()).End()
-					sink.unitDone(1, out.All[1].Report.Distinct(), 0, 0)
-					continue
-				}
-				out, err := Run(factory(), Config{
-					Detector: SPPlus, Spec: specs[i],
-					EventBudget: opts.EventBudget, Deadline: deadline,
-					Wrap: wrapFor(sel[i], specs[i]),
-				})
-				if err != nil {
-					results[i] = specResult{spec: name, err: err}
-					span.Arg("error", err.Error()).End()
-					sink.unitDone(1, 0, 0, 0)
-					continue
-				}
-				results[i] = specResult{
-					spec:  name,
-					races: out.Report.Races(),
-					total: out.Report.Total(),
-				}
-				span.Arg("races", out.Report.Distinct()).End()
-				sink.unitDone(1, out.Report.Distinct(), 0, 0)
-			}
-		}(w + 1)
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	cspan := opts.Trace.Start("collect")
-	seen := make(map[string]bool)
-	for i, res := range results {
-		if res.err != nil {
-			if piggyback && i == 0 {
-				// The combined run carried the Peer-Set pass too; its loss
-				// must be visible under both names.
-				cr.Failures = append(cr.Failures, SpecFailure{Spec: "peer-set", Err: res.err})
-			}
-			cr.Failures = append(cr.Failures, SpecFailure{Spec: res.spec, Err: res.err})
-			continue
-		}
-		if res.viewReads != nil {
-			cr.ViewReads = res.viewReads
-		}
-		cr.SpecsRun++
-		cr.total += res.total
-		for _, race := range res.races {
-			key := race.String()
-			if !seen[key] {
-				seen[key] = true
-				cr.Races = append(cr.Races, CoverageFinding{Spec: res.spec, Race: race})
-			}
-		}
-	}
-	cr.sortCanonical()
-	cspan.Arg("specs", cr.SpecsRun).Arg("races", len(cr.Races)).
-		Arg("failures", len(cr.Failures)).End()
-	return cr
-}
-
 // sortCanonical puts findings and failures into spec order (ties broken by
 // the race or error text) so a sweep's result — and any JSON rendering of
 // it — is byte-identical regardless of worker count or completion order.
@@ -690,15 +483,4 @@ func (cr *CoverageResult) sortCanonical() {
 		}
 		return fmt.Sprint(cr.Failures[i].Err) < fmt.Sprint(cr.Failures[j].Err)
 	})
-}
-
-// measure profiles one program instance, containing any panic the program
-// (or the profiler driving it) raises.
-func measure(factory func() func(*cilk.Ctx)) (p specgen.Profile, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = streamerr.FromPanic("rader", r)
-		}
-	}()
-	return specgen.Measure(factory()), nil
 }

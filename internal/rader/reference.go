@@ -1,0 +1,64 @@
+package rader
+
+import (
+	"repro/internal/cilk"
+	"repro/internal/core"
+	"repro/internal/sched"
+	"repro/internal/specgen"
+)
+
+// SweepReference is the per-specification §7 sweep that Sweep must agree
+// with: profile the program, select the (possibly sampled) family, run SP+
+// once per specification, serially in family order, and merge the
+// verdicts. The schedule-independent Peer-Set pass rides along the first
+// specification's run. It has no prefix sharing, workers, progress,
+// spans, deadline or fault seam; it exists to be obviously correct, for
+// the equivalence tests and the sweep-throughput table to compare Sweep
+// against. budget bounds each run's event stream (0 = unlimited); sample
+// and seed select the family subset as SweepOptions.SampleSpecs and
+// SampleSeed do.
+func SweepReference(factory func() func(*cilk.Ctx), budget int64, sample int, seed uint64) *CoverageResult {
+	cr := &CoverageResult{ViewReads: &core.Report{}}
+	profile, probes, err := measureProbes(factory)
+	if err != nil {
+		cr.Failures = append(cr.Failures, SpecFailure{Spec: "profile", Err: err})
+		return cr
+	}
+	cr.Profile = profile
+	fam := specgen.NewFamily(profile)
+	sel := specgen.SampleFamily(fam, probes, sample, seed)
+	applySampleStats(&cr.Stats, fam.Len(), len(sel))
+
+	seen := make(map[string]bool)
+	for i, idx := range sel {
+		spec := fam.At(idx)
+		name := sched.Format(spec)
+		var out *Outcome
+		if i == 0 {
+			out, err = runDetectors(factory(), []DetectorName{PeerSet, SPPlus}, Config{Spec: spec, EventBudget: budget})
+		} else {
+			out, err = Run(factory(), Config{Detector: SPPlus, Spec: spec, EventBudget: budget})
+		}
+		if err != nil {
+			if i == 0 {
+				cr.Failures = append(cr.Failures, SpecFailure{Spec: "peer-set", Err: err})
+			}
+			cr.Failures = append(cr.Failures, SpecFailure{Spec: name, Err: err})
+			continue
+		}
+		rep := out.Report
+		if i == 0 {
+			cr.ViewReads, rep = out.All[0].Report, out.All[1].Report
+		}
+		cr.SpecsRun++
+		cr.total += rep.Total()
+		for _, race := range rep.Races() {
+			if key := race.String(); !seen[key] {
+				seen[key] = true
+				cr.Races = append(cr.Races, CoverageFinding{Spec: name, Race: race})
+			}
+		}
+	}
+	cr.sortCanonical()
+	return cr
+}

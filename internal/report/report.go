@@ -234,8 +234,8 @@ func FromDetectors(spec string, events int64, dets []core.Detector) *Multi {
 	return out
 }
 
-// FromAllOutcome builds a Multi from a merged rader.Run / RunDetectors
-// outcome of a live run.
+// FromAllOutcome builds a Multi from the merged outcome of a live
+// rader.Run with the All detector.
 func FromAllOutcome(out *rader.Outcome, spec string) *Multi {
 	m := &Multi{
 		Schema:   Schema,
@@ -272,15 +272,18 @@ type SweepFailure struct {
 	Error string `json:"error"`
 }
 
-// SweepStats mirrors the sweep's execution accounting: which strategy
-// ran, what prefix sharing saved, and how much of the family the sweep
-// covered. The values are deterministic for a given program and options
-// (the trie, the snapshot points, the copy-on-write writes and the
-// stratified sample are all schedule-independent), so they are safe in
-// the byte-identical cached document. The scheduler-dependent counters
-// (workers, steals, handoffs, per-worker busy time) are deliberately NOT
-// here: they vary run to run and would break document identity.
+// SweepStats mirrors the sweep's execution accounting: what prefix
+// sharing saved, and how much of the family the sweep covered. The values
+// are deterministic for a given program and options (the trie, the
+// snapshot points, the copy-on-write writes and the stratified sample are
+// all schedule-independent), so they are safe in the byte-identical
+// cached document. The scheduler-dependent counters (workers, steals,
+// handoffs, per-worker busy time) are deliberately NOT here: they vary
+// run to run and would break document identity.
 type SweepStats struct {
+	// Strategy is always "prefix", the only sweep rader.Sweep runs. It
+	// stays in the document because the schema-5 goldens and every cached
+	// or recorded sweep verdict digest hash these bytes.
 	Strategy       string `json:"strategy"`
 	Groups         int    `json:"groups"`
 	SnapshotHits   int64  `json:"snapshotHits"`
@@ -332,7 +335,7 @@ func FromCoverage(cr *rader.CoverageResult) *Sweep {
 		Clean:        cr.Clean(),
 		Complete:     cr.Complete(),
 		Stats: SweepStats{
-			Strategy:         cr.Stats.Strategy,
+			Strategy:         "prefix",
 			Groups:           cr.Stats.Groups,
 			SnapshotHits:     cr.Stats.SnapshotHits,
 			SnapshotMisses:   cr.Stats.SnapshotMisses,

@@ -270,10 +270,8 @@ func (m *metrics) elide(events, bytes int64) {
 }
 
 // sweep accumulates the sharing and scheduling counters of one completed
-// coverage sweep. Naive sweeps contribute zeros; the counters then read
-// as a flat line, which is itself the signal that prefix sharing is off.
-// Pages pooled tracks the most recent sweep (matching lastEPS's
-// convention) since free-list residency is a level, not a flow.
+// coverage sweep. Pages pooled tracks the most recent sweep (matching
+// lastEPS's convention) since free-list residency is a level, not a flow.
 func (m *metrics) sweep(st rader.SweepStats) {
 	m.sweepSnapHits.Add(uint64(st.SnapshotHits))
 	m.sweepSnapMisses.Add(uint64(st.SnapshotMisses))

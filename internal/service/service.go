@@ -827,8 +827,7 @@ func (s *Server) runSweep(job *sweepJob, prog Program, identity string, workers 
 	s.metrics.sweep(cr.Stats)
 	log.Info("sweep done", "dur", time.Since(start),
 		"specs", cr.SpecsRun, "clean", cr.Clean(), "complete", cr.Complete(),
-		"strategy", cr.Stats.Strategy, "snapshotHits", cr.Stats.SnapshotHits,
-		"eventsSkipped", cr.Stats.EventsSkipped)
+		"snapshotHits", cr.Stats.SnapshotHits, "eventsSkipped", cr.Stats.EventsSkipped)
 	// Only complete sweeps are cacheable: a sweep degraded by a
 	// deadline or budget abort reports Failures instead of verdicts
 	// for some specifications, and serving that from the cache would

@@ -124,9 +124,9 @@ func FirstSteal(spec cilk.StealSpec, probes []ProbeRecord) int {
 // Member 0 (the all-serial NoSteals schedule) is always kept: it anchors
 // the Peer-Set piggyback and the base schedule's verdict. Order within a
 // stratum is a seeded xorshift shuffle — never wall-clock randomness — so
-// the same (family, probes, n, seed) always selects the same subset, in
-// every sweep strategy. The returned indices are sorted ascending. When n
-// is non-positive or covers the family, every index is returned.
+// the same (family, probes, n, seed) always selects the same subset. The
+// returned indices are sorted ascending. When n is non-positive or covers
+// the family, every index is returned.
 func SampleFamily(f *Family, probes []ProbeRecord, n int, seed uint64) []int {
 	total := f.Len()
 	if n <= 0 || n >= total {

@@ -1,10 +1,11 @@
 // Sweep-throughput measurement: the numbers behind BENCH_PR5.json. The
 // §7 coverage sweep re-executes the program once per specification; most
 // of those executions share a long prefix of steal decisions. This
-// harness times the prefix-sharing sweep (steal-decision trie +
-// copy-on-write detector snapshots) against the naive one-run-per-spec
-// sweep on a program built to have a long shared prefix, and records the
-// sharing counters that explain the speedup.
+// harness times rader.Sweep (steal-decision trie + copy-on-write detector
+// snapshots) against rader.SweepReference, the serial one-run-per-spec
+// sweep the equivalence tests compare it with, on a program built to have
+// a long shared prefix, and records the sharing counters that explain the
+// speedup. The "naive" fields and labels name the reference side.
 package tables
 
 import (
@@ -29,9 +30,9 @@ type SweepBench struct {
 	// Groups is how many distinct event streams the trie found; the
 	// prefix sweep runs one unit per group instead of one per spec.
 	Groups int `json:"groups"`
-	// NaiveMs and PrefixMs are median wall-clock milliseconds for one
-	// whole sweep (Workers: 1, so the ratio measures work, not
-	// scheduling).
+	// NaiveMs (rader.SweepReference) and PrefixMs (rader.Sweep) are median
+	// wall-clock milliseconds for one whole sweep, both serial (Sweep at
+	// Workers: 1), so the ratio measures work, not scheduling.
 	NaiveMs  float64 `json:"naiveMs"`
 	PrefixMs float64 `json:"prefixMs"`
 	// Speedup is NaiveMs / PrefixMs — the PR's acceptance gate demands
@@ -76,7 +77,7 @@ func (sb *SweepBench) Render() string {
 	out := fmt.Sprintf(
 		"program:            %s\n"+
 			"family:             %d specifications in %d trie groups\n"+
-			"naive sweep:        %8.2f ms   (one detector run per specification)\n"+
+			"naive sweep:        %8.2f ms   (reference: one detector run per specification)\n"+
 			"prefix sweep:       %8.2f ms   (one unit per group, snapshot-seeded suffixes)\n"+
 			"speedup:            %8.2fx\n"+
 			"snapshot seeding:   %d hits, %d misses\n"+
@@ -112,9 +113,9 @@ func measureSweep(trials int, f func() *rader.CoverageResult) (time.Duration, *r
 	return samples[len(samples)/2], cr
 }
 
-// MeasureSweep runs the naive-vs-prefix sweep comparison on the
-// SweepStress workload, first checking that the two strategies agree on
-// the canonical verdict they are being timed to produce.
+// MeasureSweep times the reference sweep against the prefix-sharing sweep
+// on the SweepStress workload, first checking that the two agree on the
+// canonical verdict they are being timed to produce.
 func MeasureSweep(trials int) (*SweepBench, error) {
 	if trials < 1 {
 		trials = 3
@@ -123,12 +124,11 @@ func MeasureSweep(trials int) (*SweepBench, error) {
 	factory := func() func(*cilk.Ctx) {
 		return progs.SweepStress(mem.NewAllocator(), spawns, preamble, body)
 	}
-	run := func(naive bool) *rader.CoverageResult {
-		return rader.Sweep(factory, rader.SweepOptions{Workers: 1, Naive: naive})
-	}
+	naive := func() *rader.CoverageResult { return rader.SweepReference(factory, 0, 0, 0) }
+	prefix := func() *rader.CoverageResult { return rader.Sweep(factory, rader.SweepOptions{Workers: 1}) }
 
-	naiveCR := run(true)
-	prefixCR := run(false)
+	naiveCR := naive()
+	prefixCR := prefix()
 	if err := sweepsAgree(naiveCR, prefixCR); err != nil {
 		return nil, err
 	}
@@ -141,8 +141,8 @@ func MeasureSweep(trials int) (*SweepBench, error) {
 		return nil, fmt.Errorf("tables: benchmark family has %d specs, want >= 50", out.Specs)
 	}
 
-	naiveMed, _ := measureSweep(trials, func() *rader.CoverageResult { return run(true) })
-	prefixMed, cr := measureSweep(trials, func() *rader.CoverageResult { return run(false) })
+	naiveMed, _ := measureSweep(trials, naive)
+	prefixMed, cr := measureSweep(trials, prefix)
 	out.NaiveMs = float64(naiveMed.Nanoseconds()) / 1e6
 	out.PrefixMs = float64(prefixMed.Nanoseconds()) / 1e6
 	if out.PrefixMs <= 0 {
