@@ -27,7 +27,7 @@ const (
 )
 
 // classOrder fixes the audit's class ordering (deterministic JSON).
-var classOrder = []string{
+var classOrder = [...]string{
 	ClassStrandLocal,
 	ClassReadOnly,
 	ClassSyncSerialized,

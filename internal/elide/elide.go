@@ -30,6 +30,11 @@
 //     the filtered-trace document, making it byte-identical to the
 //     full-trace document.
 //
+// Analyze decodes the trace once. Each distinct address gets a dense
+// slot, and a 4-byte log entry per ordinal-counted event (the slot of
+// an access, a sentinel for a control event) lets the elided ordinals
+// be numbered after classification without a second replay.
+//
 // A Plan can be applied two ways with identical observable behaviour:
 // materialize a filtered trace in the same CILKTRACE format (Filter,
 // backed by trace.FilterAccesses) or replay the full trace under the
@@ -38,12 +43,16 @@
 package elide
 
 import (
-	"sort"
+	"math"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 
 	"repro/internal/cilk"
 	"repro/internal/core"
 	"repro/internal/depa"
 	"repro/internal/mem"
+	"repro/internal/streamerr"
 	"repro/internal/trace"
 )
 
@@ -53,22 +62,43 @@ const (
 	opStore
 )
 
-// addrState is the classifier's per-address shadow cell.
-type addrState struct {
-	reader, writer       depa.Timestamp
-	hasReader, hasWriter bool
-	loads, stores        int64
-	firstGen             int64 // strand generation of the first access
-	racy                 bool  // a depa shadow rule fired: must keep
-	multiStrand          bool  // accessed from more than one strand
-	outsideVA            bool  // some access outside any view-op window
+// Event-log entries. An access logs its address's slot; a control event
+// logs the sentinel of the ordinal spaces it counts in: space A
+// ({FrameEnter, FrameReturn, Sync, Load, Store}: SP-bags, Offset-Span,
+// English-Hebrew, depa) and space B (A plus {Stolen, ReduceStart,
+// ReduceEnd, ViewAwareBegin, ViewAwareEnd}: SP+). Slots stay below both
+// sentinels.
+const (
+	logAB uint32 = math.MaxUint32     // FrameEnter, FrameReturn, Sync
+	logB  uint32 = math.MaxUint32 - 1 // space-B-only control events
+)
+
+const (
+	stateChunkBits = 8
+	stateChunk     = 1 << stateChunkBits // slot states per chunk
+	logChunk       = 1 << 13             // largest event-log chunk
+)
+
+// slotState is the classifier's shadow cell for one distinct address.
+type slotState struct {
+	reader, writer depa.Timestamp
+	addr           mem.Addr
+	accesses       int64 // loads and stores
+	bytes          int64 // encoded bytes of those access records
+	firstGen       int64 // strand generation of the first access
+	hasReader      bool
+	hasWriter      bool
+	stored         bool // some access was a store
+	racy           bool // a depa shadow rule fired: must keep
+	multiStrand    bool // accessed from more than one strand
+	outsideVA      bool // some access outside any view-op window
 }
 
-// classifier is pass 1: it reconstructs strand timestamps with a
-// depa.Cursor and runs the depa shadow discipline per address, plus the
-// bookkeeping the audit and the stats fixup need (strand generations,
-// view-op windows, and an exact simulation of the depa detector's
-// coalescing fast path on the full stream).
+// classifier is the one pass over the stream: it reconstructs strand
+// timestamps with a depa.Cursor and runs the depa shadow discipline per
+// address, plus the bookkeeping the audit and the fixups need (strand
+// generations, view-op windows, the event log, and an exact simulation
+// of the depa detector's coalescing fast path on the full stream).
 type classifier struct {
 	cilk.Empty
 	cursor  depa.Cursor
@@ -76,7 +106,22 @@ type classifier struct {
 	tsValid bool
 	gen     int64 // strand generation: bumps at every control event
 	vaDepth int
-	addrs   map[mem.Addr]*addrState
+
+	// cells maps addresses to slots by open addressing with linear
+	// probing: each cell holds a 32-bit hash fingerprint and slot+1, or
+	// 0 when empty. Its length is a power of two and it is kept at most
+	// half full, so with the key kept in the slot state an address costs
+	// 24 to 40 bytes of table and key. The cells hold no pointers, and a
+	// probe reads a slot state only on a fingerprint match.
+	cells  []uint64
+	shift  uint   // 64 - log2(len(cells))
+	seed   uint64 // per-pass hash seed: crafted addresses cannot pile up
+	states [][]slotState
+	slots  uint32
+	limit  uint32 // slots allowed; a slot must stay below the sentinels
+
+	log  [][]uint32 // filled event-log chunks
+	tail []uint32   // the chunk being filled
 
 	accesses int64
 
@@ -87,7 +132,12 @@ type classifier struct {
 	lastGen      int64
 	lastAddr     mem.Addr
 	lastOp       uint8
+	lastSlot     uint32
 	fastPathHits int64
+}
+
+func newClassifier(limit uint32) *classifier {
+	return &classifier{cells: make([]uint64, 16), shift: 64 - 4, seed: rand.Uint64(), limit: limit}
 }
 
 func (c *classifier) bump() {
@@ -95,10 +145,97 @@ func (c *classifier) bump() {
 	c.tsValid = false
 }
 
+// record appends one event-log entry. Chunks double in size up to
+// logChunk and are allocated whole, so no entry is ever copied.
+func (c *classifier) record(e uint32) {
+	if len(c.tail) == cap(c.tail) {
+		if c.tail != nil {
+			c.log = append(c.log, c.tail)
+		}
+		c.tail = make([]uint32, 0, min(max(2*cap(c.tail), 256), logChunk))
+	}
+	c.tail = append(c.tail, e)
+}
+
+// state returns slot s's shadow cell.
+func (c *classifier) state(s uint32) *slotState {
+	return &c.states[s>>stateChunkBits][s&(stateChunk-1)]
+}
+
+// hash mixes a with the pass's seed. The top bits pick a's home cell;
+// the low 32 bits are the fingerprint its cell stores.
+func (c *classifier) hash(a mem.Addr) uint64 {
+	x := uint64(a) ^ c.seed
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>29
+}
+
+// slotOf returns a's slot, giving a first-seen address the next one.
+func (c *classifier) slotOf(a mem.Addr) uint32 {
+	h := c.hash(a)
+	mask := uint64(len(c.cells) - 1)
+	for i := h >> c.shift; ; i = (i + 1) & mask {
+		e := c.cells[i]
+		if e == 0 {
+			return c.insert(a, h)
+		}
+		if uint32(e>>32) == uint32(h) {
+			if s := uint32(e) - 1; c.state(s).addr == a {
+				return s
+			}
+		}
+	}
+}
+
+// insert gives a (with hash h) the next slot, growing the table first if
+// the new entry would make it more than half full.
+func (c *classifier) insert(a mem.Addr, h uint64) uint32 {
+	s := c.slots
+	if s == c.limit {
+		panic(streamerr.Errorf("elide", streamerr.KindBudget,
+			"trace has more than %d distinct addresses", c.limit))
+	}
+	if 2*(uint64(s)+1) > uint64(len(c.cells)) {
+		c.cells = make([]uint64, 2*len(c.cells))
+		c.shift--
+		for t := uint32(0); t < s; t++ {
+			c.place(c.hash(c.state(t).addr), t)
+		}
+	}
+	c.place(h, s)
+	// The first chunk grows by append; later ones are allocated whole
+	// and never copied.
+	ci := int(s >> stateChunkBits)
+	if ci == len(c.states) {
+		var chunk []slotState
+		if ci > 0 {
+			chunk = make([]slotState, 0, stateChunk)
+		}
+		c.states = append(c.states, chunk)
+	}
+	c.states[ci] = append(c.states[ci], slotState{addr: a, firstGen: c.gen})
+	c.slots++
+	return s
+}
+
+// place stores slot s, fingerprinted, in hash h's first empty cell.
+func (c *classifier) place(h uint64, s uint32) {
+	mask := uint64(len(c.cells) - 1)
+	i := h >> c.shift
+	for c.cells[i] != 0 {
+		i = (i + 1) & mask
+	}
+	c.cells[i] = h<<32 | uint64(s+1)
+}
+
 // FrameEnter implements cilk.Hooks.
 func (c *classifier) FrameEnter(f *cilk.Frame) {
 	c.cursor.Enter(f.Spawned)
 	c.bump()
+	c.record(logAB)
 }
 
 // FrameReturn implements cilk.Hooks.
@@ -109,6 +246,7 @@ func (c *classifier) FrameReturn(g, f *cilk.Frame) {
 	}
 	c.cursor.Return()
 	c.bump()
+	c.record(logAB)
 }
 
 // Sync implements cilk.Hooks.
@@ -118,11 +256,22 @@ func (c *classifier) Sync(f *cilk.Frame) {
 	}
 	c.cursor.Sync()
 	c.bump()
+	c.record(logAB)
 }
+
+// ContinuationStolen implements cilk.Hooks.
+func (c *classifier) ContinuationStolen(f *cilk.Frame, vid cilk.ViewID) { c.record(logB) }
+
+// ReduceStart implements cilk.Hooks.
+func (c *classifier) ReduceStart(f *cilk.Frame, keep, die cilk.ViewID) { c.record(logB) }
+
+// ReduceEnd implements cilk.Hooks.
+func (c *classifier) ReduceEnd(f *cilk.Frame) { c.record(logB) }
 
 // ViewAwareBegin implements cilk.Hooks.
 func (c *classifier) ViewAwareBegin(f *cilk.Frame, op cilk.ViewOp, r *cilk.Reducer) {
 	c.vaDepth++
+	c.record(logB)
 }
 
 // ViewAwareEnd implements cilk.Hooks.
@@ -130,6 +279,7 @@ func (c *classifier) ViewAwareEnd(f *cilk.Frame, op cilk.ViewOp, r *cilk.Reducer
 	if c.vaDepth > 0 {
 		c.vaDepth--
 	}
+	c.record(logB)
 }
 
 // Load implements cilk.Hooks.
@@ -143,20 +293,26 @@ func (c *classifier) access(f *cilk.Frame, a mem.Addr, op uint8) {
 		panic(core.Violatef("elide", core.StreamOrder, f.ID, "memory access before any frame entered"))
 	}
 	c.accesses++
-	if c.haveLast && c.lastGen == c.gen && c.lastAddr == a && c.lastOp == op {
-		c.fastPathHits++
+	var s uint32
+	if c.haveLast && c.lastAddr == a {
+		s = c.lastSlot
+		if c.lastGen == c.gen && c.lastOp == op {
+			c.fastPathHits++
+		} else {
+			c.lastGen, c.lastOp = c.gen, op
+		}
 	} else {
-		c.haveLast, c.lastGen, c.lastAddr, c.lastOp = true, c.gen, a, op
+		s = c.slotOf(a)
+		c.haveLast, c.lastGen, c.lastAddr, c.lastOp, c.lastSlot = true, c.gen, a, op, s
 	}
+	c.record(s)
 	if !c.tsValid {
 		c.ts = c.cursor.Now()
 		c.tsValid = true
 	}
-	st := c.addrs[a]
-	if st == nil {
-		st = &addrState{firstGen: c.gen}
-		c.addrs[a] = st
-	}
+	st := c.state(s)
+	st.accesses++
+	st.bytes += int64(1 + uvarintLen(uint64(f.ID)) + uvarintLen(uint64(a)))
 	if st.firstGen != c.gen {
 		st.multiStrand = true
 	}
@@ -169,7 +325,6 @@ func (c *classifier) access(f *cilk.Frame, a mem.Addr, op uint8) {
 	// witness every racy address.
 	switch op {
 	case opLoad:
-		st.loads++
 		if st.hasWriter && depa.Parallel(st.writer, c.ts) {
 			st.racy = true
 		}
@@ -177,7 +332,7 @@ func (c *classifier) access(f *cilk.Frame, a mem.Addr, op uint8) {
 			st.reader, st.hasReader = c.ts, true
 		}
 	case opStore:
-		st.stores++
+		st.stored = true
 		if st.hasReader && depa.Parallel(st.reader, c.ts) {
 			st.racy = true
 		}
@@ -189,90 +344,81 @@ func (c *classifier) access(f *cilk.Frame, a mem.Addr, op uint8) {
 	}
 }
 
-// classOf is the audit taxonomy for one address. Soundness rests only
-// on racy → must-keep; the remaining classes explain *why* an address
-// was provably race-free, in precedence order.
-func classOf(st *addrState) string {
+// Indices into classOrder.
+const (
+	clsStrandLocal = iota
+	clsReadOnly
+	clsSyncSerialized
+	clsViewProtected
+	clsMustKeep
+)
+
+// classOf is the audit taxonomy for one address, as an index into
+// classOrder. Soundness rests only on racy → must-keep; the remaining
+// classes explain *why* an address was provably race-free, in
+// precedence order.
+func classOf(st *slotState) int {
 	switch {
 	case st.racy:
-		return ClassMustKeep
-	case st.stores == 0:
-		return ClassReadOnly
+		return clsMustKeep
+	case !st.stored:
+		return clsReadOnly
 	case !st.multiStrand:
-		return ClassStrandLocal
+		return clsStrandLocal
 	case !st.outsideVA:
-		return ClassViewProtected
+		return clsViewProtected
 	default:
-		return ClassSyncSerialized
+		return clsSyncSerialized
 	}
-}
-
-// ordPass is pass 2: with the elided address set fixed, it walks the
-// stream again recording, for each elided access, its 1-based ordinal
-// in both detector ordinal spaces — space A ({FrameEnter, FrameReturn,
-// Sync, Load, Store}: SP-bags, Offset-Span, English-Hebrew, depa) and
-// space B (A plus {Stolen, ReduceStart, ReduceEnd, ViewAwareBegin,
-// ViewAwareEnd}: SP+) — as run-length-encoded runs, plus the encoded
-// bytes those access records occupy.
-type ordPass struct {
-	cilk.Empty
-	elided       map[mem.Addr]bool
-	ordA, ordB   int64
-	runsA, runsB []run
-	elidedEvents int64
-	elidedBytes  int64
-}
-
-// FrameEnter implements cilk.Hooks.
-func (o *ordPass) FrameEnter(f *cilk.Frame) { o.ordA++; o.ordB++ }
-
-// FrameReturn implements cilk.Hooks.
-func (o *ordPass) FrameReturn(g, f *cilk.Frame) { o.ordA++; o.ordB++ }
-
-// Sync implements cilk.Hooks.
-func (o *ordPass) Sync(f *cilk.Frame) { o.ordA++; o.ordB++ }
-
-// ContinuationStolen implements cilk.Hooks.
-func (o *ordPass) ContinuationStolen(f *cilk.Frame, vid cilk.ViewID) { o.ordB++ }
-
-// ReduceStart implements cilk.Hooks.
-func (o *ordPass) ReduceStart(f *cilk.Frame, keep, die cilk.ViewID) { o.ordB++ }
-
-// ReduceEnd implements cilk.Hooks.
-func (o *ordPass) ReduceEnd(f *cilk.Frame) { o.ordB++ }
-
-// ViewAwareBegin implements cilk.Hooks.
-func (o *ordPass) ViewAwareBegin(f *cilk.Frame, op cilk.ViewOp, r *cilk.Reducer) { o.ordB++ }
-
-// ViewAwareEnd implements cilk.Hooks.
-func (o *ordPass) ViewAwareEnd(f *cilk.Frame, op cilk.ViewOp, r *cilk.Reducer) { o.ordB++ }
-
-// Load implements cilk.Hooks.
-func (o *ordPass) Load(f *cilk.Frame, a mem.Addr) { o.access(f, a) }
-
-// Store implements cilk.Hooks.
-func (o *ordPass) Store(f *cilk.Frame, a mem.Addr) { o.access(f, a) }
-
-func (o *ordPass) access(f *cilk.Frame, a mem.Addr) {
-	o.ordA++
-	o.ordB++
-	if !o.elided[a] {
-		return
-	}
-	o.elidedEvents++
-	o.elidedBytes += int64(1 + uvarintLen(uint64(f.ID)) + uvarintLen(uint64(a)))
-	o.runsA = appendRun(o.runsA, o.ordA)
-	o.runsB = appendRun(o.runsB, o.ordB)
 }
 
 // uvarintLen is the encoded size of v as an unsigned varint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// runSink collects one ordinal space's elided ordinals as runs. With a
+// nil runs slice it only counts the runs it would open.
+type runSink struct {
+	runs   []run
+	opened int
+	next   int64 // the ordinal that would extend the open run
+	before int64 // elided ordinals so far
+}
+
+func (r *runSink) add(ord int64) {
+	if r.opened > 0 && ord == r.next {
+		if r.runs != nil {
+			r.runs[len(r.runs)-1].count++
+		}
+	} else {
+		r.opened++
+		if r.runs != nil {
+			r.runs = append(r.runs, run{start: ord, count: 1, before: r.before})
+		}
 	}
-	return n
+	r.next = ord + 1
+	r.before++
+}
+
+// walkLog numbers the logged events in both ordinal spaces and feeds
+// every elided access's ordinals to a and b.
+func (c *classifier) walkLog(elided []bool, a, b *runSink) {
+	var ordA, ordB int64
+	for _, chunk := range c.log {
+		for _, e := range chunk {
+			ordB++
+			switch {
+			case e == logB:
+			case e == logAB:
+				ordA++
+			default:
+				ordA++
+				if elided[e] {
+					a.add(ordA)
+					b.add(ordB)
+				}
+			}
+		}
+	}
 }
 
 // Plan is the result of analyzing one trace: which addresses to elide,
@@ -280,80 +426,95 @@ func uvarintLen(v uint64) int {
 // filtered-trace reports byte-identical to full-trace reports.
 type Plan struct {
 	aud          *Audit
-	elided       map[mem.Addr]bool
 	skip         *trace.SkipSet
 	runsA, runsB []run
 }
 
-// Analyze runs the two classification passes over one encoded trace
-// (v1 or v2) and returns its elision Plan. The stream is fully
-// validated on the way (both passes replay it); a malformed, truncated
-// or corrupt trace fails here with the usual *streamerr.Error kinds.
-func Analyze(data []byte) (*Plan, error) {
-	c := &classifier{addrs: make(map[mem.Addr]*addrState)}
+// Analyze classifies every address of one encoded trace (v1 or v2) in a
+// single decode and returns its elision Plan. The stream is fully
+// validated on the way; a malformed, truncated or corrupt trace fails
+// here with the usual *streamerr.Error kinds, and a trace with more
+// distinct addresses than the event log can name fails with
+// streamerr.KindBudget.
+func Analyze(data []byte) (*Plan, error) { return analyze(data, logB) }
+
+// analyze is Analyze with the distinct-address limit as a parameter, so
+// a test can reach it without billions of addresses.
+func analyze(data []byte, limit uint32) (*Plan, error) {
+	c := newClassifier(limit)
 	n, err := trace.ReplayAll(data, nil, nil, c)
 	if err != nil {
 		return nil, err
 	}
+	c.log = append(c.log, c.tail)
 
-	addrs := make([]mem.Addr, 0, len(c.addrs))
-	for a := range c.addrs {
-		addrs = append(addrs, a)
+	addrs := make([]mem.Addr, 0, c.slots)
+	for _, chunk := range c.states {
+		for i := range chunk {
+			addrs = append(addrs, chunk[i].addr)
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 
-	elided := make(map[mem.Addr]bool)
-	byClass := make(map[string]*ClassSummary, len(classOrder))
-	var elidedAddrs []mem.Addr
+	elided := make([]bool, c.slots)
+	var byClass [len(classOrder)]ClassSummary
+	var skip []trace.AddrRange
+	var elidedEvents, elidedBytes int64
 	for _, a := range addrs {
-		st := c.addrs[a]
+		s := c.slotOf(a)
+		st := c.state(s)
 		cls := classOf(st)
-		if cls != ClassMustKeep {
-			elided[a] = true
-			elidedAddrs = append(elidedAddrs, a)
-		}
-		cs := byClass[cls]
-		if cs == nil {
-			cs = &ClassSummary{Class: cls, Elided: cls != ClassMustKeep}
-			byClass[cls] = cs
-		}
+		cs := &byClass[cls]
 		cs.Addresses++
-		cs.Events += st.loads + st.stores
+		cs.Events += st.accesses
 		cs.Ranges = appendAddrRange(cs.Ranges, uint64(a))
+		if cls == clsMustKeep {
+			continue
+		}
+		elided[s] = true
+		elidedEvents += st.accesses
+		elidedBytes += st.bytes
+		if k := len(skip); k > 0 && skip[k-1].Hi+1 == a {
+			skip[k-1].Hi = a
+		} else {
+			skip = append(skip, trace.AddrRange{Lo: a, Hi: a})
+		}
 	}
 
-	p2 := &ordPass{elided: elided}
-	if _, err := trace.ReplayAll(data, nil, nil, p2); err != nil {
-		return nil, err
-	}
+	// Count the runs, then fill exactly-sized slices.
+	var ra, rb runSink
+	c.walkLog(elided, &ra, &rb)
+	ra = runSink{runs: make([]run, 0, ra.opened)}
+	rb = runSink{runs: make([]run, 0, rb.opened)}
+	c.walkLog(elided, &ra, &rb)
 
 	aud := &Audit{
 		Schema:           AuditSchema,
 		OriginalEvents:   n,
-		FilteredEvents:   n - p2.elidedEvents,
-		ElidedEvents:     p2.elidedEvents,
-		ElidedBytes:      p2.elidedBytes,
+		FilteredEvents:   n - elidedEvents,
+		ElidedEvents:     elidedEvents,
+		ElidedBytes:      elidedBytes,
 		OriginalAccesses: c.accesses,
-		KeptAccesses:     c.accesses - p2.elidedEvents,
-		Addresses:        int64(len(addrs)),
+		KeptAccesses:     c.accesses - elidedEvents,
+		Addresses:        int64(c.slots),
 		FastPathHits:     c.fastPathHits,
 		Classes:          make([]ClassSummary, 0, len(classOrder)),
 	}
 	if aud.FilteredEvents > 0 {
 		aud.Shrink = float64(aud.OriginalEvents) / float64(aud.FilteredEvents)
 	}
-	for _, cls := range classOrder {
-		if cs := byClass[cls]; cs != nil {
-			aud.Classes = append(aud.Classes, *cs)
+	for i, cs := range byClass {
+		if cs.Addresses > 0 {
+			cs.Class, cs.Elided = classOrder[i], i != clsMustKeep
+			aud.Classes = append(aud.Classes, cs)
 		}
 	}
 
 	return &Plan{
-		aud:    aud,
-		elided: elided,
-		skip:   trace.SkipSetFromAddrs(elidedAddrs),
-		runsA:  p2.runsA,
-		runsB:  p2.runsB,
+		aud:   aud,
+		skip:  trace.NewSkipSet(skip),
+		runsA: ra.runs,
+		runsB: rb.runs,
 	}, nil
 }
 
@@ -364,7 +525,7 @@ func (p *Plan) Audit() *Audit { return p.aud }
 func (p *Plan) SkipSet() *trace.SkipSet { return p.skip }
 
 // Keep reports whether address a survives elision.
-func (p *Plan) Keep(a mem.Addr) bool { return !p.elided[a] }
+func (p *Plan) Keep(a mem.Addr) bool { return !p.skip.Contains(a) }
 
 // Filter materializes the filtered trace for the stream the plan was
 // computed from: same format version, access events to elided addresses

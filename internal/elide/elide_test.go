@@ -2,6 +2,7 @@ package elide_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/rader"
 	"repro/internal/report"
+	"repro/internal/streamerr"
 	"repro/internal/trace"
 )
 
@@ -310,5 +312,53 @@ func TestElideFilteredStreamIntegrity(t *testing.T) {
 	}
 	if sst.Skipped != plan.Audit().ElidedEvents {
 		t.Fatalf("skip replay skipped %d, audit elided %d", sst.Skipped, plan.Audit().ElidedEvents)
+	}
+}
+
+// TestFrameIDOverflowRejected: a v1 stream whose spawned child is
+// encoded as frame 2^32+1 would, truncated to cilk.FrameID, replay as
+// frame 1 and skew the audit's byte accounting. The streaming decoder,
+// the pooled decoder and Analyze all reject it as malformed instead.
+func TestFrameIDOverflowRejected(t *testing.T) {
+	const child = 1<<32 + 1
+	// Raw v1 records: kind byte, then unsigned varints (and a
+	// length-prefixed label on frame entry).
+	rec := func(b []byte, kind byte, args ...uint64) []byte {
+		b = append(b, kind)
+		for _, a := range args {
+			b = binary.AppendUvarint(b, a)
+		}
+		return b
+	}
+	label := func(b []byte, l string) []byte { return append(binary.AppendUvarint(b, uint64(len(l))), l...) }
+	const (
+		programStart = 1
+		programEnd   = 2
+		enterSpawn   = 3
+		enterCall    = 4
+		frameReturn  = 5
+		sync         = 6
+		store        = 15
+	)
+	data := rec([]byte(trace.MagicV1), programStart)
+	data = label(rec(data, enterCall, 0), "main")
+	data = label(rec(data, enterSpawn, child), "child")
+	data = rec(data, store, child, 64)
+	data = rec(data, frameReturn, child, 0)
+	data = rec(data, store, 0, 64)
+	data = rec(data, sync, 0)
+	data = rec(data, programEnd)
+
+	_, err := trace.Replay(bytes.NewReader(data), cilk.Empty{})
+	if kindOf(t, "Replay", err) != streamerr.KindMalformed {
+		t.Fatalf("Replay: %v, want a malformed-input error", err)
+	}
+	_, err = trace.ReplayAll(data, nil, nil, cilk.Empty{})
+	if kindOf(t, "ReplayAll", err) != streamerr.KindMalformed {
+		t.Fatalf("ReplayAll: %v, want a malformed-input error", err)
+	}
+	_, err = elide.Analyze(data)
+	if kindOf(t, "Analyze", err) != streamerr.KindMalformed {
+		t.Fatalf("Analyze: %v, want a malformed-input error", err)
 	}
 }

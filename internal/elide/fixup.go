@@ -1,41 +1,34 @@
 package elide
 
 import (
+	"sort"
+
 	"repro/internal/rader"
 	"repro/internal/report"
 )
 
 // run is a maximal run of consecutive elided ordinals in one detector
-// ordinal space: start, start+1, ..., start+count-1 were all elided.
+// ordinal space: start, start+1, ..., start+count-1 were all elided, and
+// before elided ordinals precede start.
 type run struct {
-	start, count int64
-}
-
-// appendRun extends the last run when ord is its successor (ordinals
-// arrive in ascending order).
-func appendRun(rs []run, ord int64) []run {
-	if n := len(rs); n > 0 && rs[n-1].start+rs[n-1].count == ord {
-		rs[n-1].count++
-		return rs
-	}
-	return append(rs, run{start: ord, count: 1})
+	start, count, before int64
 }
 
 // remapOrd translates a filtered-stream ordinal back to the original
 // stream's ordinal: every elided event with an original ordinal at or
-// below the translated position shifts it up by one. Non-positive
+// below the translated position shifts it up by one. A run is consumed
+// iff start-before <= o, and start-before strictly increases across
+// runs, so a binary search finds the last consumed run. Non-positive
 // ordinals (omitted provenance) pass through.
 func remapOrd(runs []run, o int64) int64 {
 	if o <= 0 {
 		return o
 	}
-	for _, r := range runs {
-		if r.start > o {
-			break
-		}
-		o += r.count
+	k := sort.Search(len(runs), func(i int) bool { return runs[i].start-runs[i].before > o })
+	if k == 0 {
+		return o
 	}
-	return o
+	return o + runs[k-1].before + runs[k-1].count
 }
 
 // runsFor picks the ordinal space a detector counts events in: SP+

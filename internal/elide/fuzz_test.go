@@ -29,10 +29,11 @@ func kindOf(t *testing.T, what string, err error) streamerr.Kind {
 // filtered traces whose verdicts are byte-identical to the full trace
 // across every detector (including depa at shard counts 1, 3 and 8 and
 // the all-detectors fan-out — requireParity checks all three application
-// modes). Damaged streams — truncated or bit-flipped — must fail with
-// the same typed stream errors whether the damage hits the full or the
-// filtered trace, and elide.Analyze must reject them exactly as a plain
-// replay would.
+// modes), and Analyze must return the same plan (or error) as the
+// two-pass reference classifier. Damaged streams — truncated or
+// bit-flipped — must fail with the same typed stream errors whether the
+// damage hits the full or the filtered trace, and elide.Analyze must
+// reject them exactly as a plain replay would.
 func FuzzElide(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed, byte(seed*41), uint8(seed))
@@ -56,6 +57,9 @@ func FuzzElide(f *testing.F) {
 		if t.Failed() {
 			return
 		}
+		if err := elide.DiffAnalyze(data); err != nil {
+			t.Fatalf("Analyze differs from the two-pass reference: %v", err)
+		}
 
 		plan, err := elide.Analyze(data)
 		if err != nil {
@@ -78,6 +82,9 @@ func FuzzElide(f *testing.F) {
 		if _, err := elide.Analyze(data[:len(data)-1]); kindOf(t, "analyze truncated", err) != fullKind {
 			t.Fatalf("Analyze rejects truncation with a different kind than replay: %v vs %v", err, fullErr)
 		}
+		if err := elide.DiffAnalyze(data[:len(data)/2]); err != nil {
+			t.Fatalf("truncated: Analyze differs from the two-pass reference: %v", err)
+		}
 		if _, _, err := plan.Filter(data[:len(data)-1]); kindOf(t, "filter truncated", err) != fullKind {
 			t.Fatalf("Filter rejects truncation with a different kind than replay: %v vs %v", err, fullErr)
 		}
@@ -98,6 +105,9 @@ func FuzzElide(f *testing.F) {
 				t.Fatalf("%s: Analyze accepted a bit-flipped stream", what)
 			} else {
 				kindOf(t, what+" analyze", err)
+			}
+			if err := elide.DiffAnalyze(mod); err != nil {
+				t.Fatalf("%s: Analyze differs from the two-pass reference: %v", what, err)
 			}
 		}
 		corrupt("full", data)

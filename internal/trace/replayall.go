@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync"
 
 	"repro/internal/cilk"
@@ -154,12 +155,13 @@ func (rp *Replayer) insertFrame(f *cilk.Frame) {
 }
 
 func (rp *Replayer) frameOf(id uint64) (*cilk.Frame, error) {
-	fid := cilk.FrameID(id)
-	if fid >= 0 && int(fid) < len(rp.table) {
-		if f := rp.table[fid]; f != nil {
+	if id < uint64(len(rp.table)) {
+		if f := rp.table[id]; f != nil {
 			return f, nil
 		}
-	} else if f, ok := rp.overflow[fid]; ok {
+	} else if id > math.MaxInt32 {
+		return nil, frameIDOverflow(id, rp.events, int64(rp.off))
+	} else if f, ok := rp.overflow[cilk.FrameID(id)]; ok {
 		return f, nil
 	}
 	return nil, streamerr.Errorf("trace", streamerr.KindOrder,
@@ -342,6 +344,9 @@ func (rp *Replayer) replay(data []byte, hooks ...cilk.Hooks) (events int64, err 
 			id, err := rp.u()
 			if err != nil {
 				return rp.events, err
+			}
+			if id > math.MaxInt32 {
+				return rp.events, frameIDOverflow(id, rp.events, int64(rp.off))
 			}
 			label, err := rp.str()
 			if err != nil {

@@ -35,6 +35,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"repro/internal/cilk"
 	"repro/internal/mem"
@@ -285,6 +286,14 @@ func (t *Writer) Store(f *cilk.Frame, a mem.Addr) { t.emit(evStore, uint64(f.ID)
 
 var _ cilk.Hooks = (*Writer)(nil)
 
+// frameIDOverflow rejects an encoded frame ID that does not fit
+// cilk.FrameID. Both decoders report it with this one error, so a
+// crafted ID fails identically instead of truncating onto another frame.
+func frameIDOverflow(id uint64, event, off int64) *streamerr.Error {
+	return streamerr.Errorf("trace", streamerr.KindMalformed,
+		"frame ID %d overflows int32", id).WithEvent(event).WithOffset(off)
+}
+
 // replayReader tracks the byte offset and running CRC of everything the
 // decoder consumes, so failures can name the exact stream position and the
 // v2 footer can be verified.
@@ -400,6 +409,9 @@ func Replay(r io.Reader, hooks cilk.Hooks) (events int64, err error) {
 		return string(b), nil
 	}
 	frameOf := func(id uint64) (*cilk.Frame, error) {
+		if id > math.MaxInt32 {
+			return nil, frameIDOverflow(id, events, rd.off)
+		}
 		f, ok := frames[cilk.FrameID(id)]
 		if !ok {
 			return nil, streamerr.Errorf("trace", streamerr.KindOrder,
@@ -472,6 +484,9 @@ func Replay(r io.Reader, hooks cilk.Hooks) (events int64, err error) {
 			id, err := u()
 			if err != nil {
 				return events, err
+			}
+			if id > math.MaxInt32 {
+				return events, frameIDOverflow(id, events, rd.off)
 			}
 			label, err := str()
 			if err != nil {
