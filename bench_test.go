@@ -270,10 +270,9 @@ func BenchmarkSpecGenFamilies(b *testing.B) {
 
 // BenchmarkCoverageSweep times the full §7 check of the Figure 1 program.
 func BenchmarkCoverageSweep(b *testing.B) {
-	al := mem.NewAllocator()
-	prog := progs.Fig1(al, progs.Fig1Options{})
+	factory := func() func(*cilk.Ctx) { return progs.Fig1(mem.NewAllocator(), progs.Fig1Options{}) }
 	for i := 0; i < b.N; i++ {
-		if cr := rader.Coverage(prog); len(cr.Races) == 0 {
+		if cr := rader.Sweep(factory, rader.SweepOptions{}); len(cr.Races) == 0 {
 			b.Fatal("sweep must find the Figure 1 race")
 		}
 	}
@@ -285,19 +284,21 @@ func BenchmarkCoverageSweep(b *testing.B) {
 func BenchmarkCoverageSweepScaling(b *testing.B) {
 	for _, k := range []int{3, 5, 7, 9} {
 		k := k
-		prog := func(c *cilk.Ctx) {
-			r := c.NewReducer("h", reducer.OpAdd[int](), 0)
-			for i := 0; i < k; i++ {
-				c.Spawn("u", func(cc *cilk.Ctx) {
-					cc.Update(r, func(_ *cilk.Ctx, v any) any { return v.(int) + 1 })
-				})
+		factory := func() func(*cilk.Ctx) {
+			return func(c *cilk.Ctx) {
+				r := c.NewReducer("h", reducer.OpAdd[int](), 0)
+				for i := 0; i < k; i++ {
+					c.Spawn("u", func(cc *cilk.Ctx) {
+						cc.Update(r, func(_ *cilk.Ctx, v any) any { return v.(int) + 1 })
+					})
+				}
+				c.Sync()
 			}
-			c.Sync()
 		}
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			var specs int
 			for i := 0; i < b.N; i++ {
-				cr := rader.Coverage(prog)
+				cr := rader.Sweep(factory, rader.SweepOptions{})
 				specs = cr.SpecsRun
 			}
 			b.ReportMetric(float64(specs), "specs")

@@ -62,18 +62,12 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := tables.Options{Trials: *trials, Seed: *seed}
-	switch *scaleStr {
-	case "test":
-		opts.Scale = apps.Test
-	case "small":
-		opts.Scale = apps.Small
-	case "bench":
-		opts.Scale = apps.Bench
-	default:
-		fmt.Fprintf(os.Stderr, "benchtab: bad scale %q\n", *scaleStr)
+	sc, err := apps.ParseScale(*scaleStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(2)
 	}
+	opts := tables.Options{Scale: sc, Trials: *trials, Seed: *seed}
 	if *appsStr != "" {
 		opts.Apps = strings.Split(*appsStr, ",")
 	}

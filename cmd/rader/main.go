@@ -27,11 +27,15 @@
 //
 //	rader -live dedup -live-workers 8 -json
 //
-// Programs: the six benchmarks (collision, dedup, ferret, fib, knapsack,
-// pbfs) at -scale test|small|bench, plus the paper's figures: fig1 (the
-// §2 linked-list program), fig1-early (get_value before sync), fig1-late
-// (set_value after spawn), fig1-fixed (deep copy), fig2 (§3's dag, reads
-// at -reads strands).
+// Programs: -prog names any program of the one catalogue rader, raderd
+// and stealgen share (corpus.Lookup): the paper's figures fig1 (the §2
+// linked-list program), fig1-early (get_value before sync), fig1-late
+// (set_value after spawn), fig1-fixed (deep copy) and fig2 (§3's dag,
+// reads at strands 1 and 9, or at the -reads strands in a local run);
+// every internal/corpus entry by name (clean-reducer-sum,
+// view-read-early-get, ...); and the six benchmarks (collision, dedup,
+// ferret, fib, knapsack, pbfs) at -scale test|small|bench. A name means
+// the same program locally and with -remote.
 //
 // Exit status: 0 when the run is clean, 1 when races were detected, 2 on
 // usage errors, internal errors, or an incomplete sweep.
@@ -48,8 +52,8 @@ import (
 	"time"
 
 	"repro/internal/analyze"
-	"repro/internal/apps"
 	"repro/internal/cilk"
+	"repro/internal/corpus"
 	"repro/internal/dag"
 	"repro/internal/depa"
 	"repro/internal/elide"
@@ -80,11 +84,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rader", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		progName = fs.String("prog", "fib", "program: benchmark name or fig1[-early|-late|-fixed], fig2")
+		progName = fs.String("prog", "fib", "program: fig1[-early|-late|-fixed], fig2, a corpus entry name, or a benchmark (collision, dedup, ferret, fib, knapsack, pbfs)")
 		detector = fs.String("detector", "sp+", "detector: none, empty, peer-set, sp-bags, sp+, offset-span, english-hebrew, or all (single-pass Peer-Set+SP-bags+SP+)")
 		specStr  = fs.String("spec", "none", "steal specification (none, all, all-eager, depth:D, single:A, pair:A,B, triple:I,J,K, random:SEED,K, labels:...)")
 		scale    = fs.String("scale", "small", "benchmark scale: test, small, bench")
-		reads    = fs.String("reads", "1,9", "fig2 only: comma-separated strands that read the reducer")
+		reads    = fs.String("reads", "1,9", "fig2 only, local runs only: comma-separated strands that read the reducer")
 		coverage = fs.Bool("coverage", false, "run the full §7 specification sweep with SP+ and Peer-Set")
 		sweepW   = fs.Int("sweep-workers", 0, "worker lanes of the -coverage work-stealing scheduler (0 = one per CPU); the verdict is identical at any width")
 		sweepN   = fs.Int("sweep-sample", 0, "cap the -coverage sweep at this many coverage-guided specifications (0 = the full family); sampled verdicts cover only the sampled schedules")
@@ -117,8 +121,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *coverage {
 			return fatal(fmt.Errorf("-elide cannot be combined with -coverage"))
 		}
-		if *remote != "" && (eo.auditPath != "" || eo.outPath != "") {
-			return fatal(fmt.Errorf("-elide-audit and -elide-out are local artifacts; drop -remote to produce them"))
+	}
+	if *remote != "" {
+		// The daemon knows nothing of these; dropping them silently would
+		// print a verdict the user did not ask for.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-record", *record != ""},
+			{"-dot", *dot},
+			{"-live", *live != ""},
+			{"-reads", *reads != "1,9"},
+			{"-elide-audit", eo.auditPath != ""},
+			{"-elide-out", eo.outPath != ""},
+		} {
+			if f.set {
+				return fatal(fmt.Errorf("%s is local-only; drop -remote to use it", f.name))
+			}
 		}
 	}
 
@@ -194,26 +214,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	prog, verify, desc, err := buildProgram(*progName, *scale, *reads)
+	p, _, err := corpus.Lookup(*progName, *scale)
 	if err != nil {
 		return fatal(err)
 	}
+	if *progName == "fig2" {
+		at, err := parseReads(*reads)
+		if err != nil {
+			return fatal(err)
+		}
+		p = corpus.Fig2(at...)
+	}
+	ins := p.Build()
 	if !*jsonOut {
 		// JSON modes keep stdout to exactly one document so output is
 		// machine-diffable against a remote verdict.
+		desc := p.Desc
+		if ins.InputDesc != "" {
+			desc += ", input " + ins.InputDesc
+		}
 		fmt.Fprintf(stdout, "program: %s (%s)\n", *progName, desc)
 	}
 
 	if *coverage {
 		// Sweep lanes run program instances concurrently, and the apps
 		// carry mutable state, so every sweep run gets a fresh instance.
-		// buildProgram already succeeded with these arguments, so its
-		// error cannot occur here.
-		factory := func() func(*cilk.Ctx) {
-			p, _, _, _ := buildProgram(*progName, *scale, *reads)
-			return p
-		}
-		return runCoverage(stdout, factory, rader.SweepOptions{
+		return runCoverage(stdout, p.Factory, rader.SweepOptions{
 			Workers:     *sweepW,
 			SampleSpecs: *sweepN,
 			Timeout:     *timeout,
@@ -231,19 +257,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *dot {
 		rec := dag.NewRecorder()
-		cilk.Run(prog, cilk.Config{Spec: spec, Hooks: rec})
+		cilk.Run(ins.Prog, cilk.Config{Spec: spec, Hooks: rec})
 		fmt.Fprint(stdout, rec.D.Dot(*progName))
 		return exitClean
 	}
 	if *record != "" {
-		digest, err := recordTrace(*record, prog, spec)
+		digest, err := recordTrace(*record, ins.Prog, spec)
 		if err != nil {
 			return fatal(err)
 		}
 		fmt.Fprintf(stdout, "trace recorded to %s (sha256 %s)\n", *record, digest)
 		return exitClean
 	}
-	out, err := rader.Run(prog, rader.Config{Detector: det, Spec: spec, Deadline: deadline, Trace: tr})
+	res, out, err := analyze.Run(ins.Prog, rader.Config{Detector: det, Spec: spec, Deadline: deadline, Trace: tr})
 	if err != nil {
 		return fatal(err)
 	}
@@ -259,65 +285,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 				out.Stats.Elems, out.Stats.Finds, out.Stats.Unions)
 		}
 	}
-	if verify != nil && !*jsonOut {
-		if err := verify(); err != nil {
-			fmt.Fprintf(stdout, "VERIFY FAILED: %v\n", err)
-		} else {
-			fmt.Fprintln(stdout, "verify: ok")
-		}
-	}
-	if det == rader.All {
-		raced := false
-		for _, do := range out.All {
-			raced = raced || !do.Report.Empty()
-		}
-		if *jsonOut {
-			b, err := report.FromAllOutcome(out, sched.Format(spec)).Marshal()
-			if err != nil {
-				return fatal(err)
-			}
-			fmt.Fprintln(stdout, string(b))
-		} else {
-			for _, do := range out.All {
-				fmt.Fprintf(stdout, "%s: %s\n", do.Detector, do.Report.Summary())
-			}
-			if raced && len(out.Result.Steals) > 0 {
-				fmt.Fprintf(stdout, "replay with: -spec '%s'\n", out.Replay)
-			}
-		}
-		if raced {
-			return exitRaces
-		}
-		return exitClean
-	}
-	if out.Report == nil {
-		if *jsonOut {
-			b, err := report.FromOutcome(out, sched.Format(spec)).Marshal()
-			if err != nil {
-				return fatal(err)
-			}
-			fmt.Fprintln(stdout, string(b))
-		} else {
-			fmt.Fprintln(stdout, "(no detector attached)")
-		}
-		return exitClean
-	}
 	if *jsonOut {
-		b, err := report.FromOutcome(out, sched.Format(spec)).Marshal()
+		b, err := res.Doc.Marshal()
 		if err != nil {
 			return fatal(err)
 		}
 		fmt.Fprintln(stdout, string(b))
-		if !out.Report.Empty() {
-			return exitRaces
+	} else {
+		if ins.Verify != nil {
+			if err := ins.Verify(); err != nil {
+				fmt.Fprintf(stdout, "VERIFY FAILED: %v\n", err)
+			} else {
+				fmt.Fprintln(stdout, "verify: ok")
+			}
 		}
-		return exitClean
+		if len(res.Detectors) == 0 {
+			fmt.Fprintln(stdout, "(no detector attached)")
+		}
+		for _, d := range res.Detectors {
+			if det == rader.All {
+				fmt.Fprintf(stdout, "%s: ", d.Name())
+			}
+			fmt.Fprintln(stdout, d.Report().Summary())
+		}
+		if !res.Clean && len(out.Result.Steals) > 0 {
+			fmt.Fprintf(stdout, "replay with: -spec '%s'\n", out.Replay)
+		}
 	}
-	fmt.Fprintln(stdout, out.Report.Summary())
-	if !out.Report.Empty() && len(out.Result.Steals) > 0 {
-		fmt.Fprintf(stdout, "replay with: -spec '%s'\n", out.Replay)
-	}
-	if !out.Report.Empty() {
+	if !res.Clean {
 		return exitRaces
 	}
 	return exitClean
@@ -372,46 +367,17 @@ func runCoverage(stdout io.Writer, factory func() func(*cilk.Ctx), opts rader.Sw
 	}
 }
 
-func buildProgram(name, scaleStr, reads string) (func(*cilk.Ctx), func() error, string, error) {
-	al := mem.NewAllocator()
-	switch name {
-	case "fig1":
-		return progs.Fig1(al, progs.Fig1Options{}), nil, "Figure 1: shallow-copy list race", nil
-	case "fig1-early":
-		return progs.Fig1(al, progs.Fig1Options{EarlyGetValue: true}), nil, "Figure 1 with get_value before sync", nil
-	case "fig1-late":
-		return progs.Fig1(al, progs.Fig1Options{SetValueAfterSpawn: true}), nil, "Figure 1 with set_value after spawn", nil
-	case "fig1-fixed":
-		return progs.Fig1(al, progs.Fig1Options{DeepCopy: true}), nil, "Figure 1 with a deep copy (race-free)", nil
-	case "fig2":
-		var at []int
-		for _, s := range strings.Split(reads, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 || v > progs.Fig2Strands {
-				return nil, nil, "", fmt.Errorf("bad fig2 read strand %q", s)
-			}
-			at = append(at, v)
+// parseReads parses -reads, fig2's comma-separated reading strands.
+func parseReads(reads string) ([]int, error) {
+	var at []int
+	for _, f := range strings.Split(reads, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || v < 1 || v > progs.Fig2Strands {
+			return nil, fmt.Errorf("bad fig2 read strand %q", f)
 		}
-		return progs.Fig2Reads(at...), nil,
-			fmt.Sprintf("Figure 2 dag with reducer reads at strands %v", at), nil
+		at = append(at, v)
 	}
-	var sc apps.Scale
-	switch scaleStr {
-	case "test":
-		sc = apps.Test
-	case "small":
-		sc = apps.Small
-	case "bench":
-		sc = apps.Bench
-	default:
-		return nil, nil, "", fmt.Errorf("bad scale %q", scaleStr)
-	}
-	app, err := apps.ByName(name)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	ins := app.Build(al, sc)
-	return ins.Prog, ins.Verify, fmt.Sprintf("%s, input %s", app.Desc, ins.InputDesc), nil
+	return at, nil
 }
 
 func recordTrace(path string, prog func(*cilk.Ctx), spec cilk.StealSpec) (trace.Digest, error) {

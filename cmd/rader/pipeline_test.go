@@ -55,6 +55,63 @@ func TestLocalRemoteParityEveryDetector(t *testing.T) {
 	}
 }
 
+// Every surface resolves program names through one catalogue and runs
+// them through one pipeline, so for a named program under every detector
+// name and schedule, a local -json run and a -remote one print the same
+// bytes and exit with the same code; so do their -coverage sweeps.
+func TestLocalRemoteParityNamedPrograms(t *testing.T) {
+	_, base := startDaemon(t, service.Config{Workers: 2})
+	dets := []string{"none", "empty", "peer-set", "sp-bags", "sp+", "offset-span", "english-hebrew", "depa", "all"}
+	progs := []string{"fig1", "fig1-fixed", "fig2", "view-read-early-get", "clean-reducer-sum", "dedup", "pbfs"}
+	parity := func(name string, args ...string) {
+		t.Helper()
+		lcode, local, lerr := exec(t, args...)
+		rcode, remote, rerr := exec(t, append([]string{"-remote", base}, args...)...)
+		if lcode == exitError || rcode == exitError {
+			t.Fatalf("%s: exit %d local, %d remote\n%s%s", name, lcode, rcode, lerr, rerr)
+		}
+		if lcode != rcode || local != remote {
+			t.Fatalf("%s: local (exit %d) and remote (exit %d) verdicts differ:\nlocal:  %s\nremote: %s",
+				name, lcode, rcode, local, remote)
+		}
+	}
+	for _, prog := range progs {
+		for _, det := range dets {
+			for _, spec := range []string{"none", "all"} {
+				parity(fmt.Sprintf("%s/%s/%s", prog, det, spec),
+					"-prog", prog, "-scale", "test", "-detector", det, "-spec", spec, "-json")
+			}
+		}
+	}
+	parity("view-read-early-get/coverage", "-prog", "view-read-early-get", "-coverage", "-json")
+}
+
+// Flags the daemon cannot honour fail with exit 2 under -remote instead
+// of being dropped in favour of some other verdict.
+func TestRemoteRejectsLocalOnlyFlags(t *testing.T) {
+	_, base := startDaemon(t, service.Config{Workers: 1})
+	path := filepath.Join(t.TempDir(), "run.trace")
+	for _, args := range [][]string{
+		{"-prog", "fig1", "-spec", "all", "-record", path},
+		{"-prog", "fig1", "-dot"},
+		{"-live", "dedup"},
+		{"-prog", "fig2", "-reads", "3,5", "-detector", "peer-set"},
+		{"-replay", path, "-elide-audit", filepath.Join(t.TempDir(), "audit.json")},
+	} {
+		code, out, errOut := exec(t, append([]string{"-remote", base}, args...)...)
+		if code != exitError || !strings.Contains(errOut, "local-only") {
+			t.Errorf("%v: exit %d, want %d naming the local-only flag\n%s%s", args, code, exitError, out, errOut)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("-remote -record wrote %s", path)
+	}
+	// -reads at its default names the program raderd runs.
+	if code, out, errOut := exec(t, "-remote", base, "-prog", "fig2", "-reads", "1,9", "-json"); code != exitClean {
+		t.Errorf("-remote -reads 1,9: exit %d\n%s%s", code, out, errOut)
+	}
+}
+
 // Detectors none and empty replay as a validate-only pass: the stream is
 // decoded and integrity-checked, the verdict is an empty clean report,
 // and a damaged trace still fails with exit 2.

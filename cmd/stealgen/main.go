@@ -7,6 +7,11 @@
 //
 //	stealgen -prog fib -scale test
 //	stealgen -prog fig1 -list        # print every specification
+//
+// -prog names any program of the catalogue rader and raderd share
+// (corpus.Lookup): the figures fig1, fig1-early, fig1-late, fig1-fixed
+// and fig2, every internal/corpus entry, and the six benchmarks at
+// -scale test|small|bench.
 package main
 
 import (
@@ -14,48 +19,26 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/apps"
-	"repro/internal/cilk"
-	"repro/internal/mem"
-	"repro/internal/progs"
+	"repro/internal/corpus"
 	"repro/internal/sched"
 	"repro/internal/specgen"
 )
 
 func main() {
 	var (
-		progName = flag.String("prog", "fig1", "program: benchmark name or fig1")
+		progName = flag.String("prog", "fig1", "program: fig1[-early|-late|-fixed], fig2, a corpus entry name, or a benchmark (collision, dedup, ferret, fib, knapsack, pbfs)")
 		scaleStr = flag.String("scale", "test", "benchmark scale: test, small, bench")
 		list     = flag.Bool("list", false, "print every specification, not just counts")
 	)
 	flag.Parse()
 
-	var prog func(*cilk.Ctx)
-	al := mem.NewAllocator()
-	if *progName == "fig1" {
-		prog = progs.Fig1(al, progs.Fig1Options{})
-	} else {
-		var sc apps.Scale
-		switch *scaleStr {
-		case "test":
-			sc = apps.Test
-		case "small":
-			sc = apps.Small
-		case "bench":
-			sc = apps.Bench
-		default:
-			fmt.Fprintf(os.Stderr, "stealgen: bad scale %q\n", *scaleStr)
-			os.Exit(2)
-		}
-		app, err := apps.ByName(*progName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stealgen:", err)
-			os.Exit(2)
-		}
-		prog = app.Build(al, sc).Prog
+	prog, _, err := corpus.Lookup(*progName, *scaleStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stealgen:", err)
+		os.Exit(2)
 	}
 
-	p := specgen.Measure(prog)
+	p := specgen.Measure(prog.Factory())
 	fmt.Printf("profile of %s: max P-depth M=%d, max sync block K=%d, Cilk depth D=%d\n",
 		*progName, p.MaxPDepth, p.MaxSyncBlock, p.CilkDepth)
 	upd := specgen.UpdateSpecs(p)

@@ -66,7 +66,8 @@ func main() {
 		prof.MaxPDepth, prof.MaxSyncBlock,
 		len(specgen.UpdateSpecs(prof)), len(specgen.ReduceSpecs(prof)))
 
-	cr := rader.Coverage(prog)
+	// Every sweep run gets a fresh instance of the program.
+	cr := rader.Sweep(func() func(*cilk.Ctx) { return buggyProg(mem.NewAllocator()) }, rader.SweepOptions{})
 	fmt.Printf("sweep over %d specifications:\n", cr.SpecsRun)
 	for _, f := range cr.Races {
 		fmt.Printf("  FOUND by %-14s %v\n", f.Spec, f.Race)

@@ -50,15 +50,18 @@ func main() {
 	fmt.Printf("peer-set (not its kind of bug):  %s\n", ps.Report().Summary())
 
 	// The §7 coverage sweep finds it without being told the schedule.
-	cr := rader.Coverage(prog)
+	// Every sweep run gets a fresh instance of the program.
+	fig1 := func(opts progs.Fig1Options) func() func(*cilk.Ctx) {
+		return func() func(*cilk.Ctx) { return progs.Fig1(mem.NewAllocator(), opts) }
+	}
+	cr := rader.Sweep(fig1(progs.Fig1Options{}), rader.SweepOptions{})
 	fmt.Printf("coverage sweep (%d specs):        %d distinct race(s)\n", cr.SpecsRun, len(cr.Races))
 	for _, f := range cr.Races {
 		fmt.Printf("  elicited by %-12s %v\n", f.Spec, f.Race)
 	}
 
 	// And the fix: a deep copy separates the memory; the sweep is clean.
-	fixed := progs.Fig1(mem.NewAllocator(), progs.Fig1Options{DeepCopy: true})
-	crFixed := rader.Coverage(fixed)
+	crFixed := rader.Sweep(fig1(progs.Fig1Options{DeepCopy: true}), rader.SweepOptions{})
 	fmt.Printf("after the deep-copy fix:         clean=%v across %d specs\n",
 		crFixed.Clean(), crFixed.SpecsRun)
 }

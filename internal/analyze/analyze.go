@@ -1,21 +1,23 @@
-// Package analyze is the one trace-analysis pipeline of the
-// record-once/analyze-many workflow: rader -replay and raderd's /analyze
-// both hand a recorded CILKTRACE stream to Trace, which builds the
-// requested detectors, optionally runs the static elision pre-pass,
-// replays the stream once through the pooled trace.ReplayAll engine,
-// fixes the verdict up after elision, and builds the report document.
-// Because both surfaces share it, a local verdict and a daemon verdict
-// for the same trace are the same bytes by construction.
+// Package analyze is the one analysis pipeline behind rader and raderd.
+// A recorded CILKTRACE stream goes to Trace (rader -replay, raderd's
+// /analyze), which builds the requested detectors, optionally runs the
+// static elision pre-pass, replays the stream once through the pooled
+// trace.ReplayAll engine, fixes the verdict up after elision, and builds
+// the report document. A named program goes to Run (rader -prog,
+// raderd's ?prog=), which runs it once under rader.Run and builds the
+// document the same way. Because both surfaces share these paths, a
+// local verdict and a daemon verdict for the same input are the same
+// bytes by construction.
 package analyze
 
 import (
 	"repro/internal/cilk"
 	"repro/internal/core"
-	"repro/internal/depa"
 	"repro/internal/elide"
 	"repro/internal/obs"
 	"repro/internal/rader"
 	"repro/internal/report"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -41,10 +43,10 @@ type Result struct {
 	Doc interface{ Marshal() ([]byte, error) }
 	// Clean is the verdict: no detector reported a race.
 	Clean bool
-	// Events is the number of events in the stream.
+	// Events is the number of events in the stream; zero for a run.
 	Events int64
 	// Detectors are the detectors that consumed the stream, in document
-	// order; empty for a validate-only pass.
+	// order; empty for a validate-only pass or an uninstrumented run.
 	Detectors []core.Detector
 	// Plan is the elision plan (nil unless Options.Elide), for callers
 	// that persist its audit or filtered stream. ElidedEvents and
@@ -60,7 +62,7 @@ type Result struct {
 // whatever the detector.
 func Trace(data []byte, opts Options) (*Result, error) {
 	tr := opts.Trace
-	dets, err := detectors(opts.Detector, tr)
+	dets, err := rader.NewDetectors(opts.Detector, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -93,61 +95,58 @@ func Trace(data []byte, opts Options) (*Result, error) {
 	}
 	span.Arg("events", stats.Events).Arg("bytes", stats.Bytes).
 		Arg("frames", stats.Frames).Arg("labels", stats.InternedLabels).End()
-	for _, d := range dets {
-		detectorSpan(tr, d)
-	}
 	res.Events = n
+	res.verdict(opts.Detector, "", tr)
+	return res, nil
+}
 
-	if opts.Detector == rader.All {
-		m := report.FromDetectors("", n, dets)
+// Run executes prog once under cfg through rader.Run and builds the
+// verdict exactly as Trace does for a replayed stream, labelled with the
+// canonical form of cfg.Spec. The Outcome carries the run's schedule,
+// statistics and replay specification.
+func Run(prog func(*cilk.Ctx), cfg rader.Config) (*Result, *rader.Outcome, error) {
+	out, err := rader.Run(prog, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &Result{Detectors: out.Detectors}
+	res.verdict(cfg.Detector, sched.Format(cfg.Spec), cfg.Trace)
+	return res, out, nil
+}
+
+// verdict emits one "detector:<name>" span per detector, carrying its
+// event counts and verdict, then builds the document: a Multi for
+// rader.All, a Report otherwise (empty and clean when no detector
+// watched), fixed up after elision when res.Plan is set.
+func (res *Result) verdict(name rader.DetectorName, spec string, tr *obs.Trace) {
+	for _, d := range res.Detectors {
+		span := tr.Start("detector:" + d.Name())
+		if ec, ok := d.(core.EventCountsProvider); ok {
+			for _, a := range ec.EventCounts().Args() {
+				span.Arg(a.Key, a.Value)
+			}
+		}
+		if rp := d.Report(); rp != nil {
+			span.Arg("races", rp.Distinct())
+		}
+		span.End()
+	}
+	if name == rader.All {
+		m := report.FromDetectors(spec, res.Events, res.Detectors)
 		if res.Plan != nil {
 			res.Plan.FixupMulti(m)
 		}
 		res.Doc, res.Clean = m, m.Clean
-		return res, nil
+		return
 	}
 	var rep *report.Report
-	if len(dets) == 1 {
-		rep = report.FromDetector(string(opts.Detector), "", n, dets[0])
+	if len(res.Detectors) == 1 {
+		rep = report.FromDetector(string(name), spec, res.Events, res.Detectors[0])
 	} else {
-		rep = report.FromCore(string(opts.Detector), "", n, nil)
+		rep = report.FromCore(string(name), spec, res.Events, nil)
 	}
 	if res.Plan != nil {
 		res.Plan.FixupReport(rep)
 	}
 	res.Doc, res.Clean = rep, rep.Clean
-	return res, nil
-}
-
-// detectors builds fresh detectors for name: the paper's three for
-// rader.All, none for the validate-only baselines, one otherwise. A depa
-// detector emits its per-shard finalize spans into tr.
-func detectors(name rader.DetectorName, tr *obs.Trace) ([]core.Detector, error) {
-	if name == rader.All {
-		return rader.NewAllDetectors(), nil
-	}
-	d, _, err := rader.NewDetector(name)
-	if err != nil || d == nil {
-		return nil, err
-	}
-	if dd, ok := d.(*depa.Detector); ok {
-		dd.Trace = tr
-	}
-	return []core.Detector{d}, nil
-}
-
-// detectorSpan emits one "detector:<name>" span carrying the detector's
-// event counts and verdict, so a profile shows each detector's
-// consumption next to the decode.
-func detectorSpan(tr *obs.Trace, d core.Detector) {
-	span := tr.Start("detector:" + d.Name())
-	if ec, ok := d.(core.EventCountsProvider); ok {
-		for _, a := range ec.EventCounts().Args() {
-			span.Arg(a.Key, a.Value)
-		}
-	}
-	if rp := d.Report(); rp != nil {
-		span.Arg("races", rp.Distinct())
-	}
-	span.End()
 }

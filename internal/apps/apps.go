@@ -47,7 +47,23 @@ func (s Scale) String() string {
 	}
 }
 
-// Instance is one runnable benchmark configuration.
+// ParseScale parses a scale name: test, small or bench. The empty string
+// is Test, the scale a bare raderd request gets.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "", "test":
+		return Test, nil
+	case "small":
+		return Small, nil
+	case "bench":
+		return Bench, nil
+	default:
+		return 0, fmt.Errorf("bad scale %q (test, small, bench)", s)
+	}
+}
+
+// Instance is one runnable benchmark configuration. Other named programs
+// use it too, with no Verify or InputDesc.
 type Instance struct {
 	// Prog is the Cilk program. Fresh per run: call Build again to rerun
 	// (programs carry mutable workload state such as distance arrays).

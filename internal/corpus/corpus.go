@@ -7,6 +7,10 @@
 // determinacy races, view-read races of both §3 flavours, races hiding in
 // Update/Create-Identity/Reduce operations that only some schedules
 // elicit, and the correct patterns that must stay silent.
+//
+// Lookup resolves every program name of the repository — the paper's
+// figures, these entries and the six benchmarks — for rader, raderd and
+// stealgen alike.
 package corpus
 
 import (

@@ -36,8 +36,8 @@ func TestCorpusMatrix(t *testing.T) {
 				t.Errorf("sp+ steal-all: race=%v, want %v\n%s", got, e.DetStealAll, all.Report.Summary())
 			}
 
-			// The §7 sweep.
-			cr := rader.Coverage(prog)
+			// The §7 sweep, on a fresh instance per run.
+			cr := rader.Sweep(func() func(*cilk.Ctx) { return e.Build(mem.NewAllocator()) }, rader.SweepOptions{})
 			if got := len(cr.Races) > 0; got != e.DetSweep {
 				t.Errorf("sweep: race=%v, want %v (%d specs)", got, e.DetSweep, cr.SpecsRun)
 			}
@@ -119,7 +119,7 @@ func TestCilkScreenStyleMiss(t *testing.T) {
 		}
 	}
 	// SP+ with the generated specification family finds it.
-	cr := rader.Coverage(prog)
+	cr := rader.Sweep(func() func(*cilk.Ctx) { return entry.Build(mem.NewAllocator()) }, rader.SweepOptions{})
 	if len(cr.Races) == 0 {
 		t.Fatal("the §7 sweep must find the hidden reduce-strand race")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/cilk"
 	"repro/internal/mem"
 )
 
@@ -20,9 +21,11 @@ func TestCoverageSweepOnBenchmarks(t *testing.T) {
 	for _, app := range apps.All() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
+			// Every instance has the same address layout, so al describes
+			// the addresses of the fresh instance each sweep run builds.
 			al := mem.NewAllocator()
-			ins := app.Build(al, apps.Test)
-			cr := Coverage(ins.Prog)
+			app.Build(al, apps.Test)
+			cr := Sweep(func() func(*cilk.Ctx) { return app.Build(mem.NewAllocator(), apps.Test).Prog }, SweepOptions{})
 			if cr.SpecsRun < 2 {
 				t.Fatalf("sweep ran only %d specs", cr.SpecsRun)
 			}

@@ -36,21 +36,24 @@ func Example() {
 	// stolen: 1 distinct race(s)
 }
 
-// ExampleCoverage sweeps the §7 specification family over a rerunnable
-// program, finding races no single schedule is guaranteed to show.
-func ExampleCoverage() {
-	al := mem.NewAllocator()
-	x := al.Alloc("shared", 1)
-	prog := func(c *cilk.Ctx) {
-		h := reducer.New[int](c, "sum", reducer.OpAdd[int](), 0)
-		c.Spawn("reader", func(cc *cilk.Ctx) { cc.Load(x.At(0)) })
-		h.Update(c, func(cc *cilk.Ctx, v int) int {
-			cc.Store(x.At(0))
-			return v + 1
-		})
-		c.Sync()
+// ExampleSweep sweeps the §7 specification family over a program,
+// finding races no single schedule is guaranteed to show. The factory
+// builds a fresh instance for every run of the sweep.
+func ExampleSweep() {
+	factory := func() func(*cilk.Ctx) {
+		al := mem.NewAllocator()
+		x := al.Alloc("shared", 1)
+		return func(c *cilk.Ctx) {
+			h := reducer.New[int](c, "sum", reducer.OpAdd[int](), 0)
+			c.Spawn("reader", func(cc *cilk.Ctx) { cc.Load(x.At(0)) })
+			h.Update(c, func(cc *cilk.Ctx, v int) int {
+				cc.Store(x.At(0))
+				return v + 1
+			})
+			c.Sync()
+		}
 	}
-	cr := rader.Coverage(prog)
+	cr := rader.Sweep(factory, rader.SweepOptions{})
 	fmt.Println("clean:", cr.Clean())
 	fmt.Println("findings:", len(cr.Races))
 	// Output:

@@ -96,31 +96,23 @@ type Config struct {
 // Outcome reports one analysed run.
 type Outcome struct {
 	Detector DetectorName
-	Report   *core.Report // nil for None and EmptyTool
+	// Detectors are the detector instances that watched the run, in
+	// document order: none for None and EmptyTool, AllDetectors' three
+	// for All, one otherwise.
+	Detectors []core.Detector
+	// Report, Stats, Counts and Parallel mirror the first detector: its
+	// verdict, its disjoint-set and per-event-class accounting, and
+	// depa's parallel-machinery statistics. Report is nil when no
+	// detector watched; Parallel is nil unless the first detector is depa.
+	Report   *core.Report
 	Result   *cilk.Result
 	Duration time.Duration
-	// Stats holds the detector's disjoint-set accounting when available.
-	Stats core.Stats
+	Stats    core.Stats
 	// Replay is the textual steal specification reproducing this
 	// schedule, reported alongside races for regression testing (§8).
-	Replay string
-	// Counts is the detector's per-event-class accounting when available.
-	Counts obs.EventCounts
-	// Parallel holds the depa detector's parallel-machinery statistics
-	// (nil for the other detectors).
-	Parallel *depa.ParallelStats
-	// All holds the per-detector outcomes of an All run, in AllDetectors
-	// order. Report and Stats mirror the first entry so callers that only
-	// look at the merged Outcome still see a verdict.
-	All []DetectorOutcome
-}
-
-// DetectorOutcome is one detector's verdict within a merged All run.
-type DetectorOutcome struct {
-	Detector DetectorName
-	Report   *core.Report
-	Stats    core.Stats
+	Replay   string
 	Counts   obs.EventCounts
+	Parallel *depa.ParallelStats
 }
 
 // NewDetector constructs a fresh instance of the named detector. The two
@@ -160,30 +152,68 @@ func NewDetector(name DetectorName) (core.Detector, cilk.Hooks, error) {
 // detectors in AllDetectors order, for callers that drive a trace replay
 // themselves (each detector doubles as its cilk.Hooks chain).
 func NewAllDetectors() []core.Detector {
-	dets := make([]core.Detector, len(AllDetectors))
-	for i, name := range AllDetectors {
-		d, _, err := NewDetector(name)
-		if err != nil || d == nil {
-			panic(fmt.Sprintf("rader: AllDetectors contains non-detector %q", name))
-		}
-		dets[i] = d
-	}
+	dets, _ := NewDetectors(All, nil) // All names only real detectors
 	return dets
 }
 
-// Run executes prog once under cfg. A panic out of the program, the
-// detector, or the budget/deadline guard is recovered and returned as a
-// *streamerr.Error; the process never dies on a misbehaving run.
-func Run(prog func(*cilk.Ctx), cfg Config) (out *Outcome, err error) {
-	if cfg.Detector == All {
-		return runDetectors(prog, AllDetectors, cfg)
+// NewDetectors constructs fresh detectors for name, in document order:
+// the paper's three for All, none for the None and EmptyTool baselines,
+// one otherwise. A depa detector emits its per-shard finalize spans into
+// tr. Run and the trace pipeline (internal/analyze) both build their
+// detectors here.
+func NewDetectors(name DetectorName, tr *obs.Trace) ([]core.Detector, error) {
+	names := []DetectorName{name}
+	if name == All {
+		names = AllDetectors
 	}
-	det, hooks, err := NewDetector(cfg.Detector)
+	var dets []core.Detector
+	for _, n := range names {
+		d, _, err := NewDetector(n)
+		if err != nil {
+			return nil, err
+		}
+		if d == nil {
+			continue
+		}
+		if dd, ok := d.(*depa.Detector); ok {
+			dd.Trace = tr
+		}
+		dets = append(dets, d)
+	}
+	return dets, nil
+}
+
+// Run executes prog once under cfg with cfg.Detector's detectors
+// attached: a single detector is the hook chain itself, All's three share
+// the one execution through cilk.MultiHooks (the live counterpart of
+// trace.ReplayAll), EmptyTool attaches no-op hooks and None attaches
+// nothing, the uninstrumented baseline. The budget/deadline guard
+// encloses the whole chain, so a guard abort is observed by every
+// detector identically. A panic out of the program, a detector, or the
+// guard is recovered and returned as a *streamerr.Error; the process
+// never dies on a misbehaving run.
+func Run(prog func(*cilk.Ctx), cfg Config) (*Outcome, error) {
+	dets, err := NewDetectors(cfg.Detector, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
-	if dd, ok := det.(*depa.Detector); ok {
-		dd.Trace = cfg.Trace
+	return run(prog, dets, cfg)
+}
+
+// run is Run over detectors the caller built.
+func run(prog func(*cilk.Ctx), dets []core.Detector, cfg Config) (out *Outcome, err error) {
+	var hooks cilk.Hooks
+	switch {
+	case cfg.Detector == EmptyTool:
+		hooks = cilk.Empty{}
+	case len(dets) == 1:
+		hooks = dets[0]
+	case len(dets) > 1:
+		chains := make([]cilk.Hooks, len(dets))
+		for i, d := range dets {
+			chains[i] = d
+		}
+		hooks = cilk.MultiHooks(chains...)
 	}
 	if cfg.EventBudget > 0 || !cfg.Deadline.IsZero() {
 		hooks = newGuard(hooks, cfg.EventBudget, cfg.Deadline)
@@ -197,16 +227,17 @@ func Run(prog func(*cilk.Ctx), cfg Config) (out *Outcome, err error) {
 	span := cfg.Trace.Start("run:" + string(cfg.Detector))
 	start := time.Now()
 	res := cilk.Run(prog, cilk.Config{Spec: cfg.Spec, Hooks: hooks})
-	dur := time.Since(start)
 	out = &Outcome{
-		Detector: cfg.Detector,
-		Result:   res,
-		Duration: dur,
-		Replay:   sched.Format(sched.FromSteals(res.Steals, orderOf(cfg.Spec))),
+		Detector:  cfg.Detector,
+		Detectors: dets,
+		Result:    res,
+		Duration:  time.Since(start),
+		Replay:    sched.Format(sched.FromSteals(res.Steals, orderOf(cfg.Spec))),
 	}
 	span.Arg("frames", res.Frames).Arg("spawns", res.Spawns).
 		Arg("loads", res.Loads).Arg("stores", res.Stores)
-	if det != nil {
+	if len(dets) > 0 {
+		det := dets[0]
 		out.Report = det.Report()
 		if sp, ok := det.(core.StatsProvider); ok {
 			out.Stats = sp.Stats()
@@ -218,78 +249,8 @@ func Run(prog func(*cilk.Ctx), cfg Config) (out *Outcome, err error) {
 			ps := pp.ParallelStats()
 			out.Parallel = &ps
 		}
-		span.Arg("races", out.Report.Distinct())
 	}
 	span.End()
-	return out, nil
-}
-
-// runDetectors executes prog once with every named detector attached to
-// the same hook stream via cilk.MultiHooks — the live-run counterpart of
-// trace.ReplayAll. The budget/deadline guard encloses the whole fan-out,
-// so a guard abort is observed by all detectors identically. The merged
-// Outcome carries Detector == All, per-detector verdicts in All, and the
-// first detector's Report/Stats as its headline verdict.
-func runDetectors(prog func(*cilk.Ctx), names []DetectorName, cfg Config) (out *Outcome, err error) {
-	dets := make([]core.Detector, 0, len(names))
-	chains := make([]cilk.Hooks, 0, len(names))
-	for _, name := range names {
-		det, hooks, err := NewDetector(name)
-		if err != nil {
-			return nil, err
-		}
-		if det == nil {
-			return nil, fmt.Errorf("rader: detector %q has no analysis to fan out", name)
-		}
-		dets = append(dets, det)
-		chains = append(chains, hooks)
-	}
-	hooks := cilk.MultiHooks(chains...)
-	if cfg.EventBudget > 0 || !cfg.Deadline.IsZero() {
-		hooks = newGuard(hooks, cfg.EventBudget, cfg.Deadline)
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			out = nil
-			err = streamerr.FromPanic("rader", p)
-		}
-	}()
-	span := cfg.Trace.Start("run:all")
-	start := time.Now()
-	res := cilk.Run(prog, cilk.Config{Spec: cfg.Spec, Hooks: hooks})
-	dur := time.Since(start)
-	out = &Outcome{
-		Detector: All,
-		Result:   res,
-		Duration: dur,
-		Replay:   sched.Format(sched.FromSteals(res.Steals, orderOf(cfg.Spec))),
-		All:      make([]DetectorOutcome, len(dets)),
-	}
-	span.Arg("frames", res.Frames).Arg("spawns", res.Spawns).
-		Arg("loads", res.Loads).Arg("stores", res.Stores).End()
-	for i, det := range dets {
-		// The fan-out shares one execution, so per-detector wall time is
-		// not separable; each detector still gets a zero-length span at the
-		// collection point carrying its verdict and event accounting.
-		dspan := cfg.Trace.Start("detector:" + det.Name())
-		do := DetectorOutcome{Detector: names[i], Report: det.Report()}
-		if sp, ok := det.(core.StatsProvider); ok {
-			do.Stats = sp.Stats()
-		}
-		if ec, ok := det.(core.EventCountsProvider); ok {
-			do.Counts = ec.EventCounts()
-			for _, a := range do.Counts.Args() {
-				dspan.Arg(a.Key, a.Value)
-			}
-		}
-		dspan.Arg("races", do.Report.Distinct()).End()
-		out.All[i] = do
-	}
-	if len(out.All) > 0 {
-		out.Report = out.All[0].Report
-		out.Stats = out.All[0].Stats
-		out.Counts = out.All[0].Counts
-	}
 	return out, nil
 }
 
@@ -456,15 +417,6 @@ func (p *progressSink) unitDone(units, races int, skipped, pages int64) {
 	p.cur.PagesCopied += pages
 	p.fn(p.cur)
 	p.mu.Unlock()
-}
-
-// Coverage performs the paper's full §7 check of an ostensibly
-// deterministic program: one Peer-Set run for view-read races (the
-// detector is schedule-independent) and one SP+ run per specification in
-// the Θ(M + K³) family, checking every execution for determinacy races
-// that involve a view-oblivious strand. prog must be rerunnable.
-func Coverage(prog func(*cilk.Ctx)) *CoverageResult {
-	return Sweep(func() func(*cilk.Ctx) { return prog }, SweepOptions{})
 }
 
 // sortCanonical puts findings and failures into spec order (ties broken by

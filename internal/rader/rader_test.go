@@ -62,9 +62,7 @@ func TestReplayLabelReproducesRace(t *testing.T) {
 func TestCoverageFindsFig1Race(t *testing.T) {
 	// The §7 sweep must find the Figure 1 determinacy race without being
 	// told which schedule elicits it.
-	al := mem.NewAllocator()
-	prog := progs.Fig1(al, progs.Fig1Options{})
-	cr := Coverage(prog)
+	cr := Sweep(fig1Factory(progs.Fig1Options{}), SweepOptions{})
 	if cr.SpecsRun == 0 {
 		t.Fatal("no specifications generated")
 	}
@@ -85,9 +83,7 @@ func TestCoverageFindsFig1Race(t *testing.T) {
 }
 
 func TestCoverageCleanProgram(t *testing.T) {
-	al := mem.NewAllocator()
-	prog := progs.Fig1(al, progs.Fig1Options{DeepCopy: true})
-	cr := Coverage(prog)
+	cr := Sweep(fig1Factory(progs.Fig1Options{DeepCopy: true}), SweepOptions{})
 	if !cr.Clean() {
 		t.Fatalf("deep-copy program is clean; sweep found %d races, view-reads: %s",
 			len(cr.Races), cr.ViewReads.Summary())
@@ -98,9 +94,7 @@ func TestCoverageCleanProgram(t *testing.T) {
 }
 
 func TestCoverageViewRead(t *testing.T) {
-	al := mem.NewAllocator()
-	prog := progs.Fig1(al, progs.Fig1Options{EarlyGetValue: true})
-	cr := Coverage(prog)
+	cr := Sweep(fig1Factory(progs.Fig1Options{EarlyGetValue: true}), SweepOptions{})
 	if !cr.ViewReads.HasKind(core.ViewRead) {
 		t.Fatal("coverage must surface the view-read race via Peer-Set")
 	}
@@ -119,10 +113,8 @@ func TestNoStealReplayIsNone(t *testing.T) {
 }
 
 func TestCoverageParallelMatchesSerial(t *testing.T) {
-	factory := func() func(*cilk.Ctx) {
-		return progs.Fig1(mem.NewAllocator(), progs.Fig1Options{})
-	}
-	serial := Coverage(factory())
+	factory := fig1Factory(progs.Fig1Options{})
+	serial := Sweep(factory, SweepOptions{Workers: 1})
 	par := Sweep(factory, SweepOptions{Workers: 4})
 	if par.SpecsRun != serial.SpecsRun {
 		t.Fatalf("specs run differ: %d vs %d", par.SpecsRun, serial.SpecsRun)
@@ -138,4 +130,9 @@ func TestCoverageParallelMatchesSerial(t *testing.T) {
 	if Sweep(factory, SweepOptions{Workers: 0}).SpecsRun != serial.SpecsRun {
 		t.Fatal("workers=0 must clamp to 1")
 	}
+}
+
+// fig1Factory builds a fresh Figure 1 instance per sweep run.
+func fig1Factory(opts progs.Fig1Options) func() func(*cilk.Ctx) {
+	return func() func(*cilk.Ctx) { return progs.Fig1(mem.NewAllocator(), opts) }
 }

@@ -3,8 +3,10 @@ package rader
 import (
 	"repro/internal/cilk"
 	"repro/internal/core"
+	"repro/internal/peerset"
 	"repro/internal/sched"
 	"repro/internal/specgen"
+	"repro/internal/spplus"
 )
 
 // SweepReference is the per-specification §7 sweep that Sweep must agree
@@ -35,7 +37,7 @@ func SweepReference(factory func() func(*cilk.Ctx), budget int64, sample int, se
 		name := sched.Format(spec)
 		var out *Outcome
 		if i == 0 {
-			out, err = runDetectors(factory(), []DetectorName{PeerSet, SPPlus}, Config{Spec: spec, EventBudget: budget})
+			out, err = run(factory(), []core.Detector{peerset.New(), spplus.New()}, Config{Spec: spec, EventBudget: budget})
 		} else {
 			out, err = Run(factory(), Config{Detector: SPPlus, Spec: spec, EventBudget: budget})
 		}
@@ -48,7 +50,7 @@ func SweepReference(factory func() func(*cilk.Ctx), budget int64, sample int, se
 		}
 		rep := out.Report
 		if i == 0 {
-			cr.ViewReads, rep = out.All[0].Report, out.All[1].Report
+			cr.ViewReads, rep = out.Detectors[0].Report(), out.Detectors[1].Report()
 		}
 		cr.SpecsRun++
 		cr.total += rep.Total()

@@ -188,13 +188,13 @@ func FromDetector(detector, spec string, events int64, det core.Detector) *Repor
 	return out
 }
 
-// FromOutcome builds a Report from one rader.Run outcome.
+// FromOutcome builds a Report from one rader.Run outcome of a single
+// detector or of a baseline, which has none.
 func FromOutcome(out *rader.Outcome, spec string) *Report {
-	rep := FromCore(string(out.Detector), spec, 0, out.Report)
-	if out.Parallel != nil {
-		rep.Parallel = ParallelFrom(*out.Parallel)
+	if len(out.Detectors) == 0 {
+		return FromCore(string(out.Detector), spec, 0, nil)
 	}
-	return rep
+	return FromDetector(string(out.Detector), spec, 0, out.Detectors[0])
 }
 
 // Multi is the verdict document for a single-pass all-detectors run or
@@ -234,21 +234,10 @@ func FromDetectors(spec string, events int64, dets []core.Detector) *Multi {
 	return out
 }
 
-// FromAllOutcome builds a Multi from the merged outcome of a live
-// rader.Run with the All detector.
+// FromAllOutcome builds a Multi from the outcome of a rader.Run with the
+// All detector.
 func FromAllOutcome(out *rader.Outcome, spec string) *Multi {
-	m := &Multi{
-		Schema:   Schema,
-		Detector: string(rader.All),
-		Spec:     spec,
-		Reports:  make([]*Report, len(out.All)),
-		Clean:    true,
-	}
-	for i, do := range out.All {
-		m.Reports[i] = FromCore(string(do.Detector), spec, 0, do.Report)
-		m.Clean = m.Clean && m.Reports[i].Clean
-	}
-	return m
+	return FromDetectors(spec, 0, out.Detectors)
 }
 
 // Profile mirrors the sweep's measured program profile.

@@ -114,10 +114,10 @@ func TestSweepReportGolden(t *testing.T) {
 func TestAllReportGolden(t *testing.T) {
 	out := &rader.Outcome{
 		Detector: rader.All,
-		All: []rader.DetectorOutcome{
-			{Detector: rader.PeerSet, Report: fixedReport()},
-			{Detector: rader.SPBags, Report: &core.Report{}},
-			{Detector: rader.SPPlus, Report: fixedReport()},
+		Detectors: []core.Detector{
+			fixedDetector{name: rader.PeerSet, rp: fixedReport()},
+			fixedDetector{name: rader.SPBags, rp: &core.Report{}},
+			fixedDetector{name: rader.SPPlus, rp: fixedReport()},
 		},
 	}
 	b, err := FromAllOutcome(out, "all").Marshal()
@@ -126,6 +126,16 @@ func TestAllReportGolden(t *testing.T) {
 	}
 	golden(t, "all_report.golden", b)
 }
+
+// fixedDetector is a detector that watched nothing and reports rp.
+type fixedDetector struct {
+	cilk.Empty
+	name rader.DetectorName
+	rp   *core.Report
+}
+
+func (d fixedDetector) Name() string         { return string(d.name) }
+func (d fixedDetector) Report() *core.Report { return d.rp }
 
 // The parallel stats section (schema 4) gets its own golden pinning field
 // order and the rate's float rendering; the serial goldens above pin the

@@ -12,14 +12,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/cilk"
+	"repro/internal/corpus"
 )
 
-// progOf wraps a plain func as a named service Program.
-func progOf(desc string, body func()) Program {
-	return Program{
-		Desc:    desc,
-		Factory: func() func(*cilk.Ctx) { return func(*cilk.Ctx) { body() } },
+// progOf wraps a plain func as a named program.
+func progOf(desc string, body func()) corpus.Program {
+	return corpus.Program{
+		Desc:  desc,
+		Build: func() *apps.Instance { return &apps.Instance{Prog: func(*cilk.Ctx) { body() }} },
 	}
 }
 
@@ -94,7 +96,7 @@ func TestShedRetryAfterComputed(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers:    1,
 		QueueDepth: 8,
-		Programs: map[string]Program{
+		Programs: map[string]corpus.Program{
 			"stall": progOf("blocks until the test ends", func() { <-block }),
 		},
 	})
@@ -227,7 +229,7 @@ func parseExposition(t *testing.T, r io.Reader) ([]expoSeries, map[string]string
 // interleaved families, monotone cumulative histogram buckets ending in
 // +Inf, and count/sum coherence.
 func TestMetricsExpositionFormat(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, Programs: map[string]Program{
+	s, ts := newTestServer(t, Config{Workers: 2, Programs: map[string]corpus.Program{
 		"quick": progOf("returns immediately", func() {}),
 	}})
 	s.metrics.done("sp+", 3*time.Millisecond, 1000)

@@ -47,6 +47,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -59,6 +60,7 @@ import (
 	"time"
 
 	"repro/internal/analyze"
+	"repro/internal/corpus"
 	"repro/internal/obs"
 	"repro/internal/rader"
 	"repro/internal/report"
@@ -98,8 +100,8 @@ type Config struct {
 	// KeepJobs bounds retained finished sweep jobs (default 64).
 	KeepJobs int
 	// Programs adds (or overrides) named programs on top of the built-in
-	// figures, corpus entries and benchmarks. Tests use this seam.
-	Programs map[string]Program
+	// catalogue of corpus.Lookup. Tests use this seam.
+	Programs map[string]corpus.Program
 	// Logger receives structured request logs (one line per analyze or
 	// sweep request, tagged with a per-request ID). Nil discards them.
 	Logger *slog.Logger
@@ -150,7 +152,6 @@ type Server struct {
 	cache    *resultCache
 	metrics  *metrics
 	jobs     *jobTable
-	programs *registry
 	store    *store.Store
 	recovery *store.Recovery
 	log      *slog.Logger
@@ -195,15 +196,14 @@ func Open(cfg Config) (*Server, error) {
 	var nonce [4]byte
 	_, _ = rand.Read(nonce[:])
 	s := &Server{
-		cfg:      cfg,
-		pool:     pool,
-		cache:    cache,
-		jobs:     jobs,
-		programs: &registry{extra: cfg.Programs},
-		log:      cfg.Logger,
-		bootID:   hex.EncodeToString(nonce[:]),
-		spans:    newSpanTable(requestRingSize),
-		ring:     obs.NewRequestRing(requestRingSize),
+		cfg:    cfg,
+		pool:   pool,
+		cache:  cache,
+		jobs:   jobs,
+		log:    cfg.Logger,
+		bootID: hex.EncodeToString(nonce[:]),
+		spans:  newSpanTable(requestRingSize),
+		ring:   obs.NewRequestRing(requestRingSize),
 	}
 	if cfg.StoreDir != "" {
 		st, rec, err := store.Open(cfg.StoreDir, store.Options{
@@ -265,7 +265,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) requeueRecovered(pending []store.JobRecord) {
 	for _, jr := range pending {
 		jr := jr
-		prog, identity, err := s.programs.resolve(jr.Prog, jr.Scale)
+		prog, identity, err := s.lookup(jr.Prog, jr.Scale)
 		log := s.log.With("req", s.nextReqID("recover"), "prog", jr.Prog, "journal", jr.ID)
 		if err != nil {
 			log.Warn("recovered job names unknown program; marking failed", "err", err)
@@ -410,7 +410,7 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 				"elide=1 applies to recorded traces; program runs (?prog=) are not elidable")
 			return nil
 		}
-		prog, identity, err := s.programs.resolve(name, q.Get("scale"))
+		prog, identity, err := s.lookup(name, q.Get("scale"))
 		if err != nil {
 			writeErr(w, http.StatusNotFound, "%v", err)
 			return nil
@@ -424,28 +424,19 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return nil
 		}
-		canon := sched.Format(spec)
 		return &analyzeUnit{
 			digest:   programDigest(identity),
 			detector: det,
-			specStr:  canon,
+			specStr:  sched.Format(spec),
 			run: func(tr *obs.Trace) (*analyze.Result, error) {
-				out, err := rader.Run(prog.Factory(), rader.Config{
+				res, _, err := analyze.Run(prog.Factory(), rader.Config{
 					Detector:    det,
 					Spec:        spec,
 					EventBudget: s.cfg.EventBudget,
 					Deadline:    deadline,
 					Trace:       tr,
 				})
-				if err != nil {
-					return nil, err
-				}
-				if det == rader.All {
-					m := report.FromAllOutcome(out, canon)
-					return &analyze.Result{Doc: m, Clean: m.Clean}, nil
-				}
-				rep := report.FromOutcome(out, canon)
-				return &analyze.Result{Doc: rep, Clean: rep.Clean}, nil
+				return res, err
 			},
 		}
 	}
@@ -670,7 +661,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	scale := r.URL.Query().Get("scale")
-	prog, identity, err := s.programs.resolve(name, scale)
+	prog, identity, err := s.lookup(name, scale)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
@@ -736,6 +727,22 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job.view())
 }
 
+// lookup resolves a program name for /analyze?prog=, /sweep?prog= and
+// journal recovery: a Config.Programs entry first, then corpus.Lookup.
+func (s *Server) lookup(name, scale string) (corpus.Program, string, error) {
+	if p, ok := s.cfg.Programs[name]; ok {
+		return p, "program\x00" + name, nil
+	}
+	return corpus.Lookup(name, scale)
+}
+
+// programDigest converts a program identity into the same hex-digest
+// shape uploaded traces get, so the cache has one key scheme.
+func programDigest(identity string) string {
+	sum := sha256.Sum256([]byte(identity))
+	return hex.EncodeToString(sum[:])
+}
+
 // sweepKey is the cache/store key of a sweep verdict: the program digest
 // plus any sampling cap, which selects a different (smaller) verdict.
 func sweepKey(digest string, sample int) string {
@@ -766,7 +773,7 @@ func queryInt(r *http.Request, name string) (int, error) {
 // jr is the journal record to close out (jr.ID == "" means unjournaled)
 // and carries the sampling cap; workers (0 = configured default) is this
 // job's scheduler width, which never changes the verdict.
-func (s *Server) runSweep(job *sweepJob, prog Program, identity string, workers int, jr store.JobRecord, tr *obs.Trace, log *slog.Logger) {
+func (s *Server) runSweep(job *sweepJob, prog corpus.Program, identity string, workers int, jr store.JobRecord, tr *obs.Trace, log *slog.Logger) {
 	defer s.pool.unadmit()
 	// journalTerminal closes the journal record; without it the job would
 	// re-run on every restart forever.

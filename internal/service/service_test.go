@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cilk"
+	"repro/internal/corpus"
 	"repro/internal/rader"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -275,26 +275,21 @@ func TestAnalyzeSheddingUnderSaturation(t *testing.T) {
 	const workers, queue = 2, 2
 	gate := make(chan struct{})
 	var cur, peak atomic.Int32
-	blocking := Program{
-		Desc: "blocks until the test opens the gate",
-		Factory: func() func(*cilk.Ctx) {
-			return func(*cilk.Ctx) {
-				v := cur.Add(1)
-				for {
-					p := peak.Load()
-					if v <= p || peak.CompareAndSwap(p, v) {
-						break
-					}
-				}
-				<-gate
-				cur.Add(-1)
+	blocking := progOf("blocks until the test opens the gate", func() {
+		v := cur.Add(1)
+		for {
+			p := peak.Load()
+			if v <= p || peak.CompareAndSwap(p, v) {
+				break
 			}
-		},
-	}
+		}
+		<-gate
+		cur.Add(-1)
+	})
 	s, ts := newTestServer(t, Config{
 		Workers:    workers,
 		QueueDepth: queue,
-		Programs:   map[string]Program{"slow": blocking},
+		Programs:   map[string]corpus.Program{"slow": blocking},
 	})
 
 	type result struct {
