@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDedupDecode -fuzztime 15s ./internal/apps/
 	$(GO) test -fuzz FuzzDedupRoundTrip -fuzztime 15s ./internal/apps/
 	$(GO) test -fuzz FuzzReplay -fuzztime 15s ./internal/trace/
+	$(GO) test -fuzz FuzzFaultPlan -fuzztime 15s ./internal/faults/
 	$(GO) test -fuzz FuzzStoreRecovery -fuzztime 15s ./internal/store/
 	$(GO) test -fuzz FuzzVerdictDecode -fuzztime 15s ./internal/store/
 	$(GO) test -fuzz FuzzDepaOracle -fuzztime 15s ./internal/depa/
@@ -45,28 +46,29 @@ obs:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/service/
 	$(GO) test -race -count=1 -run 'Trace|Profile|Progress|Stream|Events' ./cmd/rader/
 
-# The testing.B suite: Figure 7/8 cells, theorem scaling, ablations.
+# The testing.B suite: theorem scaling, ablations, sweep speedups.
 bench:
 	$(GO) test -bench . -benchmem .
 
-# Regenerate the paper's evaluation tables at full scale.
+# The paper's Figures 7 and 8, from the repository benchmark's live
+# workload (bench/README.md).
 tables:
-	$(GO) run ./cmd/benchtab -q
+	bash bench/run.sh --workload live --seed 1 --seconds 20 --trace 1
 
 # The work-stealing sweep suite under the race detector (scheduler,
-# deques, snapshot handoff, sampling, equivalence), then the sweep
-# throughput table with the critical-path section (docs/SWEEP.md).
+# deques, snapshot handoff, sampling, equivalence), then the prefix and
+# work-stealing sweep speedups (docs/SWEEP.md).
 sweep:
-	$(GO) test -race -count=1 -run 'Sweep|Steal|Deque|Handoff|Sample' ./internal/rader/ ./internal/specgen/ ./internal/tables/
-	$(GO) run ./cmd/benchtab -table sweep -q
+	$(GO) test -race -count=1 -run 'Sweep|Steal|Deque|Handoff|Sample' ./internal/rader/ ./internal/specgen/
+	$(GO) test -run '^$$' -bench '^BenchmarkSweep(Stealing)?$$' .
 
-# The depa parallel-detection scaling table (docs/PARALLEL.md).
+# depa's critical-path scaling over 1/2/4/8 shards (docs/PARALLEL.md).
 parallel:
-	$(GO) run ./cmd/benchtab -table parallel -q
+	$(GO) test -run '^$$' -bench '^BenchmarkShardCriticalPath$$' -benchtime 10x ./internal/depa/
 
-# The static-elision shrink/parity table (docs/ELISION.md).
+# The static-elision shrink/parity gate on the six apps (docs/ELISION.md).
 elide:
-	$(GO) run ./cmd/benchtab -table elide -q
+	$(GO) test -count=1 -run '^TestElideAppsParityAndShrink$$' -v ./internal/elide/
 
 # The §7 coverage sweep finding the Figure 1 race.
 coverage-demo:

@@ -1,19 +1,15 @@
-// Package repro's root benchmarks regenerate the paper's evaluation:
-// BenchmarkFigure7 times every (benchmark × configuration) cell of
-// Figure 7 (plus the two baselines that Figure 8 divides by), and the
-// remaining benchmarks check the asymptotic claims — Theorem 1 (Peer-Set
-// in O(T·α)), Theorem 5 (SP+ in O((T+Mτ)·α)), Theorems 6/7 (specification
-// family generation) — and the ablations DESIGN.md calls out. Run
-// cmd/benchtab for the assembled overhead tables with the paper's numbers
-// alongside; these testing.B benches expose the same cells to `go test
-// -bench`.
+// Package repro's root benchmarks check the asymptotic claims — Theorem
+// 1 (Peer-Set in O(T·α)), Theorem 5 (SP+ in O((T+Mτ)·α)), Theorems 6/7
+// (specification family generation) — the ablations DESIGN.md calls out,
+// and the §7 sweep's two speedups: prefix sharing over the per-spec
+// reference and work stealing across eight lanes. The paper's Figures 7
+// and 8 come from the repository benchmark's live workload (bench/).
 package repro
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/cilk"
 	"repro/internal/mem"
 	"repro/internal/peerset"
@@ -26,58 +22,6 @@ import (
 	"repro/internal/spplus"
 	"repro/internal/wsrt"
 )
-
-// benchScale keeps `go test -bench=.` tractable; benchtab -scale bench
-// runs the full paper-sized inputs.
-const benchScale = apps.Small
-
-// evalConfigs are the timed cells: the two baselines plus Figure 7's four
-// detector configurations.
-var evalConfigs = []struct {
-	name string
-	det  rader.DetectorName
-	spec func(k int) cilk.StealSpec
-}{
-	{"baseline", rader.None, func(int) cilk.StealSpec { return nil }},
-	{"empty-tool", rader.EmptyTool, func(int) cilk.StealSpec { return nil }},
-	{"view-read", rader.PeerSet, func(int) cilk.StealSpec { return nil }},
-	{"no-steals", rader.SPPlus, func(int) cilk.StealSpec { return nil }},
-	{"check-updates", rader.SPPlus, func(k int) cilk.StealSpec {
-		d := k / 2
-		if d < 1 {
-			d = 1
-		}
-		return sched.ByDepth{D: d}
-	}},
-	{"check-reductions", rader.SPPlus, func(k int) cilk.StealSpec {
-		return sched.Random{Seed: 20150613, K: k}
-	}},
-}
-
-// BenchmarkFigure7 times each cell of the evaluation matrix. The overhead
-// entries of Figures 7 and 8 are the ratios of these cells' times to the
-// baseline and empty-tool rows respectively.
-func BenchmarkFigure7(b *testing.B) {
-	for _, app := range apps.All() {
-		app := app
-		al := mem.NewAllocator()
-		ins := app.Build(al, benchScale)
-		prof := specgen.Measure(ins.Prog)
-		for _, cfg := range evalConfigs {
-			cfg := cfg
-			b.Run(app.Name+"/"+cfg.name, func(b *testing.B) {
-				spec := cfg.spec(prof.MaxSyncBlock)
-				for i := 0; i < b.N; i++ {
-					rader.MustRun(ins.Prog, rader.Config{Detector: cfg.det, Spec: spec})
-				}
-				b.StopTimer()
-				if err := ins.Verify(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkPeerSetScaling checks Theorem 1: Peer-Set's cost grows
 // near-linearly with the serial running time T (fib's T roughly triples
@@ -309,8 +253,8 @@ func BenchmarkCoverageSweepScaling(b *testing.B) {
 // BenchmarkSweep times the §7 coverage sweep against the per-specification
 // reference sweep (rader.SweepReference, the "naive" case) on the
 // SweepStress workload (92 specifications, long serial preamble shared by
-// every unit) — the testing.B view of the BENCH_PR5.json comparison.
-// Workers is pinned to 1 so the ratio measures work saved, not scheduling.
+// every unit). Workers is pinned to 1 so the ratio of the two ns/op
+// measures work saved, not scheduling.
 func BenchmarkSweep(b *testing.B) {
 	factory := func() func(*cilk.Ctx) {
 		return progs.SweepStress(mem.NewAllocator(), 7, 2048, 64)
@@ -338,6 +282,40 @@ func BenchmarkSweep(b *testing.B) {
 			b.ReportMetric(float64(cr.Stats.Groups), "groups")
 		})
 	}
+}
+
+// BenchmarkSweepStealing runs the prefix sweep of the 10⁴-specification
+// ReducerBench(40) family at one lane and at eight. Wall clock on a host
+// with fewer than eight cores only adds time-slicing, so critical-path-x
+// compares busy time instead: the one-lane sweep's total over the busiest
+// of the eight lanes (Stats.WorkerBusy, thread CPU time on Linux), the
+// wall-clock speedup an idle eight-core host would see.
+func BenchmarkSweepStealing(b *testing.B) {
+	factory := func() func(*cilk.Ctx) { return progs.ReducerBench(mem.NewAllocator(), 40) }
+	var serial, busiest int64
+	var eight *rader.CoverageResult
+	for i := 0; i < b.N; i++ {
+		one := rader.Sweep(factory, rader.SweepOptions{Workers: 1})
+		eight = rader.Sweep(factory, rader.SweepOptions{Workers: 8})
+		if !one.Complete() || !eight.Complete() || one.SpecsRun != eight.SpecsRun {
+			b.Fatalf("sweeps misbehaved: %d vs %d specs, failures %v / %v",
+				one.SpecsRun, eight.SpecsRun, one.Failures, eight.Failures)
+		}
+		for _, ns := range one.Stats.WorkerBusy {
+			serial += ns
+		}
+		var lane int64
+		for _, ns := range eight.Stats.WorkerBusy {
+			lane = max(lane, ns)
+		}
+		busiest += lane
+	}
+	if serial <= 0 || busiest <= 0 {
+		b.Fatalf("degenerate busy accounting: serial %d ns, busiest lane %d ns", serial, busiest)
+	}
+	b.ReportMetric(float64(serial)/float64(busiest), "critical-path-x")
+	b.ReportMetric(float64(eight.SpecsRun), "specs")
+	b.ReportMetric(float64(eight.Stats.Steals), "steals")
 }
 
 // BenchmarkWSRT measures the parallel runtime's spawn/join throughput by

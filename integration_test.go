@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// buildCmds compiles the three command-line tools once per test binary.
+// buildCmds compiles the two command-line tools once per test binary.
 func buildCmds(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	for _, name := range []string{"rader", "benchtab", "stealgen"} {
+	for _, name := range []string{"rader", "stealgen"} {
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
 		cmd.Env = os.Environ()
@@ -45,7 +45,6 @@ func TestCLIs(t *testing.T) {
 	}
 	dir := buildCmds(t)
 	rader := filepath.Join(dir, "rader")
-	benchtab := filepath.Join(dir, "benchtab")
 	stealgen := filepath.Join(dir, "stealgen")
 
 	t.Run("rader-clean", func(t *testing.T) {
@@ -120,14 +119,6 @@ func TestCLIs(t *testing.T) {
 		runCmd(t, rader, 2, "-prog", "fib", "-detector", "tsan")
 		runCmd(t, rader, 2, "-prog", "fib", "-spec", "bogus")
 	})
-	t.Run("benchtab", func(t *testing.T) {
-		out := runCmd(t, benchtab, 0, "-q", "-scale", "test", "-trials", "1", "-apps", "ferret", "-table", "7")
-		for _, want := range []string{"=== Figure 7 ===", "ferret", "(paper)", "headline geomeans"} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("missing %q:\n%s", want, out)
-			}
-		}
-	})
 	t.Run("stealgen", func(t *testing.T) {
 		out := runCmd(t, stealgen, 0, "-prog", "knapsack", "-scale", "test", "-list")
 		for _, want := range []string{"max sync block K=", "Theorem 6", "Theorem 7", "single:1"} {
@@ -140,12 +131,6 @@ func TestCLIs(t *testing.T) {
 		out := runCmd(t, rader, 1, "-prog", "fig1", "-spec", "all", "-json")
 		if !strings.Contains(out, `"kind":"determinacy race"`) || !strings.Contains(out, `"viewAware":true`) {
 			t.Fatalf("json output:\n%s", out)
-		}
-	})
-	t.Run("benchtab-csv", func(t *testing.T) {
-		out := runCmd(t, benchtab, 0, "-q", "-csv", "-scale", "test", "-trials", "1", "-apps", "fib", "-table", "7")
-		if !strings.HasPrefix(out, "benchmark,input,baseline_ns") || !strings.Contains(out, "fib,") {
-			t.Fatalf("csv output:\n%s", out)
 		}
 	})
 }

@@ -100,8 +100,8 @@ type Workload struct {
 // Workloads returns the catalogue of bridged programs: dedup- and
 // ferret-class shapes after the paper's benchmark suite (minus the
 // hyperobjects — live depa detection covers determinacy races), racy
-// variants of each, and the scaling stress workload behind the Figure-7
-// style table.
+// variants of each, and the stress workload of the shard-scaling
+// benchmark.
 func Workloads() []Workload {
 	return []Workload{
 		{

@@ -2,7 +2,6 @@ package depa
 
 import (
 	"runtime"
-	"time"
 
 	"repro/internal/cilk"
 	"repro/internal/core"
@@ -104,12 +103,6 @@ type Detector struct {
 	// phase, one lane per shard.
 	Trace *obs.Trace
 
-	// Sequential runs the detection shards one after another on the
-	// calling goroutine instead of fanning out. The verdict is identical
-	// either way; the benchmark harness uses it to measure each shard's
-	// busy time without scheduler interference.
-	Sequential bool
-
 	stack    []frameMeta
 	cursor   Cursor
 	lin      core.Lineage
@@ -120,9 +113,8 @@ type Detector struct {
 	events   int64 // ordinal of the event being processed (1-based)
 	nextElem int32 // dense lineage element IDs, one per FrameEnter
 
-	finalized  bool
-	stats      ParallelStats
-	shardTimes []time.Duration
+	finalized bool
+	stats     ParallelStats
 }
 
 // New returns a fresh depa detector.
@@ -266,27 +258,19 @@ func (d *Detector) finalize() {
 	}
 	d.stats.Workers = shards
 	d.stats.Accesses = int64(d.counts.Loads + d.counts.Stores)
-	d.shardTimes = runDetection(d.entries, d.strands, &d.lin, shards, d.Sequential, d.Trace, &d.report)
+	runDetection(d.entries, d.strands, &d.lin, shards, d.Trace, &d.report)
 	d.stats.ShardMerges += int64(shards)
 	// Two shadow reads per log entry, not per access: the coalescing fast
 	// path is precisely what keeps repeats away from the shadow space.
 	d.counts.ShadowLookups += 2 * uint64(len(d.entries))
 }
 
-// ShardTimes returns the per-shard busy time of the detection phase (one
-// element per shard, meaningful after finalize). The scaling table derives
-// its critical-path speedup from these.
-func (d *Detector) ShardTimes() []time.Duration {
-	d.finalize()
-	return d.shardTimes
-}
-
 // runDetection is the shared detection tail of both depa modes: shard the
 // log, merge the candidates back into serial order, and fold them into
-// the report. It returns per-shard busy times.
-func runDetection(entries []entry, strands []strandRec, lin *core.Lineage, shards int, sequential bool, tr *obs.Trace, rp *core.Report) []time.Duration {
+// the report.
+func runDetection(entries []entry, strands []strandRec, lin *core.Lineage, shards int, tr *obs.Trace, rp *core.Report) {
 	span := tr.Start("rader_depa_finalize")
-	pending, times := detectSharded(entries, strands, lin, shards, sequential, tr)
+	pending := detectSharded(entries, strands, lin, shards, tr)
 	for _, p := range mergePending(pending) {
 		for i := int32(0); i < p.count; i++ {
 			rp.Add(p.race)
@@ -294,7 +278,6 @@ func runDetection(entries []entry, strands []strandRec, lin *core.Lineage, shard
 	}
 	span.Arg("shards", shards).Arg("entries", len(entries)).
 		Arg("races", rp.Distinct()).End()
-	return times
 }
 
 var (

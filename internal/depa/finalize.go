@@ -3,7 +3,6 @@ package depa
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -35,28 +34,19 @@ type pendingRace struct {
 // timestamps alone, never from detector state evolved on other
 // locations. There is no serial bucketing pass to Amdahl away the
 // speedup; the only serial work left is the final merge of candidates.
-// It also returns each shard's busy time — the basis of the scaling
-// table's critical-path speedup. sequential runs the shards one after
-// another on the calling goroutine (identical verdict, uncontended
-// timings).
-func detectSharded(entries []entry, strands []strandRec, lin *core.Lineage, shards int, sequential bool, tr *obs.Trace) ([][]pendingRace, []time.Duration) {
+func detectSharded(entries []entry, strands []strandRec, lin *core.Lineage, shards int, tr *obs.Trace) [][]pendingRace {
 	if shards < 1 {
 		shards = 1
 	}
 	out := make([][]pendingRace, shards)
-	times := make([]time.Duration, shards)
 	one := func(s int) {
 		span := tr.StartTID(s+1, "rader_depa_shard")
-		t0 := time.Now()
 		out[s] = detectShard(entries, strands, lin, s, shards)
-		times[s] = time.Since(t0)
 		span.Arg("shard", s).Arg("races", len(out[s])).End()
 	}
-	if sequential || shards == 1 {
-		for s := 0; s < shards; s++ {
-			one(s)
-		}
-		return out, times
+	if shards == 1 {
+		one(0)
+		return out
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
@@ -67,7 +57,7 @@ func detectSharded(entries []entry, strands []strandRec, lin *core.Lineage, shar
 		}(s)
 	}
 	wg.Wait()
-	return out, times
+	return out
 }
 
 // detectShard is the serial shadow protocol restricted to one shard's
@@ -85,7 +75,7 @@ func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard,
 	writerEv := mem.NewShadow(0)
 	// The page filter runs once per entry per shard — it is the scan's
 	// fixed cost and bounds the achievable speedup, so the power-of-two
-	// case (every configuration the scaling table measures) replaces the
+	// case (every shard count the scaling benchmark measures) replaces the
 	// integer modulo with a mask.
 	mask := -1
 	if shards&(shards-1) == 0 {

@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cilk"
 	"repro/internal/core"
@@ -99,8 +98,6 @@ type LiveDetector struct {
 	// Shards overrides the detection fan-out (0 = the runtime's worker
 	// count). The verdict is identical for every value.
 	Shards int
-	// Sequential runs detection shards serially (see Detector.Sequential).
-	Sequential bool
 	// Trace, when set, collects rader_depa_* spans: merge spans on the
 	// worker's lane during the run, shard spans during finalize.
 	Trace *obs.Trace
@@ -114,7 +111,6 @@ type LiveDetector struct {
 	counts    obs.EventCounts
 	stats     ParallelStats
 	finalized bool
-	times     []time.Duration
 }
 
 // NewLive returns a fresh live detector.
@@ -302,12 +298,6 @@ func (d *LiveDetector) EventCounts() obs.EventCounts {
 	return d.counts
 }
 
-// ShardTimes returns per-shard busy times of the detection phase.
-func (d *LiveDetector) ShardTimes() []time.Duration {
-	d.finalize()
-	return d.times
-}
-
 // finalize reconstructs the canonical serial stream from the merged logs
 // and runs the shared detection phase over it.
 func (d *LiveDetector) finalize() {
@@ -382,7 +372,7 @@ func (d *LiveDetector) finalize() {
 	d.stats.Workers = d.workers
 	d.stats.Accesses = int64(d.counts.Loads + d.counts.Stores)
 	d.stats.ShardMerges = d.syncMerges.Load() + int64(shards)
-	d.times = runDetection(entries, strands, &d.lin, shards, d.Sequential, d.Trace, &d.report)
+	runDetection(entries, strands, &d.lin, shards, d.Trace, &d.report)
 	span.Arg("strands", len(all)).Arg("entries", len(entries)).End()
 }
 

@@ -81,29 +81,47 @@ func TestDepaSPBagsParityRandom(t *testing.T) {
 	}
 }
 
-// recordCorpusTrace runs a corpus entry once with the trace writer
-// attached and returns the encoded stream.
-func recordCorpusTrace(t *testing.T, e corpus.Entry, spec cilk.StealSpec) []byte {
+// recordTrace runs prog once with the trace writer attached and returns
+// the encoded stream.
+func recordTrace(t *testing.T, name string, prog func(*cilk.Ctx), spec cilk.StealSpec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	al := mem.NewAllocator()
-	cilk.Run(e.Build(al), cilk.Config{Spec: spec, Hooks: w})
+	cilk.Run(prog, cilk.Config{Spec: spec, Hooks: w})
 	if err := w.Close(); err != nil {
-		t.Fatalf("%s: record: %v", e.Name, err)
+		t.Fatalf("%s: record: %v", name, err)
 	}
 	return buf.Bytes()
 }
 
-// TestDepaSPBagsParityReplay replays recorded corpus traces into both
-// detectors — the replay-mode half of the acceptance criterion — and also
-// requires that the depa verdict is invariant across shard counts,
-// including shard counts that do not divide the page population evenly.
+// TestDepaSPBagsParityReplay replays recorded traces into both detectors
+// — the replay-mode half of the acceptance criterion — and also requires
+// that the depa verdict is invariant across shard counts, including shard
+// counts that do not divide the page population evenly. Every corpus
+// entry fits in one shadow page, so its shards never split work; the
+// bridged workloads, and dedup at 8,192 chunks, span many pages and make
+// the shards divide real work.
 func TestDepaSPBagsParityReplay(t *testing.T) {
+	type input struct {
+		name  string
+		build func(al *mem.Allocator) func(*cilk.Ctx)
+	}
+	var inputs []input
 	for _, e := range corpus.All() {
+		inputs = append(inputs, input{e.Name, e.Build})
+	}
+	for _, w := range Workloads() {
+		inputs = append(inputs, input{w.Name, func(al *mem.Allocator) func(*cilk.Ctx) { return CilkProg(w.Build(al)) }})
+	}
+	inputs = append(inputs, input{"dedup-8192", func(al *mem.Allocator) func(*cilk.Ctx) {
+		return CilkProg(DedupWorkload(al, 8192, false))
+	}})
+
+	widest := 0
+	for _, in := range inputs {
 		for si, spec := range []cilk.StealSpec{cilk.NoSteals{}, cilk.StealAll{}} {
-			name := fmt.Sprintf("%s/spec%d", e.Name, si)
-			data := recordCorpusTrace(t, e, spec)
+			name := fmt.Sprintf("%s/spec%d", in.name, si)
+			data := recordTrace(t, name, in.build(mem.NewAllocator()), spec)
 
 			bags := spbags.New()
 			dep := New()
@@ -111,9 +129,14 @@ func TestDepaSPBagsParityReplay(t *testing.T) {
 				t.Fatalf("%s: replay: %v", name, err)
 			}
 			requireParity(t, name, bags, dep)
+			pages := map[uint64]bool{}
+			for _, e := range dep.entries {
+				pages[uint64(e.addr)>>pageBits] = true
+			}
+			widest = max(widest, len(pages))
 
 			base := renderReport(dep.Report(), false)
-			for _, shards := range []int{1, 2, 3, 8} {
+			for _, shards := range []int{1, 2, 3, 4, 8} {
 				d2 := New()
 				d2.Shards = shards
 				if _, err := trace.ReplayAll(data, nil, nil, d2); err != nil {
@@ -129,6 +152,9 @@ func TestDepaSPBagsParityReplay(t *testing.T) {
 				}
 			}
 		}
+	}
+	if widest <= 8 {
+		t.Fatalf("widest input spans %d shadow pages, want more than 8 so the shard counts split real work", widest)
 	}
 }
 
@@ -146,7 +172,7 @@ func TestDepaSPBagsParityTruncated(t *testing.T) {
 	if entry.Name == "" {
 		t.Fatal("corpus entry oblivious-write-read missing")
 	}
-	data := recordCorpusTrace(t, entry, cilk.StealAll{})
+	data := recordTrace(t, entry.Name, entry.Build(mem.NewAllocator()), cilk.StealAll{})
 	for cut := 0; cut <= len(data); cut += 7 {
 		bags := spbags.New()
 		dep := New()

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/analyze"
+	"repro/internal/apps"
 	"repro/internal/cilk"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -245,6 +247,38 @@ func TestElideShrink(t *testing.T) {
 		if len(cs.Ranges) == 0 || cs.Addresses == 0 || cs.Events == 0 {
 			t.Fatalf("empty class summary: %+v", cs)
 		}
+	}
+}
+
+// TestElideAppsParityAndShrink is the elision gate on the paper's
+// benchmarks: each app's steal-all trace at small scale yields the same
+// all-detectors document from analyze.Trace with elision as without, and
+// the dedup and ferret traces lose at least 4 in 5 of their events. The
+// shrink is an event count, the same on every run and every host.
+func TestElideAppsParityAndShrink(t *testing.T) {
+	minShrink := map[string]float64{"dedup": 5, "ferret": 5}
+	for _, app := range apps.All() {
+		data := record(t, app.Build(mem.NewAllocator(), apps.Small).Prog, cilk.StealAll{})
+		var docs [2][]byte
+		var plan *elide.Plan
+		for i, on := range []bool{false, true} {
+			res, err := analyze.Trace(data, analyze.Options{Detector: rader.All, Elide: on})
+			if err != nil {
+				t.Fatalf("%s elide=%v: %v", app.Name, on, err)
+			}
+			if docs[i], err = res.Doc.Marshal(); err != nil {
+				t.Fatalf("%s elide=%v: marshal: %v", app.Name, on, err)
+			}
+			plan = res.Plan
+		}
+		if !bytes.Equal(docs[0], docs[1]) {
+			t.Errorf("%s: elided verdict differs\n full: %s\nelide: %s", app.Name, docs[0], docs[1])
+		}
+		aud := plan.Audit()
+		if aud.Shrink < minShrink[app.Name] {
+			t.Errorf("%s: trace shrank %.2fx, want >= %.0fx", app.Name, aud.Shrink, minShrink[app.Name])
+		}
+		t.Logf("%s: %d events, %d after elision, shrink %.2fx", app.Name, aud.OriginalEvents, aud.FilteredEvents, aud.Shrink)
 	}
 }
 

@@ -3,6 +3,7 @@ package rader
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -287,33 +288,41 @@ func TestSnapshotHandoffOnSteal(t *testing.T) {
 }
 
 // Deque stress: an 8-worker sweep of a reducer_bench-style family (~6000
-// groups) must actually distribute work while resolving every group
-// exactly once, and the steal/handoff accounting must hold its invariant:
-// only snapshot-less units (the root, failure respawns) can be stolen
-// without a handoff. Run under -race this is the concurrency test of the
-// deques, parking protocol and snapshot refcounts.
+// groups at 32 spawns) must actually distribute work while resolving
+// every group exactly once, and the steal/handoff accounting must hold
+// its invariant: only snapshot-less units (the root, failure respawns)
+// can be stolen without a handoff, and no handoff happens without a
+// steal. Run under -race this is the concurrency test of the deques,
+// parking protocol and snapshot refcounts. The 40-spawn family is the
+// one BenchmarkSweepStealing times; its critical-path ratio is read at
+// the 10⁴-specification scale.
 func TestSweepDequeStressEightWorkers(t *testing.T) {
-	factory := func() func(*cilk.Ctx) { return progs.ReducerBench(mem.NewAllocator(), 32) }
-	cr := Sweep(factory, SweepOptions{Workers: 8})
-	if !cr.Complete() {
-		t.Fatalf("stress sweep failed: %v", cr.Failures)
-	}
-	st := cr.Stats
-	if st.Workers != 8 {
-		t.Fatalf("ran at %d workers, want 8", st.Workers)
-	}
-	if units := st.SnapshotHits + st.SnapshotMisses; units != int64(st.Groups) {
-		t.Errorf("ran %d units for %d groups", units, st.Groups)
-	}
-	if st.Steals == 0 {
-		t.Errorf("8-worker sweep of %d groups recorded no steals", st.Groups)
-	}
-	if st.Handoffs < st.Steals-st.SnapshotMisses {
-		t.Errorf("handoffs = %d with %d steals and %d snapshot-less units; stolen seeded units must hand off",
-			st.Handoffs, st.Steals, st.SnapshotMisses)
-	}
-	if len(st.WorkerBusy) != 8 {
-		t.Errorf("WorkerBusy has %d lanes, want 8", len(st.WorkerBusy))
+	for _, c := range []struct{ spawns, minSpecs int }{{32, 1}, {40, 10000}} {
+		factory := func() func(*cilk.Ctx) { return progs.ReducerBench(mem.NewAllocator(), c.spawns) }
+		cr := Sweep(factory, SweepOptions{Workers: 8})
+		if !cr.Complete() {
+			t.Fatalf("spawns=%d: stress sweep failed: %v", c.spawns, cr.Failures)
+		}
+		st := cr.Stats
+		if st.Workers != 8 {
+			t.Fatalf("spawns=%d: ran at %d workers, want 8", c.spawns, st.Workers)
+		}
+		if st.SpecsTotal < c.minSpecs {
+			t.Errorf("spawns=%d: family has %d specs, want >= %d", c.spawns, st.SpecsTotal, c.minSpecs)
+		}
+		if units := st.SnapshotHits + st.SnapshotMisses; units != int64(st.Groups) {
+			t.Errorf("spawns=%d: ran %d units for %d groups", c.spawns, units, st.Groups)
+		}
+		if st.Steals == 0 {
+			t.Errorf("spawns=%d: 8-worker sweep of %d groups recorded no steals", c.spawns, st.Groups)
+		}
+		if st.Handoffs < st.Steals-st.SnapshotMisses || st.Handoffs > st.Steals {
+			t.Errorf("spawns=%d: handoffs = %d with %d steals and %d snapshot-less units; every stolen seeded unit, and only a stolen unit, hands off",
+				c.spawns, st.Handoffs, st.Steals, st.SnapshotMisses)
+		}
+		if len(st.WorkerBusy) != 8 || slices.Max(st.WorkerBusy) <= 0 {
+			t.Errorf("spawns=%d: WorkerBusy = %v, want 8 lanes and a busy one", c.spawns, st.WorkerBusy)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/faults"
 	"repro/internal/mem"
+	"repro/internal/progs"
 )
 
 // sweepEntry runs one corpus entry under opts with a fresh allocator, so
@@ -162,24 +163,41 @@ func TestSweepSampledEquivalence(t *testing.T) {
 // A prefix sweep of the family should run far fewer live units than the
 // family has specifications: groups collapse stream-identical specs, and
 // snapshot seeding skips shared-prefix events. This pins the mechanism
-// (not the wall-clock win, which bench tables measure).
+// (not the wall-clock win, which BenchmarkSweep measures). The second
+// case is BenchmarkSweep's own family at its one worker, whose speedup
+// means something only with at least 50 specifications to share.
 func TestSweepPrefixActuallyShares(t *testing.T) {
 	e := mustEntry(t, "reduce-strand-race-hidden")
-	cr := sweepEntry(e, SweepOptions{Workers: 4})
-	specs := cr.SpecsRun
-	st := cr.Stats
-	if st.Groups >= specs {
-		t.Errorf("no spec dedup: %d groups for %d specs", st.Groups, specs)
-	}
-	if st.SnapshotHits == 0 {
-		t.Errorf("no unit was seeded from a snapshot (hits=0, misses=%d)", st.SnapshotMisses)
-	}
-	if st.EventsSkipped == 0 {
-		t.Errorf("no events were skipped; prefix sharing did no work")
-	}
-	units := st.SnapshotHits + st.SnapshotMisses
-	if units != int64(st.Groups) {
-		t.Errorf("ran %d units for %d groups; each group must run exactly once", units, st.Groups)
+	for _, c := range []struct {
+		name     string
+		build    func(al *mem.Allocator) func(*cilk.Ctx)
+		workers  int
+		minSpecs int
+	}{
+		{e.Name, e.Build, 4, 1},
+		{"SweepStress(7,2048,64)", func(al *mem.Allocator) func(*cilk.Ctx) {
+			return progs.SweepStress(al, 7, 2048, 64)
+		}, 1, 50},
+	} {
+		cr := Sweep(func() func(*cilk.Ctx) { return c.build(mem.NewAllocator()) }, SweepOptions{Workers: c.workers})
+		specs := cr.SpecsRun
+		st := cr.Stats
+		if specs < c.minSpecs {
+			t.Errorf("%s: family has %d specs, want >= %d", c.name, specs, c.minSpecs)
+		}
+		if st.Groups >= specs {
+			t.Errorf("%s: no spec dedup: %d groups for %d specs", c.name, st.Groups, specs)
+		}
+		if st.SnapshotHits == 0 {
+			t.Errorf("%s: no unit was seeded from a snapshot (hits=0, misses=%d)", c.name, st.SnapshotMisses)
+		}
+		if st.EventsSkipped == 0 {
+			t.Errorf("%s: no events were skipped; prefix sharing did no work", c.name)
+		}
+		units := st.SnapshotHits + st.SnapshotMisses
+		if units != int64(st.Groups) {
+			t.Errorf("%s: ran %d units for %d groups; each group must run exactly once", c.name, units, st.Groups)
+		}
 	}
 }
 
