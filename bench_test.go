@@ -266,7 +266,7 @@ func BenchmarkSweep(b *testing.B) {
 		name  string
 		sweep func() *rader.CoverageResult
 	}{
-		{"naive", func() *rader.CoverageResult { return rader.SweepReference(factory, 0, 0, 0) }},
+		{"naive", func() *rader.CoverageResult { return rader.SweepReference(factory, 0, 0) }},
 		{"prefix", func() *rader.CoverageResult { return rader.Sweep(factory, rader.SweepOptions{Workers: 1}) }},
 	} {
 		mode := mode

@@ -18,14 +18,17 @@
 //	rader -record t.trace -prog fig1 -spec all     # record locally
 //	rader -remote http://localhost:8735 -replay t.trace -json
 //
-// With -live <workload> the analysis happens during a genuinely parallel
-// execution: the named bridged workload (see -live list) runs on the
+// With -live <program> the analysis happens during a genuinely parallel
+// execution: the named bridged program (see -live list) runs on the
 // work-stealing runtime with -live-workers workers while the depa
 // detector watches on-the-fly. The verdict is byte-identical to a serial
 // replay of the same program; the report's parallel section carries the
-// worker count, shard merges and fast-path hit rate.
+// worker count, shard merges and fast-path hit rate. The bridged programs
+// are catalogue entries like any other, so -prog runs them serially under
+// every detector.
 //
-//	rader -live dedup -live-workers 8 -json
+//	rader -live dedup-kernel-racy -live-workers 8 -json
+//	rader -prog dedup-kernel-racy -detector depa -json
 //
 // Programs: -prog names any program of the one catalogue rader, raderd
 // and stealgen share (corpus.Lookup): the paper's figures fig1 (the §2
@@ -33,9 +36,15 @@
 // (set_value after spawn), fig1-fixed (deep copy) and fig2 (§3's dag,
 // reads at strands 1 and 9, or at the -reads strands in a local run);
 // every internal/corpus entry by name (clean-reducer-sum,
-// view-read-early-get, ...); and the six benchmarks (collision, dedup,
-// ferret, fib, knapsack, pbfs) at -scale test|small|bench. A name means
-// the same program locally and with -remote.
+// view-read-early-get, ...); the bridged programs (dedup-kernel,
+// dedup-kernel-racy, ferret-kernel, ferret-kernel-racy, stress); and the
+// six benchmarks (collision, dedup, ferret, fib, knapsack, pbfs) at -scale
+// test|small|bench. A name means the same program locally and with
+// -remote.
+//
+// Every verdict prints from its report document: under -json as the
+// document's bytes, otherwise as text that reads the same locally and
+// with -remote.
 //
 // Exit status: 0 when the run is clean, 1 when races were detected, 2 on
 // usage errors, internal errors, or an incomplete sweep.
@@ -57,7 +66,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/depa"
 	"repro/internal/elide"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/progs"
 	"repro/internal/rader"
@@ -84,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rader", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		progName = fs.String("prog", "fib", "program: fig1[-early|-late|-fixed], fig2, a corpus entry name, or a benchmark (collision, dedup, ferret, fib, knapsack, pbfs)")
+		progName = fs.String("prog", "fib", "program: fig1[-early|-late|-fixed], fig2, a corpus entry name, a bridged program (see -live list), or a benchmark (collision, dedup, ferret, fib, knapsack, pbfs)")
 		detector = fs.String("detector", "sp+", "detector: none, empty, peer-set, sp-bags, sp+, offset-span, english-hebrew, or all (single-pass Peer-Set+SP-bags+SP+)")
 		specStr  = fs.String("spec", "none", "steal specification (none, all, all-eager, depth:D, single:A, pair:A,B, triple:I,J,K, random:SEED,K, labels:...)")
 		scale    = fs.String("scale", "small", "benchmark scale: test, small, bench")
@@ -98,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonOut  = fs.Bool("json", false, "print the race report as JSON (for CI)")
 		record   = fs.String("record", "", "record the run's event stream to this trace file")
 		replay   = fs.String("replay", "", "skip execution; replay a recorded trace file into the detector")
-		live     = fs.String("live", "", "run a bridged workload live on the work-stealing runtime under the depa detector (name, or 'list')")
+		live     = fs.String("live", "", "run a bridged program live on the work-stealing runtime under the depa detector (name, or 'list')")
 		liveN    = fs.Int("live-workers", 4, "worker count for -live")
 		remote   = fs.String("remote", "", "raderd base URL; analyze on the daemon instead of in-process")
 		profile  = fs.String("profile-out", "", "write a Chrome trace-event JSON profile of the run to this file (open in chrome://tracing or ui.perfetto.dev)")
@@ -239,12 +247,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *coverage {
 		// Sweep lanes run program instances concurrently, and the apps
 		// carry mutable state, so every sweep run gets a fresh instance.
-		return runCoverage(stdout, p.Factory, rader.SweepOptions{
+		code, err := runCoverage(stdout, p.Factory, rader.SweepOptions{
 			Workers:     *sweepW,
 			SampleSpecs: *sweepN,
 			Timeout:     *timeout,
 			Trace:       tr,
 		}, *jsonOut)
+		if err != nil {
+			return fatal(err)
+		}
+		return code
 	}
 
 	det, err := rader.ParseDetector(*detector)
@@ -285,82 +297,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 				out.Stats.Elems, out.Stats.Finds, out.Stats.Unions)
 		}
 	}
-	if *jsonOut {
-		b, err := res.Doc.Marshal()
-		if err != nil {
-			return fatal(err)
-		}
-		fmt.Fprintln(stdout, string(b))
-	} else {
-		if ins.Verify != nil {
-			if err := ins.Verify(); err != nil {
-				fmt.Fprintf(stdout, "VERIFY FAILED: %v\n", err)
-			} else {
-				fmt.Fprintln(stdout, "verify: ok")
-			}
-		}
-		if len(res.Detectors) == 0 {
-			fmt.Fprintln(stdout, "(no detector attached)")
-		}
-		for _, d := range res.Detectors {
-			if det == rader.All {
-				fmt.Fprintf(stdout, "%s: ", d.Name())
-			}
-			fmt.Fprintln(stdout, d.Report().Summary())
-		}
-		if !res.Clean && len(out.Result.Steals) > 0 {
-			fmt.Fprintf(stdout, "replay with: -spec '%s'\n", out.Replay)
+	if !*jsonOut && ins.Verify != nil {
+		if err := ins.Verify(); err != nil {
+			fmt.Fprintf(stdout, "VERIFY FAILED: %v\n", err)
+		} else {
+			fmt.Fprintln(stdout, "verify: ok")
 		}
 	}
-	if !res.Clean {
-		return exitRaces
+	if err := printDoc(stdout, res.Doc, *jsonOut); err != nil {
+		return fatal(err)
 	}
-	return exitClean
+	if !*jsonOut && !res.Clean && len(out.Result.Steals) > 0 {
+		fmt.Fprintf(stdout, "replay with: -spec '%s'\n", out.Replay)
+	}
+	return verdictExit(res.Clean, true)
 }
 
-func runCoverage(stdout io.Writer, factory func() func(*cilk.Ctx), opts rader.SweepOptions, jsonOut bool) int {
+func runCoverage(stdout io.Writer, factory func() func(*cilk.Ctx), opts rader.SweepOptions, jsonOut bool) (int, error) {
 	if opts.Workers < 1 {
 		opts.Workers = runtime.NumCPU()
 	}
 	cr := rader.Sweep(factory, opts)
-	if jsonOut {
-		b, err := report.FromCoverage(cr).Marshal()
-		if err != nil {
-			fmt.Fprintln(stdout, err)
-			return exitError
-		}
-		fmt.Fprintln(stdout, string(b))
-		switch {
-		case !cr.Clean():
-			return exitRaces
-		case !cr.Complete():
-			return exitError
-		default:
-			return exitClean
-		}
+	if err := printDoc(stdout, report.FromCoverage(cr), jsonOut); err != nil {
+		return exitError, err
 	}
-	fmt.Fprintf(stdout, "profile: max P-depth %d, max sync block %d, Cilk depth %d\n",
-		cr.Profile.MaxPDepth, cr.Profile.MaxSyncBlock, cr.Profile.CilkDepth)
-	fmt.Fprintf(stdout, "specifications run: %d (SP+), plus one Peer-Set pass\n", cr.SpecsRun)
-	if cr.Stats.Sampled {
-		fmt.Fprintf(stdout, "sampled: %s\n", cr.Stats.Confidence)
+	return verdictExit(cr.Clean(), cr.Complete()), nil
+}
+
+// printDoc prints a local verdict document: its JSON bytes under -json,
+// otherwise its text (writeVerdict).
+func printDoc(stdout io.Writer, doc interface{ Marshal() ([]byte, error) }, jsonOut bool) error {
+	if !jsonOut {
+		writeVerdict(stdout, doc)
+		return nil
 	}
-	fmt.Fprintf(stdout, "view-read: %s\n", cr.ViewReads.Summary())
-	if len(cr.Races) == 0 {
-		fmt.Fprintln(stdout, "determinacy: no races under any specification")
-	} else {
-		fmt.Fprintf(stdout, "determinacy: %d distinct race(s):\n", len(cr.Races))
-		for _, f := range cr.Races {
-			fmt.Fprintf(stdout, "  [%s] %v\n", f.Spec, f.Race)
-		}
+	b, err := doc.Marshal()
+	if err != nil {
+		return err
 	}
-	for _, sf := range cr.Failures {
-		fmt.Fprintf(stdout, "sweep failure: %v\n", sf)
-	}
+	fmt.Fprintln(stdout, string(b))
+	return nil
+}
+
+// verdictExit maps a verdict to the exit status: races first, then an
+// incomplete sweep.
+func verdictExit(clean, complete bool) int {
 	switch {
-	case !cr.Clean():
+	case !clean:
 		return exitRaces
-	case !cr.Complete():
+	case !complete:
 		return exitError
 	default:
 		return exitClean
@@ -462,19 +447,13 @@ func replayTrace(stdout io.Writer, path string, det rader.DetectorName, jsonOut 
 			return exitError, err
 		}
 	}
-	if jsonOut {
-		b, err := res.Doc.Marshal()
-		if err != nil {
-			return exitError, err
-		}
-		fmt.Fprintln(stdout, string(b))
-	} else {
-		printReplay(stdout, path, det, eo, res)
+	if !jsonOut {
+		printReplayHeader(stdout, path, det, eo, res)
 	}
-	if !res.Clean {
-		return exitRaces, nil
+	if err := printDoc(stdout, res.Doc, jsonOut); err != nil {
+		return exitError, err
 	}
-	return exitClean, nil
+	return verdictExit(res.Clean, true), nil
 }
 
 // write persists the -elide-audit and -elide-out artifacts of plan.
@@ -498,8 +477,9 @@ func (eo elideOpts) write(plan *elide.Plan, data []byte) error {
 	return nil
 }
 
-// printReplay is the human-readable verdict of one replay.
-func printReplay(stdout io.Writer, path string, det rader.DetectorName, eo elideOpts, res *analyze.Result) {
+// printReplayHeader prints a replay's header lines: the elision summary
+// and its artifacts, then what was replayed under which detectors.
+func printReplayHeader(stdout io.Writer, path string, det rader.DetectorName, eo elideOpts, res *analyze.Result) {
 	if res.Plan != nil {
 		aud := res.Plan.Audit()
 		fmt.Fprintf(stdout, "elision: %d of %d events proven race-free and skipped (%.2fx shrink, %d bytes)\n",
@@ -514,63 +494,41 @@ func printReplay(stdout io.Writer, path string, det rader.DetectorName, eo elide
 	if det == rader.All {
 		fmt.Fprintf(stdout, "replayed %d events from %s in one pass under %d detectors\n",
 			res.Events, path, len(res.Detectors))
-		for _, d := range res.Detectors {
-			fmt.Fprintf(stdout, "%s: %s\n", d.Name(), d.Report().Summary())
-		}
 		return
 	}
 	fmt.Fprintf(stdout, "replayed %d events from %s under %s\n", res.Events, path, det)
-	if len(res.Detectors) == 0 {
-		fmt.Fprintln(stdout, "(no detector attached: stream validated)")
-		return
-	}
-	fmt.Fprintln(stdout, res.Detectors[0].Report().Summary())
-	if p := res.Doc.(*report.Report).Parallel; p != nil {
-		fmt.Fprintf(stdout, "parallel: workers=%d shard-merges=%d fast-path=%.2f\n",
-			p.Workers, p.ShardMerges, p.FastPathRate)
-	}
 }
 
-// runLive executes a bridged workload live on the work-stealing runtime
+// runLive executes a bridged program live on the work-stealing runtime
 // with the depa detector watching during execution — the on-the-fly half
 // of the detector, as opposed to -replay's post-mortem analysis. The
 // verdict document is the standard report schema with the parallel stats
 // section filled in from the live run.
 func runLive(stdout io.Writer, name string, workers int, jsonOut bool, tr *obs.Trace) (int, error) {
 	if name == "list" {
-		for _, w := range depa.Workloads() {
-			fmt.Fprintf(stdout, "%-12s %s\n", w.Name, w.Desc)
+		for _, n := range corpus.LiveNames() {
+			p, _, _ := corpus.Lookup(n, "") // every live name resolves
+			fmt.Fprintf(stdout, "%-18s %s\n", n, p.Desc)
 		}
 		return exitClean, nil
 	}
-	w, err := depa.WorkloadByName(name)
-	if err != nil {
-		return exitError, err
+	p, _, err := corpus.Lookup(name, "")
+	if err != nil || p.Bridged == nil {
+		return exitError, fmt.Errorf("-live runs a bridged program, not %q (have %v)", name, corpus.LiveNames())
 	}
 	if workers < 1 {
 		return exitError, fmt.Errorf("-live-workers must be at least 1 (got %d)", workers)
 	}
 	live := depa.NewLive()
 	live.Trace = tr
-	live.Run(wsrt.New(workers), w.Build(mem.NewAllocator()))
-	rp := live.Report()
-	if jsonOut {
-		doc := report.FromCore(live.Name(), "", 0, rp)
-		doc.Parallel = report.ParallelFrom(live.ParallelStats())
-		b, err := doc.Marshal()
-		if err != nil {
-			return exitError, err
-		}
-		fmt.Fprintln(stdout, string(b))
-	} else {
-		ps := live.ParallelStats()
-		fmt.Fprintf(stdout, "workload: %s (%s)\n", w.Name, w.Desc)
-		fmt.Fprintf(stdout, "live depa on %d worker(s): %s\n", ps.Workers, rp.Summary())
-		fmt.Fprintf(stdout, "parallel: shard-merges=%d accesses=%d fast-path=%.2f\n",
-			ps.ShardMerges, ps.Accesses, ps.FastPathRate())
+	live.Run(wsrt.New(workers), p.Bridged())
+	doc := report.FromDetector(live.Name(), "", 0, live)
+	if !jsonOut {
+		fmt.Fprintf(stdout, "program: %s (%s)\n", name, p.Desc)
+		fmt.Fprintf(stdout, "live: depa on %d worker(s)\n", workers)
 	}
-	if !rp.Empty() {
-		return exitRaces, nil
+	if err := printDoc(stdout, doc, jsonOut); err != nil {
+		return exitError, err
 	}
-	return exitClean, nil
+	return verdictExit(doc.Clean, true), nil
 }

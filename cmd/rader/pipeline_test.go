@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/service"
 )
 
@@ -27,63 +29,115 @@ func pipelineTraces(t *testing.T) map[string]string {
 	return paths
 }
 
-// The CLI and raderd run one analysis pipeline, so for every detector
-// name, with elision on and off, a local -json replay and a -remote one
-// print the same bytes and exit with the same code.
+// surfaceLines are the line prefixes a surface prints around a verdict:
+// the headers before it (program, timing, verification, elision, replay
+// banner, remote URL, live sweep progress) and the local replay hint
+// after it.
+var surfaceLines = []string{"program: ", "detector: ", "verify: ", "VERIFY FAILED", "elision: ",
+	"replayed ", "remote: ", "sweep progress: ", "replay with: "}
+
+// verdictBlock drops a plain run's surface lines, leaving the verdict
+// text its report document printed.
+func verdictBlock(out string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(out, "\n") {
+		surface := false
+		for _, p := range surfaceLines {
+			surface = surface || strings.HasPrefix(line, p)
+		}
+		if !surface {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+// requireLocalRemoteParity runs args locally and with -remote base. Under
+// -json both print the same bytes; in plain mode both print the same
+// verdict block under their own headers. Either way they exit with the
+// same code.
+func requireLocalRemoteParity(t *testing.T, base, name string, args ...string) {
+	t.Helper()
+	lcode, local, lerr := exec(t, args...)
+	rcode, remote, rerr := exec(t, append([]string{"-remote", base}, args...)...)
+	if lcode == exitError || rcode == exitError {
+		t.Fatalf("%s: exit %d local, %d remote\n%s%s", name, lcode, rcode, lerr, rerr)
+	}
+	if !slices.Contains(args, "-json") {
+		local, remote = verdictBlock(local), verdictBlock(remote)
+		if local == "" {
+			t.Fatalf("%s: no verdict block in plain output", name)
+		}
+	}
+	if lcode != rcode || local != remote {
+		t.Fatalf("%s: local (exit %d) and remote (exit %d) verdicts differ:\nlocal:  %s\nremote: %s",
+			name, lcode, rcode, local, remote)
+	}
+}
+
+// The CLI and raderd run one analysis pipeline and print verdicts from
+// one document, so for every detector name, with elision on and off, a
+// local -json replay and a -remote one print the same bytes, plain runs
+// print the same verdict block, and both exit with the same code.
 func TestLocalRemoteParityEveryDetector(t *testing.T) {
 	_, base := startDaemon(t, service.Config{Workers: 2})
 	dets := []string{"none", "empty", "peer-set", "sp-bags", "sp+", "offset-span", "english-hebrew", "depa", "all"}
 	for prog, path := range pipelineTraces(t) {
 		for _, det := range dets {
 			for _, elide := range []bool{false, true} {
-				args := []string{"-replay", path, "-detector", det, "-json"}
-				if elide {
-					args = append(args, "-elide")
-				}
-				name := fmt.Sprintf("%s/%s/elide=%v", prog, det, elide)
-				lcode, local, lerr := exec(t, args...)
-				rcode, remote, rerr := exec(t, append([]string{"-remote", base}, args...)...)
-				if lcode == exitError || rcode == exitError {
-					t.Fatalf("%s: exit %d local, %d remote\n%s%s", name, lcode, rcode, lerr, rerr)
-				}
-				if lcode != rcode || local != remote {
-					t.Fatalf("%s: local (exit %d) and remote (exit %d) verdicts differ:\nlocal:  %s\nremote: %s",
-						name, lcode, rcode, local, remote)
+				for _, jsonOut := range []bool{true, false} {
+					args := []string{"-replay", path, "-detector", det}
+					if elide {
+						args = append(args, "-elide")
+					}
+					if jsonOut {
+						args = append(args, "-json")
+					}
+					requireLocalRemoteParity(t, base, fmt.Sprintf("%s/%s/elide=%v/json=%v", prog, det, elide, jsonOut), args...)
 				}
 			}
 		}
 	}
 }
 
-// Every surface resolves program names through one catalogue and runs
-// them through one pipeline, so for a named program under every detector
-// name and schedule, a local -json run and a -remote one print the same
-// bytes and exit with the same code; so do their -coverage sweeps.
+// Every surface resolves program names through one catalogue, runs them
+// through one pipeline and prints verdicts from one document, so for a
+// named program (the bridged ones included) under every detector name and
+// schedule, a local -json run and a -remote one print the same bytes,
+// plain runs print the same verdict block, and both exit with the same
+// code; so do their -coverage sweeps, sampled ones included.
 func TestLocalRemoteParityNamedPrograms(t *testing.T) {
 	_, base := startDaemon(t, service.Config{Workers: 2})
 	dets := []string{"none", "empty", "peer-set", "sp-bags", "sp+", "offset-span", "english-hebrew", "depa", "all"}
-	progs := []string{"fig1", "fig1-fixed", "fig2", "view-read-early-get", "clean-reducer-sum", "dedup", "pbfs"}
-	parity := func(name string, args ...string) {
-		t.Helper()
-		lcode, local, lerr := exec(t, args...)
-		rcode, remote, rerr := exec(t, append([]string{"-remote", base}, args...)...)
-		if lcode == exitError || rcode == exitError {
-			t.Fatalf("%s: exit %d local, %d remote\n%s%s", name, lcode, rcode, lerr, rerr)
-		}
-		if lcode != rcode || local != remote {
-			t.Fatalf("%s: local (exit %d) and remote (exit %d) verdicts differ:\nlocal:  %s\nremote: %s",
-				name, lcode, rcode, local, remote)
-		}
-	}
+	progs := append([]string{"fig1", "fig1-fixed", "fig2", "view-read-early-get", "clean-reducer-sum", "dedup", "pbfs"},
+		corpus.LiveNames()...)
 	for _, prog := range progs {
 		for _, det := range dets {
 			for _, spec := range []string{"none", "all"} {
-				parity(fmt.Sprintf("%s/%s/%s", prog, det, spec),
-					"-prog", prog, "-scale", "test", "-detector", det, "-spec", spec, "-json")
+				args := []string{"-prog", prog, "-scale", "test", "-detector", det, "-spec", spec}
+				name := fmt.Sprintf("%s/%s/%s", prog, det, spec)
+				requireLocalRemoteParity(t, base, name, append(args, "-json")...)
+				requireLocalRemoteParity(t, base, name+"/plain", args...)
 			}
 		}
 	}
-	parity("view-read-early-get/coverage", "-prog", "view-read-early-get", "-coverage", "-json")
+	for _, jsonOut := range []bool{true, false} {
+		coverage := func(name string, args ...string) {
+			if jsonOut {
+				args = append(args, "-json")
+			}
+			requireLocalRemoteParity(t, base, fmt.Sprintf("%s/json=%v", name, jsonOut), args...)
+		}
+		coverage("view-read-early-get/coverage", "-prog", "view-read-early-get", "-coverage")
+		// Families of 10 and 36 specifications, sampled down to 5: the
+		// sampling caveat is part of the verdict on both sides.
+		coverage("knapsack/coverage-sampled", "-prog", "knapsack", "-scale", "test", "-coverage", "-sweep-sample", "5")
+		coverage("pbfs/coverage-sampled", "-prog", "pbfs", "-scale", "test", "-coverage", "-sweep-sample", "5")
+	}
+	code, out, _ := exec(t, "-remote", base, "-prog", "knapsack", "-scale", "test", "-coverage", "-sweep-sample", "5")
+	if code != exitClean || !strings.Contains(out, "a clean verdict covers only the sampled schedules") {
+		t.Fatalf("remote sampled sweep lost the sampling caveat (exit %d):\n%s", code, out)
+	}
 }
 
 // Flags the daemon cannot honour fail with exit 2 under -remote instead

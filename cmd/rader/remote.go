@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rader"
 	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/trace"
@@ -124,13 +125,23 @@ func (c *remoteClient) analyze(req remoteRequest) (int, error) {
 		// Emit the verdict document exactly as the daemon encoded it —
 		// byte-for-byte what a local -json run prints for the same trace.
 		fmt.Fprintln(c.stdout, string(ar.Report))
-	} else {
-		c.printAnalyze(ar)
+		return verdictExit(ar.Clean, true), nil
 	}
-	if ar.Clean {
-		return exitClean, nil
+	var doc any = &report.Report{}
+	if ar.Detector == string(rader.All) {
+		doc = &report.Multi{}
 	}
-	return exitRaces, nil
+	if err := json.Unmarshal(ar.Report, doc); err != nil {
+		return exitError, fmt.Errorf("decoding verdict: %v", err)
+	}
+	served := "analyzed"
+	if ar.Cached {
+		served = "served from cache"
+	}
+	fmt.Fprintf(c.stdout, "remote: %s under %s (digest %s, %s)\n",
+		c.base, ar.Detector, short(ar.Digest), served)
+	writeVerdict(c.stdout, doc)
+	return verdictExit(ar.Clean, true), nil
 }
 
 // analyzeTrace uploads a recorded trace and returns the daemon's
@@ -244,47 +255,6 @@ func (c *remoteClient) uploadChunks(f *os.File, digest string, offset int64) err
 	return nil
 }
 
-func (c *remoteClient) printAnalyze(ar service.AnalyzeResponse) {
-	served := "analyzed"
-	if ar.Cached {
-		served = "served from cache"
-	}
-	fmt.Fprintf(c.stdout, "remote: %s under %s (digest %s, %s)\n",
-		c.base, ar.Detector, short(ar.Digest), served)
-	if ar.Detector == "all" {
-		var m report.Multi
-		if err := json.Unmarshal(ar.Report, &m); err != nil {
-			fmt.Fprintf(c.stdout, "unreadable verdict: %v\n", err)
-			return
-		}
-		for _, rep := range m.Reports {
-			if rep.Clean {
-				fmt.Fprintf(c.stdout, "%s: no races detected\n", rep.Detector)
-				continue
-			}
-			fmt.Fprintf(c.stdout, "%s: %d distinct race(s), %d report(s) total:\n",
-				rep.Detector, rep.Distinct, rep.Total)
-			for _, r := range rep.Races {
-				fmt.Fprintf(c.stdout, "  %s\n", r)
-			}
-		}
-		return
-	}
-	var rep report.Report
-	if err := json.Unmarshal(ar.Report, &rep); err != nil {
-		fmt.Fprintf(c.stdout, "unreadable verdict: %v\n", err)
-		return
-	}
-	if rep.Clean {
-		fmt.Fprintln(c.stdout, "no races detected")
-		return
-	}
-	fmt.Fprintf(c.stdout, "%d distinct race(s), %d report(s) total:\n", rep.Distinct, rep.Total)
-	for _, r := range rep.Races {
-		fmt.Fprintf(c.stdout, "  %s\n", r)
-	}
-}
-
 // sweep submits the §7 coverage sweep as an async job and polls until it
 // resolves.
 func (c *remoteClient) sweep(req remoteRequest) (int, error) {
@@ -307,6 +277,9 @@ func (c *remoteClient) sweep(req remoteRequest) (int, error) {
 	var sr service.SweepResponse
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		return exitError, fmt.Errorf("decoding daemon response: %v", err)
+	}
+	if !req.jsonOut {
+		fmt.Fprintf(c.stdout, "remote: %s sweep job %s\n", c.base, sr.ID)
 	}
 	if sr.State == "queued" || sr.State == "running" {
 		// Follow the job's live event stream while it runs; a daemon
@@ -338,39 +311,9 @@ func (c *remoteClient) sweep(req remoteRequest) (int, error) {
 	if req.jsonOut {
 		fmt.Fprintln(c.stdout, string(sr.Sweep))
 	} else {
-		c.printSweep(sweep)
+		writeVerdict(c.stdout, &sweep)
 	}
-	switch {
-	case !sweep.Clean:
-		return exitRaces, nil
-	case !sweep.Complete:
-		return exitError, nil
-	default:
-		return exitClean, nil
-	}
-}
-
-func (c *remoteClient) printSweep(s report.Sweep) {
-	fmt.Fprintf(c.stdout, "remote sweep: %d specifications (SP+), plus one Peer-Set pass\n", s.SpecsRun)
-	if len(s.ViewReads) == 0 {
-		fmt.Fprintln(c.stdout, "view-read: no races detected")
-	} else {
-		fmt.Fprintf(c.stdout, "view-read: %d race(s):\n", len(s.ViewReads))
-		for _, r := range s.ViewReads {
-			fmt.Fprintf(c.stdout, "  %s\n", r)
-		}
-	}
-	if len(s.Races) == 0 {
-		fmt.Fprintln(c.stdout, "determinacy: no races under any specification")
-	} else {
-		fmt.Fprintf(c.stdout, "determinacy: %d distinct race(s):\n", len(s.Races))
-		for _, f := range s.Races {
-			fmt.Fprintf(c.stdout, "  [%s] %s\n", f.Spec, f.Race)
-		}
-	}
-	for _, f := range s.Failures {
-		fmt.Fprintf(c.stdout, "sweep failure: [%s] %s\n", f.Spec, f.Error)
-	}
+	return verdictExit(sweep.Clean, sweep.Complete), nil
 }
 
 // post submits a bodyless POST (sweep submission) through the retrying

@@ -14,10 +14,11 @@
 // /traces/{digest}, GET /healthz, GET /readyz, GET /metrics (Prometheus
 // text). The usual Go debug surfaces ride along: GET /debug/pprof/*
 // (CPU, heap, goroutine profiles) and GET /debug/vars (the metric series
-// as flat JSON, plus expvar's standard memstats). Requests are logged
-// structured (log/slog) to stderr with a per-request ID; -quiet silences
-// them. Capacity, cache and per-job limits are flags; see
-// docs/SERVICE.md for the full API and failure-mode table.
+// as flat JSON, plus expvar's standard memstats). Every request is logged
+// structured (log/slog) to stderr under the same per-request ID its
+// /debug/requests entry carries; -quiet silences the log. Capacity, cache
+// and per-job limits are flags; see docs/SERVICE.md for the full API and
+// failure-mode table.
 //
 // With -store-dir the daemon is crash-safe: verdicts and uploaded traces
 // live in a disk-backed content-addressed store, sweep jobs are
@@ -118,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 		fmt.Fprintln(stderr, "raderd:", err)
 		return exitError
 	}
-	hs := &http.Server{Handler: logRequests(logger, debugMux(srv))}
+	hs := &http.Server{Handler: debugMux(srv)}
 	fmt.Fprintf(stdout, "raderd listening on %s (workers=%d queue=%d cache=%d)\n",
 		ln.Addr(), *workers, *queue, *cacheSize)
 	if banner := srv.RecoveryBanner(); banner != "" {
@@ -153,19 +154,23 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan os.Signal) int
 	}
 }
 
-// debugMux wraps the service routes with the standard Go debug surfaces:
-// net/http/pprof's profile handlers and expvar's /debug/vars. The pprof
-// handlers are registered explicitly because the service mounts its own
-// mux — the package's DefaultServeMux side effects never apply here.
+// debugMux serves the service routes and the standard Go debug surfaces:
+// net/http/pprof's profile handlers and expvar's /debug/vars, recorded by
+// the same service wrapper as every other route. The pprof handlers are
+// registered explicitly because the daemon mounts its own mux — the
+// package's DefaultServeMux side effects never apply here.
 func debugMux(srv *service.Server) http.Handler {
+	debug := http.NewServeMux()
+	debug.HandleFunc("/debug/pprof/", pprof.Index)
+	debug.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	debug.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	debug.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	debug.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	debug.Handle("/debug/vars", expvar.Handler())
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.Handle("/debug/pprof/", srv.Record(debug))
+	mux.Handle("/debug/vars", srv.Record(debug))
 	return mux
 }
 
@@ -186,37 +191,5 @@ func publishDebugVars(srv *service.Server) {
 			}
 			return nil
 		}))
-	})
-}
-
-// statusRecorder captures the status code and body size a handler wrote,
-// for the request log line.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += int64(n)
-	return n, err
-}
-
-// logRequests logs one structured line per request with a per-request ID.
-func logRequests(log *slog.Logger, next http.Handler) http.Handler {
-	var id atomic.Uint64
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		next.ServeHTTP(rec, r)
-		log.Info("request",
-			"id", id.Add(1), "method", r.Method, "path", r.URL.Path,
-			"status", rec.status, "bytes", rec.bytes, "dur", time.Since(start))
 	})
 }

@@ -9,8 +9,8 @@
 // elicit, and the correct patterns that must stay silent.
 //
 // Lookup resolves every program name of the repository — the paper's
-// figures, these entries and the six benchmarks — for rader, raderd and
-// stealgen alike.
+// figures, these entries, the bridged programs and the six benchmarks —
+// for rader, raderd and stealgen alike.
 package corpus
 
 import (

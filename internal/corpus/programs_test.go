@@ -85,3 +85,36 @@ func TestLookupIdentities(t *testing.T) {
 		}
 	}
 }
+
+// The bridged programs are pinned the same way, and exactly they carry a
+// Bridged body, so rader -live accepts them and nothing else.
+func TestLookupBridgedIdentities(t *testing.T) {
+	want := map[string]string{
+		"dedup-kernel":       "program\x00bridged\x00dedup-kernel",
+		"dedup-kernel-racy":  "program\x00bridged\x00dedup-kernel-racy",
+		"ferret-kernel":      "program\x00bridged\x00ferret-kernel",
+		"ferret-kernel-racy": "program\x00bridged\x00ferret-kernel-racy",
+		"stress":             "program\x00bridged\x00stress",
+	}
+	names := LiveNames()
+	if len(names) != len(want) {
+		t.Fatalf("LiveNames() = %v, want the %d pinned programs", names, len(want))
+	}
+	for _, name := range names {
+		p, id, err := Lookup(name, "")
+		if err != nil {
+			t.Fatalf("Lookup(%q): %v", name, err)
+		}
+		if id != want[name] {
+			t.Errorf("Lookup(%q) identity = %q, want %q", name, id, want[name])
+		}
+		if p.Bridged == nil || p.Bridged() == nil || p.Build().Prog == nil {
+			t.Errorf("Lookup(%q) lacks a serial or a bridged body", name)
+		}
+	}
+	for _, name := range []string{"fig1", "clean-reducer-sum", "dedup", "ferret"} {
+		if p, _, err := Lookup(name, "test"); err != nil || p.Bridged != nil {
+			t.Errorf("Lookup(%q): err %v, bridged %v; only bridged programs run live", name, err, p.Bridged != nil)
+		}
+	}
+}

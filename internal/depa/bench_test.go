@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cilk"
 	"repro/internal/mem"
+	"repro/internal/progs"
 )
 
 // shardSink keeps the timed detectShard calls' results live.
@@ -24,15 +25,15 @@ var shardSink []pendingRace
 func BenchmarkShardCriticalPath(b *testing.B) {
 	workloads := []struct {
 		name  string
-		build func(al *mem.Allocator) func(BCtx)
+		build func(al *mem.Allocator) func(progs.BCtx)
 	}{
-		{"dedup", func(al *mem.Allocator) func(BCtx) { return DedupWorkload(al, 8192, false) }},
-		{"ferret", func(al *mem.Allocator) func(BCtx) { return FerretWorkload(al, 1024, 16, false) }},
-		{"stress", func(al *mem.Allocator) func(BCtx) { return StressWorkload(al, 256, 64) }},
+		{"dedup", func(al *mem.Allocator) func(progs.BCtx) { return progs.DedupWorkload(al, 8192, false) }},
+		{"ferret", func(al *mem.Allocator) func(progs.BCtx) { return progs.FerretWorkload(al, 1024, 16, false) }},
+		{"stress", func(al *mem.Allocator) func(progs.BCtx) { return progs.StressWorkload(al, 256, 64) }},
 	}
 	for _, w := range workloads {
 		d := New()
-		cilk.Run(CilkProg(w.build(mem.NewAllocator())), cilk.Config{Hooks: d})
+		cilk.Run(progs.CilkProg(w.build(mem.NewAllocator())), cilk.Config{Hooks: d})
 		for _, shards := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/shards=%d", w.name, shards), func(b *testing.B) {
 				var one, span time.Duration

@@ -9,11 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// pageBits mirrors internal/mem's shadow page geometry: shards partition
-// the address space by shadow page so each shard's working set is whole
-// pages of its private shadow spaces.
-const pageBits = 12
-
 // pendingRace is one candidate race found by a shard, tagged with the
 // serial ordinal of the access that fired it so the merge step can
 // re-linearize candidates from all shards into the exact order a serial
@@ -88,7 +83,7 @@ func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard,
 	}
 	for _, e := range entries {
 		if shards > 1 {
-			page := int(uint64(e.addr) >> pageBits)
+			page := int(uint64(e.addr) >> mem.PageBits)
 			if mask >= 0 {
 				if page&mask != shard {
 					continue

@@ -33,6 +33,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/progs"
 	"repro/internal/wsrt"
 )
 
@@ -92,7 +93,7 @@ type liveFrame struct {
 	seen bool
 }
 
-// LiveDetector runs a bridged workload on a wsrt runtime and detects
+// LiveDetector runs a bridged program on a wsrt runtime and detects
 // races on the fly. Create one per run; Report finalizes on first call.
 type LiveDetector struct {
 	// Shards overrides the detection fan-out (0 = the runtime's worker
@@ -119,8 +120,8 @@ func NewLive() *LiveDetector { return &LiveDetector{} }
 // Name implements core.Detector.
 func (d *LiveDetector) Name() string { return "depa" }
 
-// LCtx is the live-mode BCtx: it couples a wsrt task context with the
-// depa frame it is executing.
+// LCtx is the live-mode progs.BCtx: it couples a wsrt task context with
+// the depa frame it is executing.
 type LCtx struct {
 	w *wsrt.Ctx
 	d *LiveDetector
@@ -130,7 +131,7 @@ type LCtx struct {
 // Run executes the workload on rt with detection attached and blocks
 // until it completes. Panics from the workload (including stream-order
 // violations) propagate, as they do under the serial executor.
-func (d *LiveDetector) Run(rt *wsrt.Runtime, workload func(BCtx)) {
+func (d *LiveDetector) Run(rt *wsrt.Runtime, workload func(progs.BCtx)) {
 	d.workers = rt.Workers()
 	root := &liveFrame{label: "main"}
 	d.root = root
@@ -165,12 +166,12 @@ func (c *LCtx) finishFrame() {
 	c.f.finalMaxBlock = c.f.maxBlock
 }
 
-// Spawn implements BCtx. The child's initial timestamp descends the
+// Spawn implements progs.BCtx. The child's initial timestamp descends the
 // branch-0 side of a fork at the parent's depth; the parent immediately
 // advances to the continuation strand — in serial replay that strand is
 // created at the child's FrameReturn, but its timestamp depends only on
 // the fork, so help-first execution computes it identically.
-func (c *LCtx) Spawn(label string, body func(BCtx)) {
+func (c *LCtx) Spawn(label string, body func(progs.BCtx)) {
 	f := c.f
 	f.everSpawned = true
 	d := f.depth
@@ -199,9 +200,9 @@ func (c *LCtx) Spawn(label string, body func(BCtx)) {
 	})
 }
 
-// Call implements BCtx: the child extends the caller's serial chain on
-// the same worker, in its own join scope.
-func (c *LCtx) Call(label string, body func(BCtx)) {
+// Call implements progs.BCtx: the child extends the caller's serial chain
+// on the same worker, in its own join scope.
+func (c *LCtx) Call(label string, body func(progs.BCtx)) {
 	f := c.f
 	child := &liveFrame{
 		label: label, parent: f,
@@ -229,8 +230,8 @@ func (c *LCtx) Call(label string, body func(BCtx)) {
 	newLiveStrand(f, kindResume)
 }
 
-// Sync implements BCtx: it joins the block's children on the runtime,
-// folds their final depths into the block maximum, merges their
+// Sync implements progs.BCtx: it joins the block's children on the
+// runtime, folds their final depths into the block maximum, merges their
 // accumulated logs into the parent's — the shard merge at the sync
 // boundary — and opens the post-sync strand one level below everything
 // the block executed.
@@ -258,10 +259,10 @@ func (c *LCtx) Sync() {
 	newLiveStrand(f, kindSync)
 }
 
-// Load implements BCtx.
+// Load implements progs.BCtx.
 func (c *LCtx) Load(a mem.Addr) { c.logAccess(a, opLoad) }
 
-// Store implements BCtx.
+// Store implements progs.BCtx.
 func (c *LCtx) Store(a mem.Addr) { c.logAccess(a, opStore) }
 
 // logAccess appends to the executing strand's private log, coalescing
@@ -378,5 +379,5 @@ func (d *LiveDetector) finalize() {
 
 var (
 	_ ParallelStatsProvider = (*LiveDetector)(nil)
-	_ BCtx                  = (*LCtx)(nil)
+	_ progs.BCtx            = (*LCtx)(nil)
 )

@@ -2,48 +2,77 @@ package depa
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cilk"
-	"repro/internal/mem"
+	"repro/internal/corpus"
+	"repro/internal/progs"
 	"repro/internal/spbags"
 	"repro/internal/wsrt"
 )
 
-// serialBaseline runs a bridged workload under the serial executor with
+// bridgedProgram is one program rader -live runs: its catalogue name and
+// a builder of fresh bridged bodies.
+type bridgedProgram struct {
+	Name  string
+	Build func() func(progs.BCtx)
+}
+
+// bridgedPrograms resolves every live program through corpus.Lookup, the
+// catalogue rader -live reads.
+func bridgedPrograms(t *testing.T) []bridgedProgram {
+	t.Helper()
+	var out []bridgedProgram
+	for _, name := range corpus.LiveNames() {
+		out = append(out, lookupBridged(t, name))
+	}
+	return out
+}
+
+// lookupBridged resolves one live program or fails the test.
+func lookupBridged(t *testing.T, name string) bridgedProgram {
+	t.Helper()
+	p, _, err := corpus.Lookup(name, "")
+	if err != nil || p.Bridged == nil {
+		t.Fatalf("%s is not a live program: %v", name, err)
+	}
+	return bridgedProgram{Name: name, Build: p.Bridged}
+}
+
+// serialBaseline runs a bridged program under the serial executor with
 // SP-bags and a replay-mode depa detector attached.
-func serialBaseline(w Workload) (*spbags.Detector, *Detector) {
-	al := mem.NewAllocator()
+func serialBaseline(w bridgedProgram) (*spbags.Detector, *Detector) {
 	bags := spbags.New()
 	dep := New()
-	cilk.Run(CilkProg(w.Build(al)), cilk.Config{Hooks: cilk.Multi{bags, dep}})
+	cilk.Run(progs.CilkProg(w.Build()), cilk.Config{Hooks: cilk.Multi{bags, dep}})
 	return bags, dep
 }
 
 // TestLiveSPBagsParity is the live-mode half of the acceptance criterion:
-// for every bridged workload, running it live on wsrt at 1/2/4/8 workers
+// for every bridged program, running it live on wsrt at 1/2/4/8 workers
 // (both deque implementations) yields verdicts byte-identical to the
 // serial SP-bags baseline — including event ordinals, frame numbering and
 // dedup counts, which only survive because the finalize step reconstructs
 // the canonical serial stream exactly.
 func TestLiveSPBagsParity(t *testing.T) {
-	for _, w := range Workloads() {
+	for _, w := range bridgedPrograms(t) {
 		bags, _ := serialBaseline(w)
 		want := renderReport(bags.Report(), true)
-		if w.Racy == bags.Report().Empty() {
+		// The racy variants are named so, and must race.
+		if racy := strings.HasSuffix(w.Name, "-racy"); racy == bags.Report().Empty() {
 			t.Fatalf("%s: catalogue says racy=%v but SP-bags found %d races",
-				w.Name, w.Racy, bags.Report().Distinct())
+				w.Name, racy, bags.Report().Distinct())
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, lockFree := range []bool{false, true} {
 				name := fmt.Sprintf("%s/w%d/lockfree=%v", w.Name, workers, lockFree)
-				al := mem.NewAllocator()
 				live := NewLive()
 				rt := wsrt.New(workers)
 				if lockFree {
 					rt = wsrt.NewLockFree(workers)
 				}
-				live.Run(rt, w.Build(al))
+				live.Run(rt, w.Build())
 				if got := renderReport(live.Report(), true); got != want {
 					t.Fatalf("%s: live verdict diverges from serial SP-bags\n--- serial ---\n%s--- live ---\n%s",
 						name, want, got)
@@ -64,12 +93,11 @@ func TestLiveSPBagsParity(t *testing.T) {
 // live detector and the replay detector agree on everything, including
 // the relation strings.
 func TestLiveMatchesReplayExactly(t *testing.T) {
-	for _, w := range Workloads() {
+	for _, w := range bridgedPrograms(t) {
 		_, rep := serialBaseline(w)
 		want := renderReport(rep.Report(), false)
-		al := mem.NewAllocator()
 		live := NewLive()
-		live.Run(wsrt.New(4), w.Build(al))
+		live.Run(wsrt.New(4), w.Build())
 		if got := renderReport(live.Report(), false); got != want {
 			t.Fatalf("%s: live and replay depa disagree\n--- replay ---\n%s--- live ---\n%s", w.Name, want, got)
 		}
@@ -79,12 +107,11 @@ func TestLiveMatchesReplayExactly(t *testing.T) {
 // TestLiveEventCountsMatchSerial checks that the reconstructed canonical
 // stream has the serial stream's exact event population.
 func TestLiveEventCountsMatchSerial(t *testing.T) {
-	for _, w := range Workloads() {
+	for _, w := range bridgedPrograms(t) {
 		_, rep := serialBaseline(w)
 		want := rep.EventCounts()
-		al := mem.NewAllocator()
 		live := NewLive()
-		live.Run(wsrt.New(3), w.Build(al))
+		live.Run(wsrt.New(3), w.Build())
 		got := live.EventCounts()
 		if got.FrameEnters != want.FrameEnters || got.FrameReturns != want.FrameReturns ||
 			got.Syncs != want.Syncs || got.Loads != want.Loads || got.Stores != want.Stores {
@@ -96,9 +123,8 @@ func TestLiveEventCountsMatchSerial(t *testing.T) {
 // TestLiveShardMerges checks the sync-boundary merge accounting: every
 // spawned child must be merged into its parent exactly once.
 func TestLiveShardMerges(t *testing.T) {
-	al := mem.NewAllocator()
 	live := NewLive()
-	live.Run(wsrt.New(2), WorkloadMust(t, "stress").Build(al))
+	live.Run(wsrt.New(2), lookupBridged(t, "stress").Build())
 	st := live.ParallelStats()
 	// 255 spawned children in a 256-leaf divide-and-conquer tree, plus
 	// the final detection fan-out.
@@ -113,14 +139,4 @@ func TestLiveShardMerges(t *testing.T) {
 	if st.FastPathRate() <= 0.15 {
 		t.Fatalf("fast-path rate = %v, want > 0.15 on the stress workload", st.FastPathRate())
 	}
-}
-
-// WorkloadMust resolves a catalogue entry or fails the test.
-func WorkloadMust(t *testing.T, name string) Workload {
-	t.Helper()
-	w, err := WorkloadByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
 }

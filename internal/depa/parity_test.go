@@ -99,7 +99,7 @@ func recordTrace(t *testing.T, name string, prog func(*cilk.Ctx), spec cilk.Stea
 // that the depa verdict is invariant across shard counts, including shard
 // counts that do not divide the page population evenly. Every corpus
 // entry fits in one shadow page, so its shards never split work; the
-// bridged workloads, and dedup at 8,192 chunks, span many pages and make
+// bridged programs, and dedup at 8,192 chunks, span many pages and make
 // the shards divide real work.
 func TestDepaSPBagsParityReplay(t *testing.T) {
 	type input struct {
@@ -110,11 +110,11 @@ func TestDepaSPBagsParityReplay(t *testing.T) {
 	for _, e := range corpus.All() {
 		inputs = append(inputs, input{e.Name, e.Build})
 	}
-	for _, w := range Workloads() {
-		inputs = append(inputs, input{w.Name, func(al *mem.Allocator) func(*cilk.Ctx) { return CilkProg(w.Build(al)) }})
+	for _, w := range bridgedPrograms(t) {
+		inputs = append(inputs, input{w.Name, func(*mem.Allocator) func(*cilk.Ctx) { return progs.CilkProg(w.Build()) }})
 	}
 	inputs = append(inputs, input{"dedup-8192", func(al *mem.Allocator) func(*cilk.Ctx) {
-		return CilkProg(DedupWorkload(al, 8192, false))
+		return progs.CilkProg(progs.DedupWorkload(al, 8192, false))
 	}})
 
 	widest := 0
@@ -131,7 +131,7 @@ func TestDepaSPBagsParityReplay(t *testing.T) {
 			requireParity(t, name, bags, dep)
 			pages := map[uint64]bool{}
 			for _, e := range dep.entries {
-				pages[uint64(e.addr)>>pageBits] = true
+				pages[uint64(e.addr)>>mem.PageBits] = true
 			}
 			widest = max(widest, len(pages))
 

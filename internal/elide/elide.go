@@ -524,12 +524,9 @@ func (p *Plan) Audit() *Audit { return p.aud }
 // SkipSet returns the elided address ranges for trace.ReplayAll.
 func (p *Plan) SkipSet() *trace.SkipSet { return p.skip }
 
-// Keep reports whether address a survives elision.
-func (p *Plan) Keep(a mem.Addr) bool { return !p.skip.Contains(a) }
-
 // Filter materializes the filtered trace for the stream the plan was
 // computed from: same format version, access events to elided addresses
 // removed, fresh integrity footer.
 func (p *Plan) Filter(data []byte) ([]byte, trace.FilterStats, error) {
-	return trace.FilterAccesses(data, p.Keep)
+	return trace.FilterAccesses(data, p.skip)
 }

@@ -88,9 +88,13 @@ func (al *Allocator) Describe(a Addr) string {
 // paper's O(T·alpha(v,v)) bounds.
 func (al *Allocator) Footprint() uint64 { return uint64(al.next) - 1 }
 
+// PageBits is the shadow page geometry: a Shadow materializes addresses
+// in pages of 1<<PageBits. Consumers that partition the address space
+// (depa's detection shards) split it along these pages.
+const PageBits = 12
+
 const (
-	pageBits = 12
-	pageSize = 1 << pageBits
+	pageSize = 1 << PageBits
 	pageMask = pageSize - 1
 
 	// maxFreePages caps the Reset free list. A 10^4-spec sweep resets
@@ -125,7 +129,7 @@ type Shadow struct {
 	// carried by last != nil, never by a magic lastPage value: with
 	// 12-bit pages the key ^uint64(0) happens to be unreachable (a 64-bit
 	// address shifts down to at most 2^52-1), but indexing correctness
-	// must not hinge on that arithmetic accident surviving a pageBits
+	// must not hinge on that arithmetic accident surviving a PageBits
 	// change.
 	lastPage uint64
 	last     *shadowPage
@@ -161,7 +165,7 @@ func (s *Shadow) newPage() []int32 {
 }
 
 func (s *Shadow) page(a Addr, create bool) *shadowPage {
-	pn := uint64(a) >> pageBits
+	pn := uint64(a) >> PageBits
 	if pn == s.lastPage && s.last != nil {
 		return s.last
 	}
@@ -194,7 +198,7 @@ func (s *Shadow) Set(a Addr, v int32) {
 	if pg.shared {
 		clone := &shadowPage{buf: s.newPage()}
 		copy(clone.buf, pg.buf)
-		pn := uint64(a) >> pageBits
+		pn := uint64(a) >> PageBits
 		s.pages[pn] = clone
 		s.lastPage, s.last = pn, clone
 		s.copied++

@@ -27,12 +27,6 @@ type SpanRecord struct {
 	Args  []Arg
 }
 
-// Sink receives finished spans. A *Trace is the standard buffering sink;
-// tests plug their own to assert on emission order.
-type Sink interface {
-	Emit(SpanRecord)
-}
-
 // Trace collects spans with monotonic timing. The zero value is NOT the
 // off switch — a nil *Trace is: every method on a nil *Trace (and on the
 // nil *Span it hands out) is a no-op, so instrumented code calls
@@ -121,16 +115,15 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.tr.Emit(SpanRecord{
+	s.tr.emit(SpanRecord{
 		Name: s.name, TID: s.tid,
 		Start: s.start, Dur: time.Since(s.tr.t0) - s.start,
 		Args: s.args,
 	})
 }
 
-// Emit implements Sink: it appends a finished record directly, for spans
-// timed elsewhere.
-func (t *Trace) Emit(rec SpanRecord) {
+// emit appends a finished record.
+func (t *Trace) emit(rec SpanRecord) {
 	if t == nil {
 		return
 	}

@@ -64,7 +64,7 @@ func TestNilTraceAllocs(t *testing.T) {
 		sp := tr.StartTID(1, "hot")
 		sp.Arg("k", 1)
 		sp.End()
-		tr.Emit(SpanRecord{})
+		tr.emit(SpanRecord{})
 		_ = tr.Spans()
 	})
 	if allocs != 0 {

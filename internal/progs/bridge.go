@@ -1,19 +1,16 @@
-package depa
+package progs
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/cilk"
 	"repro/internal/mem"
 )
 
-// BCtx is the bridged execution context: a workload written against it
-// runs unchanged on the serial cilk simulator (where the baseline
-// detectors replay it) and live on the wsrt work-stealing runtime (where
-// the depa live detector watches it during execution). The byte-parity
-// contract between the two modes only makes sense because both substrates
-// execute the same program text through this one interface.
+// BCtx is the bridged execution context: a program written against it
+// runs unchanged on the serial cilk simulator (where every detector
+// watches it) and live on the wsrt work-stealing runtime (where the depa
+// live detector watches it during execution). The byte-parity contract
+// between the two modes only makes sense because both substrates execute
+// the same program text through this one interface.
 type BCtx interface {
 	// Spawn runs body as a spawned child that may execute in parallel
 	// with the continuation.
@@ -62,13 +59,13 @@ func bridgeParforRec(c BCtx, label string, lo, hi, grain int, body func(BCtx, in
 	c.Sync()
 }
 
-// cilkB adapts *cilk.Ctx to BCtx: running a workload through it under
-// cilk.Run drives the serial detectors (the SP-bags baseline of the
+// cilkB adapts *cilk.Ctx to BCtx: running a bridged program through it
+// under cilk.Run drives the serial detectors (the SP-bags baseline of the
 // parity contract) or the trace recorder.
 type cilkB struct{ c *cilk.Ctx }
 
-// CilkCtx wraps a serial executor context for use with a bridged
-// workload: cilk.Run(CilkProg(w.Body), ...).
+// CilkProg runs a bridged program on the serial executor:
+// cilk.Run(CilkProg(body), ...).
 func CilkProg(body func(BCtx)) func(*cilk.Ctx) {
 	return func(c *cilk.Ctx) { body(cilkB{c}) }
 }
@@ -84,78 +81,6 @@ func (b cilkB) Call(label string, body func(BCtx)) {
 func (b cilkB) Sync()            { b.c.Sync() }
 func (b cilkB) Load(a mem.Addr)  { b.c.Load(a) }
 func (b cilkB) Store(a mem.Addr) { b.c.Store(a) }
-
-// Workload is a named bridged program with a known verdict, the live-mode
-// analogue of a corpus entry. Build returns a fresh rerunnable body;
-// address identity comes from the allocator, so building twice with fresh
-// allocators yields identical address streams.
-type Workload struct {
-	Name string
-	Desc string
-	Racy bool // whether the program contains a determinacy race
-	// Build constructs the program over a fresh allocator.
-	Build func(al *mem.Allocator) func(BCtx)
-}
-
-// Workloads returns the catalogue of bridged programs: dedup- and
-// ferret-class shapes after the paper's benchmark suite (minus the
-// hyperobjects — live depa detection covers determinacy races), racy
-// variants of each, and the stress workload of the shard-scaling
-// benchmark.
-func Workloads() []Workload {
-	return []Workload{
-		{
-			Name: "dedup",
-			Desc: "content-chunk fingerprinting, per-chunk output slots (clean)",
-			Build: func(al *mem.Allocator) func(BCtx) {
-				return DedupWorkload(al, 64, false)
-			},
-		},
-		{
-			Name: "dedup-racy",
-			Desc: "dedup with a shared duplicate-counter touched by every chunk",
-			Racy: true,
-			Build: func(al *mem.Allocator) func(BCtx) {
-				return DedupWorkload(al, 64, true)
-			},
-		},
-		{
-			Name: "ferret",
-			Desc: "similarity-search pipeline, per-query top-K slots (clean)",
-			Build: func(al *mem.Allocator) func(BCtx) {
-				return FerretWorkload(al, 16, 8, false)
-			},
-		},
-		{
-			Name: "ferret-racy",
-			Desc: "ferret with a shared global-best cell written by every query",
-			Racy: true,
-			Build: func(al *mem.Allocator) func(BCtx) {
-				return FerretWorkload(al, 16, 8, true)
-			},
-		},
-		{
-			Name: "stress",
-			Desc: "deep spawn tree with hot per-leaf access loops (the scaling workload)",
-			Build: func(al *mem.Allocator) func(BCtx) {
-				return StressWorkload(al, 256, 64)
-			},
-		},
-	}
-}
-
-// WorkloadByName resolves a catalogue entry.
-func WorkloadByName(name string) (Workload, error) {
-	var names []string
-	for _, w := range Workloads() {
-		if w.Name == name {
-			return w, nil
-		}
-		names = append(names, w.Name)
-	}
-	sort.Strings(names)
-	return Workload{}, fmt.Errorf("unknown workload %q (have %v)", name, names)
-}
 
 // DedupWorkload models the dedup kernel's detection-relevant shape: a
 // parallel loop fingerprints content chunks (reading a shared input
@@ -212,9 +137,9 @@ func FerretWorkload(al *mem.Allocator, queries, segments int, racy bool) func(BC
 	}
 }
 
-// StressWorkload is the scaling benchmark's subject. Each leaf owns one
-// shadow page (the layout strides by the page size, so the page-granular
-// shards get an even split), runs hot strand-local load/store bursts that
+// StressWorkload is the shard-scaling benchmark's subject. Each leaf owns
+// one shadow page (the layout strides by mem.PageBits, so depa's
+// page-granular shards get an even split), runs hot strand-local load/store bursts that
 // the coalescing fast path absorbs, then scatters stores across its page
 // so the detection phase has real shadow work per leaf, and finally reads
 // a neighbour's (read-only) cell to keep cross-leaf traffic in the log.
@@ -222,7 +147,7 @@ func FerretWorkload(al *mem.Allocator, queries, segments int, racy bool) func(BC
 // protocol, not the one-time zeroing of freshly allocated shadow pages,
 // dominates the measured detection time.
 func StressWorkload(al *mem.Allocator, leaves, work int) func(BCtx) {
-	const pageStride = 1 << pageBits
+	const pageStride = 1 << mem.PageBits
 	const spread = pageStride / 8
 	pool := al.Alloc("pool", leaves*pageStride)
 	return func(c BCtx) {

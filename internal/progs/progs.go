@@ -3,6 +3,11 @@
 // dag, the Figure 1 linked-list program whose determinacy race hides inside
 // a Reduce operation, and a handful of deliberately racy and race-free
 // micro-programs. Tests, examples and the rader CLI all share these.
+//
+// The bridged programs (DedupWorkload, FerretWorkload, StressWorkload)
+// are written once against BCtx, so the same program text runs on the
+// serial executor and live on the work-stealing runtime; corpus.Lookup
+// names them for every surface, rader -live included.
 package progs
 
 import (

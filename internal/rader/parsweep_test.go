@@ -145,7 +145,7 @@ func stealSensitive(k, readAt int) func(*cilk.Ctx) {
 // still run exactly once.
 func TestSweepPanicInSeededUnits(t *testing.T) {
 	factory := func() func(*cilk.Ctx) { return stealSensitive(6, 3) }
-	ref := SweepReference(factory, 0, 0, 0)
+	ref := SweepReference(factory, 0, 0)
 	var byWorkers []*CoverageResult
 	for _, workers := range []int{1, 8} {
 		prefix := Sweep(factory, SweepOptions{Workers: workers})

@@ -156,7 +156,7 @@ func Sweep(factory func() func(*cilk.Ctx), opts SweepOptions) *CoverageResult {
 	cr.Profile = profile
 
 	fam := specgen.NewFamily(profile)
-	sel := specgen.SampleFamily(fam, probes, opts.SampleSpecs, opts.SampleSeed)
+	sel := specgen.SampleFamily(fam, probes, opts.SampleSpecs, 0)
 	applySampleStats(&cr.Stats, fam.Len(), len(sel))
 	s := &prefixSweep{
 		factory: factory, opts: opts, clock: clock,

@@ -23,10 +23,10 @@ func sweepEntry(e corpus.Entry, opts SweepOptions) *CoverageResult {
 
 // referenceEntry runs SweepReference over one corpus entry with a fresh
 // allocator per instance, like sweepEntry.
-func referenceEntry(e corpus.Entry, budget int64, sample int, seed uint64) *CoverageResult {
+func referenceEntry(e corpus.Entry, budget int64, sample int) *CoverageResult {
 	return SweepReference(func() func(*cilk.Ctx) {
 		return e.Build(mem.NewAllocator())
-	}, budget, sample, seed)
+	}, budget, sample)
 }
 
 // requireEquivalent asserts the canonical CoverageResult fields of two
@@ -62,7 +62,7 @@ func requireEquivalent(t *testing.T, got, want *CoverageResult) {
 func TestSweepPrefixEquivalence(t *testing.T) {
 	for _, e := range corpus.All() {
 		t.Run(e.Name, func(t *testing.T) {
-			ref := referenceEntry(e, 0, 0, 0)
+			ref := referenceEntry(e, 0, 0)
 			for _, workers := range []int{1, 4, 8} {
 				requireEquivalent(t, sweepEntry(e, SweepOptions{Workers: workers}), ref)
 			}
@@ -79,7 +79,7 @@ func TestSweepPrefixEquivalenceUnderBudget(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			for _, budget := range []int64{40, 400} {
 				sweep := sweepEntry(e, SweepOptions{Workers: 4, EventBudget: budget})
-				requireEquivalent(t, sweep, referenceEntry(e, budget, 0, 0))
+				requireEquivalent(t, sweep, referenceEntry(e, budget, 0))
 			}
 		})
 	}
@@ -128,8 +128,8 @@ func TestSweepSampledEquivalence(t *testing.T) {
 			full := sweepEntry(e, SweepOptions{Workers: 4})
 			total := full.Stats.SpecsTotal
 			n := total/2 + 1
-			prefix := sweepEntry(e, SweepOptions{Workers: 8, SampleSpecs: n, SampleSeed: 11})
-			ref := referenceEntry(e, 0, n, 11)
+			prefix := sweepEntry(e, SweepOptions{Workers: 8, SampleSpecs: n})
+			ref := referenceEntry(e, 0, n)
 			requireEquivalent(t, prefix, ref)
 			if n >= total {
 				return // family too small to sample below full coverage

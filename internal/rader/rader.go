@@ -345,13 +345,11 @@ type SweepOptions struct {
 	// (specgen.SampleFamily) picks that many coverage-guided — stratified
 	// by first-steal divergence point, always keeping the all-serial base
 	// schedule — and the sweep reports Sampled, CoverageFraction and a
-	// Confidence note in its Stats. Sampling is deterministic for a given
-	// seed, so a sampled sweep matches SweepReference over the same sample
-	// at any worker count.
+	// Confidence note in its Stats. The sampler's seed is fixed at 0 —
+	// never wall-clock randomness, which would break result caching — so
+	// a sampled sweep matches SweepReference over the same sample at any
+	// worker count.
 	SampleSpecs int
-	// SampleSeed seeds the sampler's shuffle (0 is a valid, fixed seed —
-	// never wall-clock randomness, which would break result caching).
-	SampleSeed uint64
 	// Trace, when set, collects per-phase spans: "profile", one
 	// "spec:<name>" per sweep unit (on the worker's lane), and "collect"
 	// for the merge. Nil disables collection at zero cost.

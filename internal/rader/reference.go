@@ -17,9 +17,8 @@ import (
 // spans, deadline or fault seam; it exists to be obviously correct, for
 // the equivalence tests and the sweep-throughput table to compare Sweep
 // against. budget bounds each run's event stream (0 = unlimited); sample
-// and seed select the family subset as SweepOptions.SampleSpecs and
-// SampleSeed do.
-func SweepReference(factory func() func(*cilk.Ctx), budget int64, sample int, seed uint64) *CoverageResult {
+// selects the family subset as SweepOptions.SampleSpecs does.
+func SweepReference(factory func() func(*cilk.Ctx), budget int64, sample int) *CoverageResult {
 	cr := &CoverageResult{ViewReads: &core.Report{}}
 	profile, probes, err := measureProbes(factory)
 	if err != nil {
@@ -28,7 +27,7 @@ func SweepReference(factory func() func(*cilk.Ctx), budget int64, sample int, se
 	}
 	cr.Profile = profile
 	fam := specgen.NewFamily(profile)
-	sel := specgen.SampleFamily(fam, probes, sample, seed)
+	sel := specgen.SampleFamily(fam, probes, sample, 0)
 	applySampleStats(&cr.Stats, fam.Len(), len(sel))
 
 	seen := make(map[string]bool)

@@ -63,15 +63,26 @@ type Race struct {
 	Provenance *Provenance `json:"provenance,omitempty"`
 }
 
-// String renders a one-line human summary, used by the remote client's
-// plain-text output.
-func (r Race) String() string {
-	if r.Reducer != "" {
-		return fmt.Sprintf("%s on reducer %q: %s#%d vs %s#%d",
-			r.Kind, r.Reducer, r.First.Label, r.First.Frame, r.Second.Label, r.Second.Frame)
+// String renders the access exactly as core.Access.String does.
+func (a Access) String() string {
+	s := fmt.Sprintf("%s by %s#%d", a.Op, a.Label, a.Frame)
+	if a.Path != "" {
+		s += " [" + a.Path + "]"
 	}
-	return fmt.Sprintf("%s at %#x: %s#%d vs %s#%d",
-		r.Kind, r.Addr, r.First.Label, r.First.Frame, r.Second.Label, r.Second.Frame)
+	if a.ViewAware {
+		s += fmt.Sprintf(" (view-aware %s, view %d)", a.ViewOp, a.VID)
+	}
+	return s
+}
+
+// String renders the race exactly as core.Race.String does, so a verdict
+// printed from the document reads the same wherever the document was
+// built.
+func (r Race) String() string {
+	if r.Kind == core.ViewRead.String() {
+		return fmt.Sprintf("%s on reducer %q: %v vs %v", r.Kind, r.Reducer, r.First, r.Second)
+	}
+	return fmt.Sprintf("%s at %#x: %v vs %v", r.Kind, r.Addr, r.First, r.Second)
 }
 
 // Parallel is the parallel detector's execution accounting: how many
@@ -178,9 +189,10 @@ func FromCore(detector, spec string, events int64, rp *core.Report) *Report {
 }
 
 // FromDetector builds a Report from one detector that consumed an event
-// stream, attaching the parallel stats section when the detector provides
-// it (the verdict fields come from FromCore unchanged).
-func FromDetector(detector, spec string, events int64, det core.Detector) *Report {
+// stream, or from depa's live detector, attaching the parallel stats
+// section when the detector provides it (the verdict fields come from
+// FromCore unchanged).
+func FromDetector(detector, spec string, events int64, det interface{ Report() *core.Report }) *Report {
 	out := FromCore(detector, spec, events, det.Report())
 	if pp, ok := det.(depa.ParallelStatsProvider); ok {
 		out.Parallel = ParallelFrom(pp.ParallelStats())

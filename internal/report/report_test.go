@@ -181,3 +181,37 @@ func TestMarshalDeterministic(t *testing.T) {
 		t.Fatal("marshaling is not deterministic")
 	}
 }
+
+// A document's race text is the detector's: for every race any corpus
+// entry elicits under any detector, serially and under steal-all, the
+// document's Race.String equals core.Race.String, so a verdict printed
+// from a remote document reads exactly like one printed locally.
+func TestRaceTextMatchesCore(t *testing.T) {
+	dets := []rader.DetectorName{rader.PeerSet, rader.SPBags, rader.SPPlus,
+		rader.OffsetSpan, rader.EnglishHebrew, rader.Depa}
+	kinds := map[string]int{}
+	for _, e := range corpus.All() {
+		for _, det := range dets {
+			for _, spec := range []cilk.StealSpec{cilk.NoSteals{}, cilk.StealAll{}} {
+				out, err := rader.Run(e.Build(mem.NewAllocator()), rader.Config{Detector: det, Spec: spec})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", e.Name, det, err)
+				}
+				races := out.Detectors[0].Report().Races()
+				doc := FromOutcome(out, "")
+				if len(doc.Races) != len(races) {
+					t.Fatalf("%s/%s: document has %d races, detector %d", e.Name, det, len(doc.Races), len(races))
+				}
+				for i, r := range races {
+					if got, want := doc.Races[i].String(), r.String(); got != want {
+						t.Errorf("%s/%s: race text differs:\ndocument: %s\ndetector: %s", e.Name, det, got, want)
+					}
+					kinds[doc.Races[i].Kind]++
+				}
+			}
+		}
+	}
+	if kinds[core.ViewRead.String()] == 0 || kinds[core.Determinacy.String()] == 0 {
+		t.Fatalf("the corpus elicited races of too few kinds to check: %v", kinds)
+	}
+}

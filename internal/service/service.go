@@ -102,8 +102,10 @@ type Config struct {
 	// Programs adds (or overrides) named programs on top of the built-in
 	// catalogue of corpus.Lookup. Tests use this seam.
 	Programs map[string]corpus.Program
-	// Logger receives structured request logs (one line per analyze or
-	// sweep request, tagged with a per-request ID). Nil discards them.
+	// Logger receives structured request logs: one access line per HTTP
+	// request, under the ID of its /debug/requests entry, and lifecycle
+	// lines per analyze or sweep request, under their own IDs. Nil
+	// discards them.
 	Logger *slog.Logger
 }
 
@@ -335,8 +337,7 @@ func (s *Server) refuseDraining(w http.ResponseWriter) {
 	writeErr(w, http.StatusServiceUnavailable, "draining: not accepting new work")
 }
 
-// Handler returns the service's HTTP routes, wrapped so every request is
-// recorded into the /debug/requests ring.
+// Handler returns the service's HTTP routes, wrapped by Record.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/analyze", s.handleAnalyze)
@@ -348,7 +349,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/requests", s.handleDebugRequests)
-	return s.recordRequests(mux)
+	return s.Record(mux)
 }
 
 // CacheHits exposes the hit counter for tests and ops tooling.

@@ -174,12 +174,13 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	}{Capacity: s.ring.Cap(), Requests: s.ring.Snapshot()})
 }
 
-// statusRecorder captures the response status for the request ring while
-// passing Flush through — the SSE endpoint depends on the wrapped writer
-// still implementing http.Flusher.
+// statusRecorder captures the response status and body size for the
+// request record while passing Flush through — the SSE endpoint depends
+// on the wrapped writer still implementing http.Flusher.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	bytes  int64
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
@@ -191,7 +192,9 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	if sr.status == 0 {
 		sr.status = http.StatusOK
 	}
-	return sr.ResponseWriter.Write(b)
+	n, err := sr.ResponseWriter.Write(b)
+	sr.bytes += int64(n)
+	return n, err
 }
 
 func (sr *statusRecorder) Flush() {
@@ -200,29 +203,34 @@ func (sr *statusRecorder) Flush() {
 	}
 }
 
-// recordRequests wraps the service mux, recording every finished request
-// into the ring. The ring itself is excluded — watching the watcher just
-// fills it with /debug/requests entries.
-func (s *Server) recordRequests(next http.Handler) http.Handler {
+// Record wraps a handler so each finished request is recorded once, under
+// one ID: an access-log line with its status and body size, and an entry
+// in the /debug/requests ring. The ring leaves out its own reads —
+// watching the watcher just fills it with /debug/requests entries. Every
+// route a daemon serves goes through exactly one Record: Handler applies
+// it to the service routes, and cmd/raderd to the Go debug surfaces it
+// mounts beside them.
+func (s *Server) Record(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/debug/requests") {
-			next.ServeHTTP(w, r)
-			return
-		}
 		start := time.Now()
 		sr := &statusRecorder{ResponseWriter: w}
 		next.ServeHTTP(sr, r)
-		status := sr.status
-		if status == 0 {
-			status = http.StatusOK
+		if sr.status == 0 {
+			sr.status = http.StatusOK
+		}
+		id, dur := s.nextReqID("http"), time.Since(start)
+		s.log.Info("request", "id", id, "method", r.Method, "path", r.URL.Path,
+			"status", sr.status, "bytes", sr.bytes, "dur", dur)
+		if strings.HasPrefix(r.URL.Path, "/debug/requests") {
+			return
 		}
 		s.ring.Add(obs.RequestRecord{
-			ID:          s.nextReqID("http"),
+			ID:          id,
 			Method:      r.Method,
 			Path:        r.URL.Path,
-			Status:      status,
+			Status:      sr.status,
 			Start:       start,
-			Duration:    time.Since(start),
+			Duration:    dur,
 			Traceparent: r.Header.Get(obs.TraceparentHeader),
 		})
 	})

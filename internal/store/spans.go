@@ -1,18 +1,13 @@
 package store
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
 
-// spansMagic heads every on-disk span-tree record. Same versioning
-// convention as verdictMagic: a layout change bumps the digit and stale
-// records quarantine rather than misparse.
+// spansMagic heads every on-disk span-tree record (see encodeRecord).
 const spansMagic = "RADERSP1\n"
 
 // SpanTree is one durably stored server-side span tree: the obs.SpanDoc
@@ -30,54 +25,19 @@ type SpanTree struct {
 	Doc []byte `json:"-"`
 }
 
-// encode renders the record with the verdict framing:
-//
-//	"RADERSP1\n" | u32 metaLen | meta JSON | u32 docLen | doc | u32 CRC32C
+// encode renders the record: the meta JSON, then the span document.
 func (t *SpanTree) encode() ([]byte, error) {
-	meta, err := json.Marshal(t)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding span-tree meta: %w", err)
-	}
-	out := make([]byte, 0, len(spansMagic)+8+len(meta)+len(t.Doc)+4)
-	out = append(out, spansMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(meta)))
-	out = append(out, meta...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(t.Doc)))
-	out = append(out, t.Doc...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, verdictCRC))
-	return out, nil
+	return encodeRecord(spansMagic, "span-tree", t, t.Doc)
 }
 
 // decodeSpanTree parses and verifies an encoded record.
 func decodeSpanTree(data []byte) (*SpanTree, error) {
-	if len(data) < len(spansMagic)+4+4+4 {
-		return nil, fmt.Errorf("store: span-tree record truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(spansMagic)]) != spansMagic {
-		return nil, fmt.Errorf("store: bad span-tree magic")
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(body, verdictCRC); got != sum {
-		return nil, fmt.Errorf("store: span-tree checksum mismatch: record %08x, content %08x", sum, got)
-	}
-	p := body[len(spansMagic):]
-	metaLen := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if uint64(metaLen) > maxVerdictSection || uint64(metaLen)+4 > uint64(len(p)) {
-		return nil, fmt.Errorf("store: span-tree meta length %d exceeds record", metaLen)
-	}
-	meta := p[:metaLen]
-	p = p[metaLen:]
-	docLen := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if uint64(docLen) != uint64(len(p)) {
-		return nil, fmt.Errorf("store: span-tree doc length %d, %d bytes remain", docLen, len(p))
-	}
 	var t SpanTree
-	if err := json.Unmarshal(meta, &t); err != nil {
-		return nil, fmt.Errorf("store: span-tree meta: %w", err)
+	doc, err := decodeRecord(spansMagic, "span-tree", data, &t)
+	if err != nil {
+		return nil, err
 	}
-	t.Doc = append([]byte(nil), p...)
+	t.Doc = doc
 	return &t, nil
 }
 

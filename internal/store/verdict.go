@@ -1,22 +1,7 @@
 package store
 
-import (
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"hash/crc32"
-)
-
-// verdictMagic heads every on-disk verdict record. The trailing digit is
-// the record-format version; bumping the layout bumps the magic, and old
-// records then quarantine-and-recompute rather than misparse.
+// verdictMagic heads every on-disk verdict record (see encodeRecord).
 const verdictMagic = "RADERVD1\n"
-
-var verdictCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// maxVerdictSection bounds each length-prefixed section of a record; a
-// torn length prefix must not trigger a giant allocation.
-const maxVerdictSection = 1 << 30
 
 // Verdict is one durably stored analysis result: the exact report
 // document bytes the service returned (byte-identical replay across
@@ -36,59 +21,18 @@ type Verdict struct {
 	Report []byte `json:"-"`
 }
 
-// encode renders the record:
-//
-//	"RADERVD1\n" | u32 metaLen | meta JSON | u32 reportLen | report | u32 CRC32C
-//
-// with all integers little-endian and the CRC covering everything before
-// it (magic included). The CRC is the torn-write detector: any prefix or
-// bitflip of a record fails decodeVerdict and is quarantined.
+// encode renders the record: the meta JSON, then the report document.
 func (v *Verdict) encode() ([]byte, error) {
-	meta, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding verdict meta: %w", err)
-	}
-	out := make([]byte, 0, len(verdictMagic)+8+len(meta)+len(v.Report)+4)
-	out = append(out, verdictMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(meta)))
-	out = append(out, meta...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(v.Report)))
-	out = append(out, v.Report...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, verdictCRC))
-	return out, nil
+	return encodeRecord(verdictMagic, "verdict", v, v.Report)
 }
 
-// decodeVerdict parses and verifies an encoded record. Any framing or
-// checksum violation is an error; callers quarantine and treat it as a
-// miss.
+// decodeVerdict parses and verifies an encoded record.
 func decodeVerdict(data []byte) (*Verdict, error) {
-	if len(data) < len(verdictMagic)+4+4+4 {
-		return nil, fmt.Errorf("store: verdict record truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(verdictMagic)]) != verdictMagic {
-		return nil, fmt.Errorf("store: bad verdict magic")
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(body, verdictCRC); got != sum {
-		return nil, fmt.Errorf("store: verdict checksum mismatch: record %08x, content %08x", sum, got)
-	}
-	p := body[len(verdictMagic):]
-	metaLen := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if uint64(metaLen) > maxVerdictSection || uint64(metaLen)+4 > uint64(len(p)) {
-		return nil, fmt.Errorf("store: verdict meta length %d exceeds record", metaLen)
-	}
-	meta := p[:metaLen]
-	p = p[metaLen:]
-	repLen := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if uint64(repLen) != uint64(len(p)) {
-		return nil, fmt.Errorf("store: verdict report length %d, %d bytes remain", repLen, len(p))
-	}
 	var v Verdict
-	if err := json.Unmarshal(meta, &v); err != nil {
-		return nil, fmt.Errorf("store: verdict meta: %w", err)
+	doc, err := decodeRecord(verdictMagic, "verdict", data, &v)
+	if err != nil {
+		return nil, err
 	}
-	v.Report = append([]byte(nil), p...)
+	v.Report = doc
 	return &v, nil
 }

@@ -3,9 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"hash/crc32"
-
-	"repro/internal/mem"
-	"repro/internal/streamerr"
 )
 
 // FilterStats accounts for one FilterAccesses pass.
@@ -17,156 +14,51 @@ type FilterStats struct {
 }
 
 // FilterAccesses rewrites an encoded trace, dropping every Load and
-// Store record whose address keep rejects and copying every other
-// record byte for byte. The output is a valid stream of the same
-// format version: a v2 input gets a fresh footer (CRC32C and event
-// count of the kept records); a v1 input stays footerless. Nothing else
-// is re-encoded, so replaying the output is indistinguishable from
-// replaying the input under a SkipSet of the rejected addresses.
+// Store record whose address falls in skip and copying every other
+// record byte for byte. The output is a valid stream of the same format
+// version: a v2 input gets a fresh footer (CRC32C and event count of the
+// kept records); a v1 input stays footerless. Nothing else is
+// re-encoded, so replaying the output is indistinguishable from
+// replaying the input under skip.
 //
-// The input's own integrity is verified along the way — footer CRC and
-// event count for v2 — so a corrupt or truncated trace fails here with
-// the same *streamerr.Error kinds Replay would report rather than
-// laundering into a well-formed filtered stream.
-func FilterAccesses(data []byte, keep func(a mem.Addr) bool) ([]byte, FilterStats, error) {
-	var st FilterStats
-	var v2 bool
-	switch {
-	case len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic:
-		v2 = true
-	case len(data) >= len(MagicV1) && string(data[:len(MagicV1)]) == MagicV1:
-		v2 = false
-	default:
-		return nil, st, streamerr.New("trace", streamerr.KindMalformed, "bad magic header")
+// The input is decoded by the pooled Replayer under skip, which notes
+// the byte span of each skipped record, so it is verified exactly as a
+// replay verifies it: a corrupt or truncated trace fails here with the
+// same *streamerr.Error kinds rather than laundering into a well-formed
+// filtered stream.
+func FilterAccesses(data []byte, skip *SkipSet) ([]byte, FilterStats, error) {
+	var cuts [][2]int
+	rp := replayerPool.Get().(*Replayer)
+	rp.cuts = &cuts
+	defer func() {
+		rp.cuts = nil
+		replayerPool.Put(rp)
+	}()
+	n, err := rp.ReplaySkip(data, skip)
+	if err != nil {
+		return nil, FilterStats{}, err
 	}
+	st := FilterStats{OriginalEvents: n, KeptEvents: n - rp.skipped, ElidedEvents: rp.skipped}
+	v2 := string(data[:len(Magic)]) == Magic
 	body := data[len(Magic):]
-	out := make([]byte, 0, len(data))
-	out = append(out, data[:len(Magic)]...)
-	var keptCRC uint32
-	off := 0
-	truncated := func() error {
-		return streamerr.Errorf("trace", streamerr.KindTruncated,
-			"stream truncated mid-event").WithEvent(st.OriginalEvents).WithOffset(int64(off))
+	end := len(body)
+	if v2 {
+		end -= footerLen
 	}
-	// varint advances past one uvarint, returning its value.
-	varint := func() (uint64, error) {
-		v, n := binary.Uvarint(body[off:])
-		if n > 0 {
-			off += n
-			return v, nil
-		}
-		if n == 0 {
-			off = len(body)
-			return 0, truncated()
-		}
-		return 0, streamerr.Errorf("trace", streamerr.KindMalformed,
-			"varint overflows 64 bits").WithEvent(st.OriginalEvents).WithOffset(int64(off))
+	out := append(make([]byte, 0, len(data)), data[:len(Magic)]...)
+	prev := 0
+	for _, c := range cuts {
+		out = append(out, body[prev:c[0]]...)
+		st.ElidedBytes += int64(c[1] - c[0])
+		prev = c[1]
 	}
-	for {
-		offAtRecord := off
-		if off >= len(body) {
-			if v2 {
-				return nil, st, streamerr.Errorf("trace", streamerr.KindTruncated,
-					"stream ended without footer").WithEvent(st.OriginalEvents).WithOffset(int64(off))
-			}
-			return out, st, nil
-		}
-		kb := body[off]
-		off++
-		if v2 && kb == footerKind {
-			if len(body)-offAtRecord < footerLen {
-				return nil, st, streamerr.Errorf("trace", streamerr.KindTruncated,
-					"stream ended inside footer").WithEvent(st.OriginalEvents).WithOffset(int64(offAtRecord))
-			}
-			foot := body[off : off+footerLen-1]
-			wantCRC := binary.LittleEndian.Uint32(foot[0:4])
-			wantN := binary.LittleEndian.Uint64(foot[4:12])
-			if got := crc32.Update(0, castagnoli, body[:offAtRecord]); wantCRC != got {
-				return nil, st, streamerr.Errorf("trace", streamerr.KindCorrupt,
-					"CRC mismatch: footer %08x, stream %08x", wantCRC, got).
-					WithEvent(st.OriginalEvents).WithOffset(int64(offAtRecord))
-			}
-			if wantN != uint64(st.OriginalEvents) {
-				return nil, st, streamerr.Errorf("trace", streamerr.KindCorrupt,
-					"footer records %d events, stream replayed %d", wantN, st.OriginalEvents).
-					WithEvent(st.OriginalEvents).WithOffset(int64(offAtRecord))
-			}
-			if offAtRecord+footerLen != len(body) {
-				return nil, st, streamerr.New("trace", streamerr.KindCorrupt,
-					"trailing data after footer").WithEvent(st.OriginalEvents).WithOffset(int64(offAtRecord + footerLen))
-			}
-			var newFoot [footerLen]byte
-			newFoot[0] = footerKind
-			binary.LittleEndian.PutUint32(newFoot[1:5], keptCRC)
-			binary.LittleEndian.PutUint64(newFoot[5:13], uint64(st.KeptEvents))
-			return append(out, newFoot[:]...), st, nil
-		}
-		k := kind(kb)
-		if k == 0 || k >= evMax {
-			return nil, st, streamerr.Errorf("trace", streamerr.KindMalformed,
-				"bad event kind %d", kb).WithEvent(st.OriginalEvents).WithOffset(int64(offAtRecord))
-		}
-		st.OriginalEvents++
-		drop := false
-		switch k {
-		case evProgramStart, evProgramEnd:
-			// kind byte only
-		case evFrameEnterSpawn, evFrameEnterCall, evReducerCreate:
-			args := 1
-			if k == evReducerCreate {
-				args = 2
-			}
-			for i := 0; i < args; i++ {
-				if _, err := varint(); err != nil {
-					return nil, st, err
-				}
-			}
-			n, err := varint()
-			if err != nil {
-				return nil, st, err
-			}
-			if n > 1<<20 {
-				return nil, st, streamerr.Errorf("trace", streamerr.KindMalformed,
-					"label of %d bytes", n).WithEvent(st.OriginalEvents).WithOffset(int64(off))
-			}
-			if uint64(len(body)-off) < n {
-				return nil, st, truncated()
-			}
-			off += int(n)
-		case evSync, evReduceEnd:
-			if _, err := varint(); err != nil {
-				return nil, st, err
-			}
-		case evFrameReturn, evStolen, evReducerRead:
-			for i := 0; i < 2; i++ {
-				if _, err := varint(); err != nil {
-					return nil, st, err
-				}
-			}
-		case evReduceStart, evVABegin, evVAEnd:
-			for i := 0; i < 3; i++ {
-				if _, err := varint(); err != nil {
-					return nil, st, err
-				}
-			}
-		case evLoad, evStore:
-			if _, err := varint(); err != nil { // frame ID
-				return nil, st, err
-			}
-			a, err := varint()
-			if err != nil {
-				return nil, st, err
-			}
-			drop = !keep(mem.Addr(a))
-		}
-		rec := body[offAtRecord:off]
-		if drop {
-			st.ElidedEvents++
-			st.ElidedBytes += int64(len(rec))
-			continue
-		}
-		st.KeptEvents++
-		keptCRC = crc32.Update(keptCRC, castagnoli, rec)
-		out = append(out, rec...)
+	out = append(out, body[prev:end]...)
+	if v2 {
+		var foot [footerLen]byte
+		foot[0] = footerKind
+		binary.LittleEndian.PutUint32(foot[1:5], crc32.Checksum(out[len(Magic):], castagnoli))
+		binary.LittleEndian.PutUint64(foot[5:13], uint64(st.KeptEvents))
+		out = append(out, foot[:]...)
 	}
+	return out, st, nil
 }

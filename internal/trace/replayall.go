@@ -73,6 +73,10 @@ type Replayer struct {
 	hooks   cilk.Hooks
 	skip    *SkipSet // addresses whose Load/Store events bypass the hooks
 	skipped int64    // access events elided by skip this replay
+	// cuts, set only by FilterAccesses, collects the body offsets
+	// [start, end) of the skipped access records, adjacent records
+	// merged into one span.
+	cuts *[][2]int
 
 	// classes counts decoded events by kind byte. One unconditional
 	// array increment per event — no branch, no allocation — so the
@@ -519,6 +523,13 @@ func (rp *Replayer) replay(data []byte, hooks ...cilk.Hooks) (events int64, err 
 			// consumers.
 			if rp.skip.Contains(mem.Addr(a)) {
 				rp.skipped++
+				if c := rp.cuts; c != nil {
+					if n := len(*c); n > 0 && (*c)[n-1][1] == offAtRecord {
+						(*c)[n-1][1] = rp.off
+					} else {
+						*c = append(*c, [2]int{offAtRecord, rp.off})
+					}
+				}
 				break
 			}
 			if k == evLoad {
