@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz chaos bench tables sweep parallel elide obs coverage-demo serve clean
+.PHONY: all build test race vet fuzz chaos bench tables sweep parallel elide obs coverage-demo serve size clean
 
 all: build test
 
@@ -77,6 +77,18 @@ coverage-demo:
 # Run the analysis daemon in the foreground (docs/SERVICE.md).
 serve:
 	$(GO) run ./cmd/raderd
+
+# The two code-size numbers ROADMAP aim 2 tracks: non-test Go lines
+# outside bench/, and exported identifiers as `go doc -short` lines per
+# internal/ package, with their total.
+size:
+	@printf 'non-test Go lines outside bench/: '; \
+	find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+	@echo 'go doc -short lines per internal/ package:'; \
+	total=0; for p in internal/*/; do \
+		n=$$($(GO) doc -short ./$$p | wc -l); total=$$((total + n)); \
+		printf '%6d %s\n' $$n $${p%/}; \
+	done; printf '%6d total\n' $$total
 
 clean:
 	$(GO) clean ./...

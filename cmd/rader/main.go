@@ -171,11 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	var deadline time.Time
-	if *timeout > 0 {
-		deadline = time.Now().Add(*timeout)
-	}
-
 	if *remote != "" {
 		// The invocation is one distributed trace: its context rides every
 		// request as a traceparent header, the daemon parents its spans
@@ -281,7 +276,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "trace recorded to %s (sha256 %s)\n", *record, digest)
 		return exitClean
 	}
-	res, out, err := analyze.Run(ins.Prog, rader.Config{Detector: det, Spec: spec, Deadline: deadline, Trace: tr})
+	res, out, err := analyze.Run(ins.Prog, rader.Config{Detector: det, Spec: spec, Timeout: *timeout, Trace: tr})
 	if err != nil {
 		return fatal(err)
 	}

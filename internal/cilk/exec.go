@@ -1,11 +1,13 @@
 package cilk
 
 import (
+	"time"
+
 	"repro/internal/mem"
 	"repro/internal/streamerr"
 )
 
-// Config selects the schedule and instrumentation for one run.
+// Config selects the schedule, instrumentation and limits for one run.
 type Config struct {
 	// Spec fixes the simulated schedule. nil means NoSteals: the plain
 	// serial execution with only the leftmost view.
@@ -13,6 +15,20 @@ type Config struct {
 	// Hooks receives the instrumentation event stream. nil runs the
 	// program with no instrumentation (the Figure 7 baseline).
 	Hooks Hooks
+	// EventBudget aborts the run once it has emitted this many events
+	// (0 = unlimited): the next event panics with a KindBudget
+	// *streamerr.Error naming its 0-based index. Every event counts,
+	// whether it reaches Hooks, is withheld by Gate or has no Hooks to
+	// reach.
+	EventBudget int64
+	// Deadline aborts the run with a KindDeadline *streamerr.Error once
+	// the clock passes it (zero time = no deadline). The clock is read at
+	// event 0 and every deadlineStride events after it, so the hot path
+	// pays no clock read per event.
+	Deadline time.Time
+	// Gate, when set, withholds the run's first events from Hooks and
+	// observes its continuation probes.
+	Gate *Gate
 	// EagerViews disables the runtime's lazy view creation: every
 	// simulated steal immediately materializes identity views for all
 	// registered reducers, instead of waiting for the first Update. The
@@ -20,6 +36,34 @@ type Config struct {
 	// BenchmarkAblationLazyViews comparison.
 	EagerViews bool
 }
+
+// Gate withholds a run's events from its hooks until a continuation probe.
+// It is the mechanism behind the prefix-sharing coverage sweep: two steal
+// specifications that agree on every steal decision up to continuation t
+// produce bit-identical event prefixes, so a sweep unit seeded from a
+// detector snapshot taken at t re-executes the program with the prefix
+// withheld and delivers events from probe t on, when the restored detector
+// takes over. The probe is exactly the boundary between the shared prefix
+// and the divergent suffix: every event before it is determined by the
+// shared decisions, and every event after it may depend on its answer.
+type Gate struct {
+	// From is the 1-based sequence number of the probe at which events
+	// start reaching the hooks; the gate opens before that probe's steal
+	// decision. From <= 0 withholds nothing.
+	From int
+	// OnProbe, when set, observes every continuation probe in Seq order,
+	// before the gate opens at it and before its steal decision — the seam
+	// the sweep uses to check the probe sequence and to capture snapshots
+	// at trie branch points.
+	OnProbe func(ContInfo)
+	// Withheld counts the events withheld so far. The executor updates it
+	// as the run proceeds, so a run that aborts still reports its count.
+	Withheld int64
+}
+
+// deadlineStride is how many events pass between two clock reads of a run
+// under a deadline.
+const deadlineStride = 1024
 
 // Result summarizes one run of a program.
 type Result struct {
@@ -35,13 +79,29 @@ type Result struct {
 	Updates uint64 // reducer Update operations
 }
 
+// emitMode is what emit does with the next event.
+type emitMode uint8
+
+const (
+	emitDeliver  emitMode = iota // hooks attached, nothing withheld, no limits
+	emitDrop                     // no hooks, no limits
+	emitWithhold                 // the gate is closed, no limits
+	emitCount                    // a budget or deadline: count out of line
+)
+
 // Executor runs one program serially under one Config. A fresh Executor is
 // required per run; Run is the usual entry point.
 type Executor struct {
-	spec     StealSpec
-	order    ReduceOrder
-	hooks    Hooks
-	hasHooks bool
+	spec  StealSpec
+	order ReduceOrder
+	hooks Hooks
+
+	mode     emitMode
+	gate     *Gate
+	closed   bool // the gate has not reached its From probe
+	budget   int64
+	deadline time.Time
+	events   int64 // events emitted, counted only in emitCount mode
 
 	nextFrame  FrameID
 	nextView   ViewID
@@ -52,29 +112,102 @@ type Executor struct {
 	res        Result
 }
 
-// Run executes prog under cfg and returns the run summary.
+// Run executes prog under cfg and returns the run summary. A budget or
+// deadline abort panics with a *streamerr.Error; cfg.Gate.Withheld holds
+// the events withheld before it.
 func Run(prog func(*Ctx), cfg Config) *Result {
-	ex := &Executor{spec: cfg.Spec, hooks: cfg.Hooks, eagerViews: cfg.EagerViews}
+	ex := &Executor{
+		spec: cfg.Spec, hooks: cfg.Hooks, eagerViews: cfg.EagerViews,
+		gate: cfg.Gate, budget: cfg.EventBudget, deadline: cfg.Deadline,
+	}
 	if ex.spec == nil {
 		ex.spec = NoSteals{}
 	}
 	ex.order = ex.spec.Order()
-	ex.hasHooks = cfg.Hooks != nil
+	ex.closed = ex.gate != nil && ex.gate.From > 0
+	ex.setMode()
 
 	root := ex.newFrame(nil, "main", false)
 	root.slots0[0] = newViewSlot(0)
 	root.slots = root.slots0[:1]
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.ProgramStart(root)
+	}
+	if ex.emit() {
 		ex.hooks.FrameEnter(root)
 	}
 	prog(&root.ctx)
 	ex.exitFrame(root)
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.ProgramEnd(root)
 	}
 	res := ex.res
 	return &res
+}
+
+// setMode derives emit's mode from the hooks, the limits and the gate.
+func (ex *Executor) setMode() {
+	switch {
+	case ex.budget > 0 || !ex.deadline.IsZero():
+		ex.mode = emitCount
+	case ex.closed:
+		ex.mode = emitWithhold
+	case ex.hooks != nil:
+		ex.mode = emitDeliver
+	default:
+		ex.mode = emitDrop
+	}
+}
+
+// emit is the executor's one event choke point: every emission site calls
+// it and calls the hooks only when it returns true. A run with hooks and
+// neither limits nor a closed gate pays one predictable branch per event,
+// a withheld event a second branch and an increment, and only runs under
+// a budget or deadline reach the out-of-line count. The body sits just
+// under the compiler's inlining budget; TestEmitInlines keeps it there.
+func (ex *Executor) emit() bool {
+	switch ex.mode {
+	case emitDeliver:
+		return true
+	case emitWithhold:
+		ex.gate.Withheld++
+	case emitCount:
+		return ex.count()
+	}
+	return false
+}
+
+// count is emit under a budget or deadline. It numbers every event, and
+// aborts before delivering the one past the budget, or the first one
+// checked after the deadline.
+func (ex *Executor) count() bool {
+	n := ex.events
+	ex.events++
+	if ex.budget > 0 && ex.events > ex.budget {
+		panic(streamerr.Errorf("cilk", streamerr.KindBudget,
+			"event budget %d exceeded", ex.budget).WithEvent(n))
+	}
+	if !ex.deadline.IsZero() && n%deadlineStride == 0 && time.Now().After(ex.deadline) {
+		panic(streamerr.Errorf("cilk", streamerr.KindDeadline,
+			"run deadline exceeded").WithEvent(n))
+	}
+	if ex.closed {
+		ex.gate.Withheld++
+		return false
+	}
+	return ex.hooks != nil
+}
+
+// probe is the gate's side of a continuation probe, run before its steal
+// decision: OnProbe observes it, and the gate opens at From.
+func (ex *Executor) probe(ci ContInfo) {
+	if ex.gate.OnProbe != nil {
+		ex.gate.OnProbe(ci)
+	}
+	if ex.closed && ci.Seq >= ex.gate.From {
+		ex.closed = false
+		ex.setMode()
+	}
 }
 
 func (ex *Executor) newFrame(parent *Frame, label string, spawned bool) *Frame {
@@ -107,7 +240,7 @@ func (ex *Executor) exitFrame(f *Frame) {
 		panic(streamerr.Errorf("cilk", streamerr.KindState,
 			"frame %v returning with %d unreduced views", f, len(f.slots)-1).WithFrame(int64(f.ID)))
 	}
-	if f.Parent != nil && ex.hasHooks {
+	if f.Parent != nil && ex.emit() {
 		ex.hooks.FrameReturn(f, f.Parent)
 	}
 }
@@ -129,7 +262,7 @@ func (ex *Executor) syncFrame(f *Frame) {
 	f.SyncBlock++
 	f.LocalSpawns = 0
 	ex.res.Syncs++
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.Sync(f)
 	}
 }
@@ -139,7 +272,7 @@ func (ex *Executor) syncFrame(f *Frame) {
 // precedes the user Reduce code so the SP+ P-bag union happens first (§6).
 func (ex *Executor) reducePairAt(f *Frame, i int) {
 	keep, die := f.slots[i], f.slots[i+1]
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.ReduceStart(f, keep.vid, die.vid)
 	}
 	for _, r := range die.order {
@@ -157,20 +290,20 @@ func (ex *Executor) reducePairAt(f *Frame, i int) {
 	}
 	f.slots = append(f.slots[:i+1], f.slots[i+2:]...)
 	ex.res.Reduces++
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.ReduceEnd(f)
 	}
 }
 
 func (ex *Executor) beginViewAware(f *Frame, op ViewOp, r *Reducer) {
 	ex.viewAware++
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.ViewAwareBegin(f, op, r)
 	}
 }
 
 func (ex *Executor) endViewAware(f *Frame, op ViewOp, r *Reducer) {
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.ViewAwareEnd(f, op, r)
 	}
 	ex.viewAware--
@@ -204,7 +337,7 @@ func (c *Ctx) Spawn(label string, body func(*Ctx)) {
 	ex.res.Spawns++
 
 	child := ex.newFrame(f, label, true)
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.FrameEnter(child)
 	}
 	body(&child.ctx)
@@ -221,13 +354,16 @@ func (c *Ctx) Spawn(label string, body func(*Ctx)) {
 		PDepth:    f.AncestorSpawns + f.LocalSpawns,
 	}
 
+	if ex.gate != nil {
+		ex.probe(ci)
+	}
 	if ex.spec.ShouldSteal(ci) {
 		ex.nextView++
 		ns := newViewSlot(ex.nextView)
 		f.slots = append(f.slots, ns)
 		ex.res.Views++
 		ex.res.Steals = append(ex.res.Steals, ci)
-		if ex.hasHooks {
+		if ex.emit() {
 			ex.hooks.ContinuationStolen(f, ns.vid)
 		}
 		if ex.eagerViews {
@@ -264,7 +400,7 @@ func (c *Ctx) Call(label string, body func(*Ctx)) {
 			"call inside a view-aware operation").WithFrame(int64(c.frame.ID)))
 	}
 	child := ex.newFrame(c.frame, label, false)
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.FrameEnter(child)
 	}
 	body(&child.ctx)
@@ -322,7 +458,7 @@ func parforRec(c *Ctx, label string, lo, hi, grain int, body func(*Ctx, int)) {
 // Load reports a read of address a by the currently executing strand.
 func (c *Ctx) Load(a mem.Addr) {
 	c.ex.res.Loads++
-	if c.ex.hasHooks {
+	if c.ex.emit() {
 		c.ex.hooks.Load(c.frame, a)
 	}
 }
@@ -330,7 +466,7 @@ func (c *Ctx) Load(a mem.Addr) {
 // Store reports a write of address a by the currently executing strand.
 func (c *Ctx) Store(a mem.Addr) {
 	c.ex.res.Stores++
-	if c.ex.hasHooks {
+	if c.ex.emit() {
 		c.ex.hooks.Store(c.frame, a)
 	}
 }
@@ -356,7 +492,7 @@ func (c *Ctx) StoreRange(a mem.Addr, n int) {
 func (c *Ctx) NewReducer(name string, m Monoid, initial any) *Reducer {
 	r := c.NewReducerQuiet(name, m, initial)
 	c.ex.res.Reads++
-	if c.ex.hasHooks {
+	if c.ex.emit() {
 		c.ex.hooks.ReducerCreate(c.frame, r)
 	}
 	return r
@@ -378,7 +514,7 @@ func (c *Ctx) NewReducerQuiet(name string, m Monoid, initial any) *Reducer {
 // SetValue resets the reducer's current view to v (a reducer-read).
 func (c *Ctx) SetValue(r *Reducer, v any) {
 	c.ex.res.Reads++
-	if c.ex.hasHooks {
+	if c.ex.emit() {
 		c.ex.hooks.ReducerRead(c.frame, r)
 	}
 	c.frame.top().set(r, v)
@@ -391,7 +527,7 @@ func (c *Ctx) SetValue(r *Reducer, v any) {
 func (c *Ctx) Value(r *Reducer) any {
 	ex := c.ex
 	ex.res.Reads++
-	if ex.hasHooks {
+	if ex.emit() {
 		ex.hooks.ReducerRead(c.frame, r)
 	}
 	slot := c.frame.top()

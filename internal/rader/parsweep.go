@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cilk"
 	"repro/internal/spplus"
 )
 
@@ -69,7 +68,6 @@ type sweepWorker struct {
 	// recycles retired snapshot containers for SnapshotInto. Both are
 	// owner-only — no other worker touches them.
 	detPool  sync.Pool
-	gate     *cilk.Gate
 	snapFree []*spplus.Snapshot
 
 	// busy is this lane's total unit time: thread CPU time where the host
@@ -135,7 +133,7 @@ func newWSSched(s *prefixSweep, workers int) *wsSched {
 	ws := &wsSched{s: s, workers: make([]*sweepWorker, workers)}
 	ws.cond = sync.NewCond(&ws.mu)
 	for i := range ws.workers {
-		w := &sweepWorker{id: i, gate: cilk.NewGate(nil, false)}
+		w := &sweepWorker{id: i}
 		w.detPool.New = func() any { return spplus.New() }
 		ws.workers[i] = w
 	}

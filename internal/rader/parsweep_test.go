@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cilk"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/progs"
 	"repro/internal/specgen"
 	"repro/internal/streamerr"
@@ -63,7 +64,7 @@ func TestRootUnitSteal(t *testing.T) {
 		clock:   newSweepClock(0),
 		fam:     fam, sel: sel,
 		trie:     specgen.BuildTrieIndexed(len(sel), func(pos int) cilk.StealSpec { return fam.At(sel[pos]) }, probes),
-		progress: newProgressSink(func(p SweepProgress) { unitsDone = p.UnitsDone }),
+		progress: newProgressSink(func(p obs.ProgressSnapshot) { unitsDone = int(p.UnitsDone) }),
 	}
 	s.results = make([]groupResult, len(s.trie.Groups))
 	s.progress.start(len(s.trie.Groups))
@@ -193,7 +194,7 @@ func TestStealDuringFailedPrefixRespawn(t *testing.T) {
 		clock:   newSweepClock(0),
 		fam:     fam, sel: sel,
 		trie:     specgen.BuildTrieIndexed(len(sel), func(pos int) cilk.StealSpec { return fam.At(sel[pos]) }, probes),
-		progress: newProgressSink(func(p SweepProgress) { unitsDone = p.UnitsDone }),
+		progress: newProgressSink(func(p obs.ProgressSnapshot) { unitsDone = int(p.UnitsDone) }),
 	}
 	s.results = make([]groupResult, len(s.trie.Groups))
 	s.progress.start(len(s.trie.Groups))
@@ -260,7 +261,7 @@ func TestSnapshotHandoffOnSteal(t *testing.T) {
 		clock:   newSweepClock(0),
 		fam:     fam, sel: sel,
 		trie:     specgen.BuildTrieIndexed(len(sel), func(pos int) cilk.StealSpec { return fam.At(sel[pos]) }, probes),
-		progress: newProgressSink(func(p SweepProgress) { unitsDone = p.UnitsDone }),
+		progress: newProgressSink(func(p obs.ProgressSnapshot) { unitsDone = int(p.UnitsDone) }),
 	}
 	s.results = make([]groupResult, len(s.trie.Groups))
 	s.progress.start(len(s.trie.Groups))

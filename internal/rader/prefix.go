@@ -3,6 +3,7 @@ package rader
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cilk"
 	"repro/internal/core"
@@ -18,17 +19,43 @@ import (
 // into a trie (specgen.BuildTrieIndexed, expanded lazily as units walk
 // it); each trie leaf is one group of stream-identical specs and is
 // analysed exactly once. A sweep unit walks the leftmost path of its
-// subtree: it re-executes the program with the SP+ detector gated off for
-// the shared prefix, restores the detector from the snapshot captured at
-// the subtree's divergence probe, and lets the gate open there. At each
-// branch node on its path it captures a fresh copy-on-write snapshot and
-// pushes one unit per sibling subtree onto its own deque — the
-// work-stealing scheduler in parsweep.go distributes those units across
-// workers, handing the snapshot off with each stolen unit. The
-// budget/deadline guard sits outside the gate, so every unit counts the
-// full event stream — budget and deadline aborts land on the same event,
-// with the same error text, as a run of the same specification in
-// SweepReference.
+// subtree: it restores the SP+ detector from the snapshot captured at the
+// subtree's divergence probe and re-executes the program under a
+// cilk.Gate that withholds the shared prefix from the detector and opens
+// at that probe. At each branch node on its path it captures a fresh
+// copy-on-write snapshot and pushes one unit per sibling subtree onto its
+// own deque — the work-stealing scheduler in parsweep.go distributes
+// those units across workers, handing the snapshot off with each stolen
+// unit. cilk.Run counts withheld events against the budget like delivered
+// ones, so budget and deadline aborts land on the same event, with the
+// same error text, as a run of the same specification in SweepReference.
+
+// sweepClock anchors every deadline decision of one sweep to a single
+// monotonic time reading, so per-unit expiry checks and the in-run
+// deadline agree with each other and are immune to wall-clock steps.
+type sweepClock struct {
+	start   time.Time
+	timeout time.Duration
+}
+
+func newSweepClock(timeout time.Duration) sweepClock {
+	return sweepClock{start: time.Now(), timeout: timeout}
+}
+
+// expired reports whether the sweep's budgeted wall time has elapsed.
+func (c sweepClock) expired() bool {
+	return c.timeout > 0 && time.Since(c.start) >= c.timeout
+}
+
+// deadline returns the in-run absolute deadline (zero = none). The time
+// carries the start's monotonic reading, so the executor's comparisons
+// stay monotonic too.
+func (c sweepClock) deadline() time.Time {
+	if c.timeout <= 0 {
+		return time.Time{}
+	}
+	return c.start.Add(c.timeout)
+}
 
 // SweepStats accounts for how a sweep was executed. It is diagnostic
 // output: two sweeps over the same program are equivalent iff their
@@ -44,7 +71,7 @@ type SweepStats struct {
 	SnapshotHits   int64
 	SnapshotMisses int64
 	// EventsSkipped is the total number of instrumentation events the
-	// prefix gates suppressed — work a per-specification sweep would have
+	// prefix gates withheld — work a per-specification sweep would have
 	// fed to a live detector.
 	EventsSkipped int64
 	// PagesCopied counts shadow-memory pages cloned by copy-on-write
@@ -290,23 +317,33 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 	det := w.detPool.Get().(*spplus.Detector)
 	det.Reset()
 	pagesBefore := int64(det.PagesCopied())
-	seeded := t.snap != nil
-	if seeded {
+	if t.snap != nil {
 		det.Restore(t.snap.snap)
 		t.snap.release(w)
 		s.hits.Add(1)
 	} else {
 		s.misses.Add(1)
 	}
-	// A fault-injection wrap sits between the gate and the detector, so it
-	// addresses the events this unit actually analyses; outside the gate,
-	// a seeded unit's closed prefix would swallow the fault.
-	var inner cilk.Hooks = det
+	// A fault-injection wrap sees only the events the gate delivers, so it
+	// addresses the events this unit actually analyses.
+	var hooks cilk.Hooks = det
 	if s.opts.Wrap != nil {
-		inner = s.opts.Wrap(s.sel[s.trie.Groups[leaf][0]], leafSpec, det)
+		hooks = s.opts.Wrap(s.sel[s.trie.Groups[leaf][0]], leafSpec, det)
 	}
-	gate := w.gate
-	gate.Rearm(inner, !seeded)
+	var ps core.Detector
+	if t.root {
+		// The root unit's leftmost leaf is the all-serial group (the
+		// no-steal edge sorts first at every branch), so — exactly like
+		// SweepReference's first run — the schedule-independent Peer-Set
+		// pass piggybacks on its execution.
+		psDet, psHooks, _ := NewDetector(PeerSet)
+		ps = psDet
+		hooks = cilk.MultiHooks(psHooks, hooks)
+	}
+	// A seeded unit's detector resumes at its divergence probe; the gate
+	// withholds the prefix before it. An unseeded unit has seedSeq 0 and
+	// withholds nothing.
+	gate := &cilk.Gate{From: t.seedSeq}
 
 	// nextBranch is shared with the recovery path: sibling subtrees of
 	// branch nodes the failing unit never reached must still be analysed,
@@ -314,7 +351,7 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 	nextBranch := 0
 	unitRaces := 0
 	defer func() {
-		skipped := gate.Skipped()
+		skipped := gate.Withheld
 		pages := int64(det.PagesCopied()) - pagesBefore
 		s.skipped.Add(skipped)
 		s.pages.Add(pages)
@@ -339,7 +376,7 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 		w.detPool.Put(det)
 	}()
 
-	onProbe := func(ci cilk.ContInfo) {
+	gate.OnProbe = func(ci cilk.ContInfo) {
 		if ci.Seq < 1 || ci.Seq > len(s.trie.Probes) || !s.trie.Probes[ci.Seq-1].Matches(ci) {
 			panic(streamerr.Errorf("rader", streamerr.KindState,
 				"continuation probe %d diverged from the recorded sequence; program is not ostensibly deterministic", ci.Seq))
@@ -353,24 +390,11 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 			}
 		}
 	}
-	spec := cilk.NewGatedSpec(leafSpec, gate, t.seedSeq, onProbe)
 
-	var hooks cilk.Hooks = gate
-	var ps core.Detector
-	if t.root {
-		// The root unit's leftmost leaf is the all-serial group (the
-		// no-steal edge sorts first at every branch), so — exactly like
-		// SweepReference's first run — the schedule-independent Peer-Set
-		// pass piggybacks on its execution.
-		psDet, psHooks, _ := NewDetector(PeerSet)
-		ps = psDet
-		hooks = cilk.MultiHooks(psHooks, gate)
-	}
-	if s.opts.EventBudget > 0 || s.opts.Timeout > 0 {
-		hooks = newGuard(hooks, s.opts.EventBudget, s.clock.deadline())
-	}
-
-	cilk.Run(s.factory(), cilk.Config{Spec: spec, Hooks: hooks})
+	cilk.Run(s.factory(), cilk.Config{
+		Spec: leafSpec, Hooks: hooks, Gate: gate,
+		EventBudget: s.opts.EventBudget, Deadline: s.clock.deadline(),
+	})
 
 	res := groupResult{
 		races: append([]core.Race(nil), det.Report().Races()...),
@@ -382,7 +406,7 @@ func (s *prefixSweep) runUnit(t unitTask, w *sweepWorker) {
 	s.results[leaf] = res
 	unitRaces = det.Report().Distinct()
 	span.Arg("races", unitRaces).
-		Arg("skipped", gate.Skipped()).
+		Arg("skipped", gate.Withheld).
 		Arg("seed", t.seedSeq).End()
 }
 

@@ -14,23 +14,23 @@ import (
 // per-delivery monotonicity.
 type progressRecorder struct {
 	mu    sync.Mutex
-	snaps []SweepProgress
+	snaps []obs.ProgressSnapshot
 }
 
-func (r *progressRecorder) cb(p SweepProgress) {
+func (r *progressRecorder) cb(p obs.ProgressSnapshot) {
 	r.mu.Lock()
 	r.snaps = append(r.snaps, p)
 	r.mu.Unlock()
 }
 
-func (r *progressRecorder) verify(t *testing.T) []SweepProgress {
+func (r *progressRecorder) verify(t *testing.T) []obs.ProgressSnapshot {
 	t.Helper()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.snaps) == 0 {
 		t.Fatal("no progress snapshots delivered")
 	}
-	prev := SweepProgress{}
+	prev := obs.ProgressSnapshot{}
 	for i, s := range r.snaps {
 		if s.UnitsDone < prev.UnitsDone || s.UnitsTotal < prev.UnitsTotal ||
 			s.EventsSkipped < prev.EventsSkipped || s.PagesCopied < prev.PagesCopied ||
@@ -39,10 +39,10 @@ func (r *progressRecorder) verify(t *testing.T) []SweepProgress {
 		}
 		prev = s
 	}
-	return append([]SweepProgress(nil), r.snaps...)
+	return append([]obs.ProgressSnapshot(nil), r.snaps...)
 }
 
-func sweepWithProgress(t *testing.T, name string, opts SweepOptions) (*CoverageResult, []SweepProgress) {
+func sweepWithProgress(t *testing.T, name string, opts SweepOptions) (*CoverageResult, []obs.ProgressSnapshot) {
 	t.Helper()
 	rec := &progressRecorder{}
 	opts.OnProgress = rec.cb
@@ -68,11 +68,11 @@ func TestSweepProgressPrefix(t *testing.T) {
 	if last.UnitsDone != last.UnitsTotal {
 		t.Fatalf("final snapshot incomplete: %+v", last)
 	}
-	if last.UnitsTotal != cr.Stats.Groups {
+	if last.UnitsTotal != int64(cr.Stats.Groups) {
 		t.Fatalf("prefix sweep total = %d units, want %d groups", last.UnitsTotal, cr.Stats.Groups)
 	}
 	// One announcement + one delivery per resolved unit.
-	if len(snaps) != 1+last.UnitsTotal {
+	if int64(len(snaps)) != 1+last.UnitsTotal {
 		t.Fatalf("got %d snapshots, want %d", len(snaps), 1+last.UnitsTotal)
 	}
 	if cr.Stats.EventsSkipped > 0 && last.EventsSkipped != cr.Stats.EventsSkipped {

@@ -8,7 +8,7 @@
 //
 // The layer is hardened: Run recovers panics out of the program or the
 // analysis into typed *streamerr.Error values, enforces an optional
-// per-run event budget and deadline, and the sweep isolates each
+// per-run event budget and timeout, and the sweep isolates each
 // specification so one poisoned run degrades into a CoverageResult.Failures
 // entry instead of killing the whole multi-hundred-execution sweep.
 package rader
@@ -81,13 +81,16 @@ func ParseDetector(s string) (DetectorName, error) {
 type Config struct {
 	Detector DetectorName
 	Spec     cilk.StealSpec
-	// EventBudget aborts the run with a StreamBudget error once the
-	// instrumentation stream exceeds this many events (0 = unlimited).
+	// EventBudget aborts the run with a KindBudget error once the event
+	// stream exceeds this many events (0 = unlimited).
 	EventBudget int64
-	// Deadline aborts the run with a StreamDeadline error once the clock
-	// passes it (zero time = no deadline). The check is amortized over
-	// events, so a run with no instrumentation is not interrupted.
-	Deadline time.Time
+	// Timeout aborts the run with a KindDeadline error once it has run
+	// this long, timed from the start of Run (0 = no limit).
+	//
+	// cilk.Run counts the events and reads the clock every 1024 of them,
+	// with or without a detector attached: a None run under either limit
+	// is counted, and can abort, like any other.
+	Timeout time.Duration
 	// Trace, when set, collects a span per run phase (nil disables span
 	// collection at zero cost — the obs nil fast path).
 	Trace *obs.Trace
@@ -187,11 +190,11 @@ func NewDetectors(name DetectorName, tr *obs.Trace) ([]core.Detector, error) {
 // attached: a single detector is the hook chain itself, All's three share
 // the one execution through cilk.MultiHooks (the live counterpart of
 // trace.ReplayAll), EmptyTool attaches no-op hooks and None attaches
-// nothing, the uninstrumented baseline. The budget/deadline guard
-// encloses the whole chain, so a guard abort is observed by every
-// detector identically. A panic out of the program, a detector, or the
-// guard is recovered and returned as a *streamerr.Error; the process
-// never dies on a misbehaving run.
+// nothing, the uninstrumented baseline. cilk.Run enforces the budget and
+// the timeout before any detector sees an event, so an abort lands on the
+// same event whichever detectors watch. A panic out of the program, a
+// detector, or the limits is recovered and returned as a
+// *streamerr.Error; the process never dies on a misbehaving run.
 func Run(prog func(*cilk.Ctx), cfg Config) (*Outcome, error) {
 	dets, err := NewDetectors(cfg.Detector, cfg.Trace)
 	if err != nil {
@@ -215,9 +218,6 @@ func run(prog func(*cilk.Ctx), dets []core.Detector, cfg Config) (out *Outcome, 
 		}
 		hooks = cilk.MultiHooks(chains...)
 	}
-	if cfg.EventBudget > 0 || !cfg.Deadline.IsZero() {
-		hooks = newGuard(hooks, cfg.EventBudget, cfg.Deadline)
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			out = nil
@@ -226,7 +226,11 @@ func run(prog func(*cilk.Ctx), dets []core.Detector, cfg Config) (out *Outcome, 
 	}()
 	span := cfg.Trace.Start("run:" + string(cfg.Detector))
 	start := time.Now()
-	res := cilk.Run(prog, cilk.Config{Spec: cfg.Spec, Hooks: hooks})
+	var deadline time.Time
+	if cfg.Timeout > 0 {
+		deadline = start.Add(cfg.Timeout)
+	}
+	res := cilk.Run(prog, cilk.Config{Spec: cfg.Spec, Hooks: hooks, EventBudget: cfg.EventBudget, Deadline: deadline})
 	out = &Outcome{
 		Detector:  cfg.Detector,
 		Detectors: dets,
@@ -334,11 +338,12 @@ type SweepOptions struct {
 	// Wrap, when set, is the fault-injection seam. The sweep calls it once
 	// per trie unit, with the family index and specification of the first
 	// member of the unit's leaf group, and wraps the unit's SP+ detector
-	// inside the prefix gate: a seeded unit's wrapped hooks see only the
-	// events after its divergence probe, a fault that fails the unit fails
-	// every specification of its group, and the snapshots the unit hands
-	// its sibling subtrees carry whatever the wrapped stream did to the
-	// detector. The root unit's piggybacked Peer-Set pass is never wrapped.
+	// directly. The executor withholds a seeded unit's shared prefix from
+	// the wrapped hooks, so they see only the events after its divergence
+	// probe; a fault that fails the unit fails every specification of its
+	// group, and the snapshots the unit hands its sibling subtrees carry
+	// whatever the wrapped stream did to the detector. The root unit's
+	// piggybacked Peer-Set pass is never wrapped.
 	Wrap func(index int, spec cilk.StealSpec, hooks cilk.Hooks) cilk.Hooks
 	// SampleSpecs, when positive and below the family size, caps how many
 	// specifications the sweep runs: the budget-aware sampler
@@ -356,22 +361,13 @@ type SweepOptions struct {
 	Trace *obs.Trace
 	// OnProgress, when set, receives monotone progress snapshots: once
 	// when the unit count is known, then after every resolved sweep unit.
+	// Every field only grows. Races counts distinct races per resolved
+	// unit before cross-unit dedup, so it can exceed the final
+	// CoverageResult's count — it is a live signal, not the verdict.
 	// Callbacks are serialized under the sweep's progress lock and must
 	// not block — hand the snapshot to a channel or an obs.Progress and
 	// return.
-	OnProgress func(SweepProgress)
-}
-
-// SweepProgress is one monotone observation of a running sweep. Every
-// field only grows. Races counts distinct races per resolved unit before
-// cross-unit dedup, so it can exceed the final CoverageResult's count —
-// it is a live signal, not the verdict.
-type SweepProgress struct {
-	UnitsDone     int
-	UnitsTotal    int
-	EventsSkipped int64
-	PagesCopied   int64
-	Races         int
+	OnProgress func(obs.ProgressSnapshot)
 }
 
 // progressSink serializes OnProgress deliveries: accumulate under one
@@ -379,11 +375,11 @@ type SweepProgress struct {
 // a strictly monotone sequence. A nil sink is inert.
 type progressSink struct {
 	mu  sync.Mutex
-	cur SweepProgress
-	fn  func(SweepProgress)
+	cur obs.ProgressSnapshot
+	fn  func(obs.ProgressSnapshot)
 }
 
-func newProgressSink(fn func(SweepProgress)) *progressSink {
+func newProgressSink(fn func(obs.ProgressSnapshot)) *progressSink {
 	if fn == nil {
 		return nil
 	}
@@ -397,7 +393,7 @@ func (p *progressSink) start(total int) {
 		return
 	}
 	p.mu.Lock()
-	p.cur.UnitsTotal = total
+	p.cur.UnitsTotal = int64(total)
 	p.fn(p.cur)
 	p.mu.Unlock()
 }
@@ -409,8 +405,8 @@ func (p *progressSink) unitDone(units, races int, skipped, pages int64) {
 		return
 	}
 	p.mu.Lock()
-	p.cur.UnitsDone += units
-	p.cur.Races += races
+	p.cur.UnitsDone += int64(units)
+	p.cur.Races += int64(races)
 	p.cur.EventsSkipped += skipped
 	p.cur.PagesCopied += pages
 	p.fn(p.cur)

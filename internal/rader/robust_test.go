@@ -51,10 +51,29 @@ func TestRunEventBudget(t *testing.T) {
 	}
 }
 
+// An uninstrumented run is counted like an instrumented one: None under a
+// budget aborts at the same event, with the same error, as EmptyTool.
+func TestRunNoneCountsEventsUnderBudget(t *testing.T) {
+	for _, budget := range []int64{1, 10, 40, 60} {
+		_, none := Run(fig1(), Config{Detector: None, Spec: cilk.StealAll{}, EventBudget: budget})
+		_, empty := Run(fig1(), Config{Detector: EmptyTool, Spec: cilk.StealAll{}, EventBudget: budget})
+		var se *streamerr.Error
+		if !errors.As(none, &se) || se.Kind != streamerr.KindBudget || se.Event != budget {
+			t.Fatalf("budget %d: None got %v, want KindBudget at event %d", budget, none, budget)
+		}
+		if empty == nil || none.Error() != empty.Error() {
+			t.Fatalf("budget %d: None failed with %v, EmptyTool with %v", budget, none, empty)
+		}
+	}
+	if _, err := Run(fig1(), Config{Detector: None, Spec: cilk.StealAll{}, EventBudget: 1 << 30}); err != nil {
+		t.Fatalf("generous budget: %v", err)
+	}
+}
+
 func TestRunDeadline(t *testing.T) {
 	_, err := Run(fig1(), Config{
 		Detector: SPPlus, Spec: cilk.StealAll{},
-		Deadline: time.Now().Add(-time.Second),
+		Timeout: time.Nanosecond,
 	})
 	var se *streamerr.Error
 	if !errors.As(err, &se) || se.Kind != streamerr.KindDeadline {

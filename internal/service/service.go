@@ -88,10 +88,12 @@ type Config struct {
 	// resumable, and sweep jobs are journaled for crash re-enqueue. Use
 	// Open (not New) to surface store-initialization errors.
 	StoreDir string
-	// EventBudget bounds each job's event stream (default 50M; <0 means
-	// unlimited).
+	// EventBudget bounds the event stream of each named-program run and
+	// of each sweep specification (default 50M; <0 means unlimited).
 	EventBudget int64
-	// JobTimeout bounds each job's wall time (default 60s).
+	// JobTimeout bounds each named-program run and each sweep, timed from
+	// the start of the run, so time spent queued does not count (default
+	// 60s). Replays of uploaded traces run under neither limit.
 	JobTimeout time.Duration
 	// MaxUploadBytes bounds an uploaded trace (default 64 MiB).
 	MaxUploadBytes int64
@@ -403,7 +405,6 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 		return nil
 	}
 	elideOn := q.Get("elide") == "1"
-	deadline := time.Now().Add(s.cfg.JobTimeout)
 
 	if name := q.Get("prog"); name != "" {
 		if elideOn {
@@ -434,7 +435,7 @@ func (s *Server) resolveAnalyze(w http.ResponseWriter, r *http.Request) *analyze
 					Detector:    det,
 					Spec:        spec,
 					EventBudget: s.cfg.EventBudget,
-					Deadline:    deadline,
+					Timeout:     s.cfg.JobTimeout,
 					Trace:       tr,
 				})
 				return res, err
@@ -810,15 +811,7 @@ func (s *Server) runSweep(job *sweepJob, prog corpus.Program, identity string, w
 		EventBudget: s.cfg.EventBudget,
 		Timeout:     s.cfg.JobTimeout,
 		Trace:       tr,
-		OnProgress: func(p rader.SweepProgress) {
-			job.progress.Publish(obs.ProgressSnapshot{
-				UnitsDone:     int64(p.UnitsDone),
-				UnitsTotal:    int64(p.UnitsTotal),
-				EventsSkipped: p.EventsSkipped,
-				PagesCopied:   p.PagesCopied,
-				Races:         int64(p.Races),
-			})
-		},
+		OnProgress:  job.progress.Publish,
 	})
 	rspan.End()
 	espan := tr.Start("encode")

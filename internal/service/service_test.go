@@ -353,6 +353,61 @@ func TestAnalyzeSheddingUnderSaturation(t *testing.T) {
 	}
 }
 
+// JobTimeout bounds a named-program run from the moment it starts, not from
+// its arrival: an analysis that waited in the queue for longer than the
+// timeout behind a blocked one still runs to its verdict.
+func TestAnalyzeTimeoutExcludesQueueWait(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	gate := make(chan struct{})
+	blocking := progOf("blocks until the test opens the gate", func() { <-gate })
+	s, ts := newTestServer(t, Config{
+		Workers:    1,
+		QueueDepth: 1,
+		JobTimeout: timeout,
+		Programs:   map[string]corpus.Program{"slow": blocking},
+	})
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("never %s: admitted=%d running=%d", what, s.Admitted(), s.Running())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	type result struct {
+		status int
+		body   []byte
+		err    error
+	}
+	analyze := func(query string, out chan<- result) {
+		resp, err := http.Post(ts.URL+"/analyze?"+query, "application/octet-stream", nil)
+		if err != nil {
+			out <- result{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		out <- result{resp.StatusCode, body, err}
+	}
+	blocked, queued := make(chan result, 1), make(chan result, 1)
+	go analyze("prog=slow&detector=none", blocked)
+	waitFor("started the blocking run", func() bool { return s.Running() == 1 })
+	go analyze("prog=fig1&detector=peer-set&spec=all", queued)
+	waitFor("queued the second run", func() bool { return s.Admitted() == 2 })
+
+	time.Sleep(timeout + 100*time.Millisecond)
+	close(gate)
+	if r := <-blocked; r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("blocking run: %v %d %s", r.err, r.status, r.body)
+	}
+	if r := <-queued; r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("run queued for longer than -job-timeout: %v %d %s", r.err, r.status, r.body)
+	}
+}
+
 // The §7 sweep runs as an async job: submit, poll to done, verdict carries
 // the figure-1 race; resubmission is served from cache without re-running.
 func TestSweepAsyncJob(t *testing.T) {

@@ -28,15 +28,15 @@ func TestSnapshotRestoreResumesExactly(t *testing.T) {
 	for _, forkAt := range []int{1, 2, 3} {
 		// Capture a snapshot at probe forkAt during a second live run.
 		donor := New()
-		gate := cilk.NewGate(donor, true)
 		var snap *Snapshot
 		cilk.Run(fig1(), cilk.Config{
-			Hooks: gate,
-			Spec: cilk.NewGatedSpec(spec, gate, 0, func(ci cilk.ContInfo) {
+			Hooks: donor,
+			Spec:  spec,
+			Gate: &cilk.Gate{OnProbe: func(ci cilk.ContInfo) {
 				if ci.Seq == forkAt {
 					snap = donor.Snapshot()
 				}
-			}),
+			}},
 		})
 		if snap == nil {
 			t.Fatalf("probe %d never fired", forkAt)
@@ -51,12 +51,13 @@ func TestSnapshotRestoreResumesExactly(t *testing.T) {
 		// suffix from probe forkAt on.
 		fork := New()
 		fork.Restore(snap)
-		fgate := cilk.NewGate(fork, false)
+		fgate := &cilk.Gate{From: forkAt}
 		cilk.Run(fig1(), cilk.Config{
-			Hooks: fgate,
-			Spec:  cilk.NewGatedSpec(spec, fgate, forkAt, nil),
+			Hooks: fork,
+			Spec:  spec,
+			Gate:  fgate,
 		})
-		if fgate.Skipped() == 0 {
+		if fgate.Withheld == 0 {
 			t.Fatalf("fork %d: gate suppressed nothing; the prefix ran live", forkAt)
 		}
 		if !reflect.DeepEqual(fork.Report().Races(), ref.Report().Races()) {
@@ -82,25 +83,25 @@ func TestSnapshotRestoreResumesExactly(t *testing.T) {
 func TestSnapshotSeedsManyForks(t *testing.T) {
 	spec := cilk.StealAll{}
 	donor := New()
-	gate := cilk.NewGate(donor, true)
 	var snap *Snapshot
 	cilk.Run(fig1(), cilk.Config{
-		Hooks: gate,
-		Spec: cilk.NewGatedSpec(spec, gate, 0, func(ci cilk.ContInfo) {
+		Hooks: donor,
+		Spec:  spec,
+		Gate: &cilk.Gate{OnProbe: func(ci cilk.ContInfo) {
 			if ci.Seq == 2 {
 				snap = donor.Snapshot()
 			}
-		}),
+		}},
 	})
 
 	var reports [][]string
 	for i := 0; i < 2; i++ {
 		fork := New()
 		fork.Restore(snap)
-		fgate := cilk.NewGate(fork, false)
 		cilk.Run(fig1(), cilk.Config{
-			Hooks: fgate,
-			Spec:  cilk.NewGatedSpec(spec, fgate, 2, nil),
+			Hooks: fork,
+			Spec:  spec,
+			Gate:  &cilk.Gate{From: 2},
 		})
 		var lines []string
 		for _, r := range fork.Report().Races() {
