@@ -64,7 +64,9 @@ func (op ViewOp) String() string {
 }
 
 // Frame is one Cilk function instantiation. The executor exposes frames to
-// hooks; detectors treat them as read-only.
+// hooks; detectors treat them as read-only. A frame is valid until its
+// FrameReturn, after which the executor reuses it for the next frame at
+// its depth (the lifetime rule on Hooks).
 type Frame struct {
 	ID      FrameID
 	Parent  *Frame
@@ -118,6 +120,9 @@ func (f *Frame) String() string {
 // ContInfo describes one continuation point (the code after a cilk_spawn)
 // that a steal specification may choose to steal.
 type ContInfo struct {
+	// Frame is the spawning frame. It is valid only inside the
+	// ShouldSteal, ReducesAfterReturn and Gate.OnProbe calls that receive
+	// the ContInfo; the copies in Result.Steals carry nil.
 	Frame     *Frame
 	Label     string // the spawning frame's label
 	Depth     int    // the spawning frame's Depth
@@ -205,41 +210,45 @@ func (s StealAll) Order() ReduceOrder { return s.Reduce }
 // viewSlot holds, for one simulated steal (or for the leftmost context),
 // the views of every reducer updated in that context. Slots are created
 // empty; identity views materialize lazily on the first Update, mirroring
-// the runtime optimization described in §1 and §2.
+// the runtime optimization described in §1 and §2. Views are indexed by
+// the reducer's registration index.
 type viewSlot struct {
 	vid   ViewID
-	views map[*Reducer]any
+	views []view
 	order []*Reducer // deterministic iteration order for reductions
 }
 
-func newViewSlot(vid ViewID) *viewSlot {
-	return &viewSlot{vid: vid}
+// view is one reducer's view in a slot; ok distinguishes a view whose
+// value is nil from no view at all.
+type view struct {
+	v  any
+	ok bool
 }
 
 func (s *viewSlot) get(r *Reducer) (any, bool) {
-	if s.views == nil {
+	if r.idx >= len(s.views) {
 		return nil, false
 	}
-	v, ok := s.views[r]
-	return v, ok
+	e := s.views[r.idx]
+	return e.v, e.ok
 }
 
 func (s *viewSlot) set(r *Reducer, v any) {
-	if s.views == nil {
-		s.views = make(map[*Reducer]any)
+	if r.idx >= len(s.views) {
+		s.views = append(s.views, make([]view, r.idx+1-len(s.views))...)
 	}
-	if _, ok := s.views[r]; !ok {
+	e := &s.views[r.idx]
+	if !e.ok {
+		e.ok = true
 		s.order = append(s.order, r)
 	}
-	s.views[r] = v
+	e.v = v
 }
 
-func (s *viewSlot) delete(r *Reducer) {
-	delete(s.views, r)
-	for i, rr := range s.order {
-		if rr == r {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+// clear empties the slot for reuse, dropping its references to views.
+func (s *viewSlot) clear() {
+	for _, r := range s.order {
+		s.views[r.idx] = view{}
 	}
+	s.order = s.order[:0]
 }

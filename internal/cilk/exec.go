@@ -69,10 +69,10 @@ const deadlineStride = 1024
 type Result struct {
 	Frames  int // Cilk function instantiations
 	Spawns  int
-	Syncs   int // explicit and implicit syncs executed
-	Reduces int // reduce operations performed
-	Views   int // parallel views created by simulated steals
-	Steals  []ContInfo
+	Syncs   int        // explicit and implicit syncs executed
+	Reduces int        // reduce operations performed
+	Views   int        // parallel views created by simulated steals
+	Steals  []ContInfo // stolen continuations, in serial order, Frame nil
 	Loads   uint64
 	Stores  uint64
 	Reads   uint64 // reducer-reads (create, set-value, get-value)
@@ -110,6 +110,13 @@ type Executor struct {
 	viewAware  int
 	eagerViews bool
 	res        Result
+
+	// frames holds one Frame per depth of the serial stack. A frame lives
+	// exactly as long as its place on the stack, so the next frame entered
+	// at a depth reuses that depth's Frame (the lifetime rule on Hooks).
+	frames []*Frame
+	// freeSlots recycles the view slots that reductions destroy.
+	freeSlots []*viewSlot
 }
 
 // Run executes prog under cfg and returns the run summary. A budget or
@@ -128,8 +135,7 @@ func Run(prog func(*Ctx), cfg Config) *Result {
 	ex.setMode()
 
 	root := ex.newFrame(nil, "main", false)
-	root.slots0[0] = newViewSlot(0)
-	root.slots = root.slots0[:1]
+	root.slots = append(root.slots, ex.newViewSlot(0))
 	if ex.emit() {
 		ex.hooks.ProgramStart(root)
 	}
@@ -210,23 +216,51 @@ func (ex *Executor) probe(ci ContInfo) {
 	}
 }
 
+// newFrame enters a frame at the depth below parent, reusing the Frame of
+// the last frame that returned from that depth. Every field is reset in
+// place: a whole-struct assignment would copy the frame through memory.
 func (ex *Executor) newFrame(parent *Frame, label string, spawned bool) *Frame {
-	f := &Frame{
-		ID:      ex.nextFrame,
-		Parent:  parent,
-		Label:   label,
-		Spawned: spawned,
+	depth := 0
+	if parent != nil {
+		depth = parent.Depth + 1
 	}
+	if depth == len(ex.frames) {
+		f := &Frame{}
+		f.ctx = Ctx{ex: ex, frame: f}
+		f.slots = f.slots0[:0]
+		ex.frames = append(ex.frames, f)
+	}
+	f := ex.frames[depth]
+	f.ID = ex.nextFrame
+	f.Parent = parent
+	f.Label = label
+	f.Spawned = spawned
+	f.Depth = depth
+	f.SyncBlock = 0
+	f.LocalSpawns = 0
+	f.TotalSpawns = 0
+	f.AncestorSpawns = 0
+	f.everSpawned = false
+	f.slots = f.slots[:0]
 	ex.nextFrame++
 	ex.res.Frames++
 	if parent != nil {
-		f.Depth = parent.Depth + 1
 		f.AncestorSpawns = parent.AncestorSpawns + parent.LocalSpawns
-		f.slots0[0] = parent.top()
-		f.slots = f.slots0[:1]
+		f.slots = append(f.slots, parent.top())
 	}
-	f.ctx = Ctx{ex: ex, frame: f}
 	return f
+}
+
+// newViewSlot returns an empty view slot for vid, recycled when a
+// reduction has freed one.
+func (ex *Executor) newViewSlot(vid ViewID) *viewSlot {
+	if n := len(ex.freeSlots); n > 0 {
+		s := ex.freeSlots[n-1]
+		ex.freeSlots = ex.freeSlots[:n-1]
+		s.vid = vid
+		return s
+	}
+	return &viewSlot{vid: vid}
 }
 
 // exitFrame performs the implicit sync of a returning Cilk function and
@@ -276,7 +310,7 @@ func (ex *Executor) reducePairAt(f *Frame, i int) {
 		ex.hooks.ReduceStart(f, keep.vid, die.vid)
 	}
 	for _, r := range die.order {
-		rv := die.views[r]
+		rv := die.views[r.idx].v
 		if lv, ok := keep.get(r); ok {
 			ex.beginViewAware(f, OpReduce, r)
 			nv := r.m.Combine(&f.ctx, lv, rv)
@@ -289,6 +323,8 @@ func (ex *Executor) reducePairAt(f *Frame, i int) {
 		}
 	}
 	f.slots = append(f.slots[:i+1], f.slots[i+2:]...)
+	die.clear()
+	ex.freeSlots = append(ex.freeSlots, die)
 	ex.res.Reduces++
 	if ex.emit() {
 		ex.hooks.ReduceEnd(f)
@@ -311,7 +347,8 @@ func (ex *Executor) endViewAware(f *Frame, op ViewOp, r *Reducer) {
 
 // Ctx is the handle a Cilk function uses to spawn, sync, access
 // instrumented memory and operate on reducers. Each frame has its own Ctx;
-// user code receives it as the first argument of every Cilk function body.
+// user code receives it as the first argument of every Cilk function body,
+// and it is valid until that body returns.
 type Ctx struct {
 	ex    *Executor
 	frame *Frame
@@ -359,10 +396,13 @@ func (c *Ctx) Spawn(label string, body func(*Ctx)) {
 	}
 	if ex.spec.ShouldSteal(ci) {
 		ex.nextView++
-		ns := newViewSlot(ex.nextView)
+		ns := ex.newViewSlot(ex.nextView)
 		f.slots = append(f.slots, ns)
 		ex.res.Views++
-		ex.res.Steals = append(ex.res.Steals, ci)
+		// A steal record outlives its frame, so it keeps no pointer to it.
+		stolen := ci
+		stolen.Frame = nil
+		ex.res.Steals = append(ex.res.Steals, stolen)
 		if ex.emit() {
 			ex.hooks.ContinuationStolen(f, ns.vid)
 		}

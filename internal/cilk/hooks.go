@@ -30,6 +30,15 @@ import "repro/internal/mem"
 //     come from a view-aware strand, all others from view-oblivious
 //     strands.
 //
+// Frame lifetime: a *Frame, and the Ctx it carries, is valid from the
+// FrameEnter that introduces it until that frame's FrameReturn. The
+// executor keeps one frame per depth of the serial stack and reuses it for
+// the next frame entered at that depth, so a hook must not keep a *Frame
+// or a *Ctx past FrameReturn; it copies out what it needs (ID, Label)
+// instead. The trace replayer happens to keep every frame of a replay, so
+// a hook that breaks the rule can agree with replay and still go wrong
+// live.
+//
 // Threading contract: the serial executor and the trace replay engine
 // drive Hooks from a single goroutine, and the serial detectors (SP-bags,
 // SP+, Peer-Set, the depa replay detector) rely on that — their state

@@ -279,3 +279,23 @@ type StatsProvider interface {
 type EventCountsProvider interface {
 	EventCounts() obs.EventCounts
 }
+
+// PushRecord pushes a frame record onto a detector's frame stack and
+// returns it. A record lives exactly as long as its frame's place on the
+// serial stack, so the push reuses the record a returned frame left parked
+// past the stack's length: a detector allocates one record per depth, not
+// one per frame. The caller resets every field it reads.
+func PushRecord[T any](stack []*T) ([]*T, *T) {
+	n := len(stack)
+	if n < cap(stack) {
+		stack = stack[:n+1]
+		if rec := stack[n]; rec != nil {
+			return stack, rec
+		}
+	} else {
+		stack = append(stack, nil)
+	}
+	rec := new(T)
+	stack[n] = rec
+	return stack, rec
+}

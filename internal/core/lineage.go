@@ -11,14 +11,22 @@ import (
 // report can reconstruct the spawn path of each participant on demand —
 // "main>update_list>insert" tells the user where the racing strand came
 // from without any cost on the hot path.
+//
+// Entries are pointer-free: a label is an index into an append-only label
+// table, so growing the entry slice copies no pointers and the garbage
+// collector never scans it.
 type Lineage struct {
-	meta []lineageEntry
+	meta   []lineageEntry
+	labels []string         // append-only label table
+	index  map[string]int32 // label → position in labels
+	last   int32            // position of the label interned last
 }
 
 type lineageEntry struct {
 	frame  cilk.FrameID
-	label  string
+	label  int32 // index into labels; -1 for none
 	parent int32
+	reduce bool // a reduce invocation of the frame: label renders "/reduce"
 }
 
 // NoParent marks a root element.
@@ -27,17 +35,70 @@ const NoParent int32 = -1
 // CopyFrom makes l an independent copy of src, reusing l's capacity.
 func (l *Lineage) CopyFrom(src *Lineage) {
 	l.meta = append(l.meta[:0], src.meta...)
+	l.labels = l.labels[:0]
+	clear(l.index)
+	for _, s := range src.labels {
+		l.appendLabel(s)
+	}
+	l.last = src.last
 }
 
-// Reset empties the lineage, keeping allocated capacity for reuse.
+// Reset empties the lineage, keeping allocated capacity for reuse. The
+// label table survives: labels are interned for the lineage's lifetime.
 func (l *Lineage) Reset() { l.meta = l.meta[:0] }
+
+// intern returns the table index of label, appending it on first sight.
+func (l *Lineage) intern(label string) int32 {
+	// Consecutive elements usually share a label (one function entered
+	// many times), so check the last one before hashing.
+	if int(l.last) < len(l.labels) && l.labels[l.last] == label {
+		return l.last
+	}
+	li, ok := l.index[label]
+	if !ok {
+		li = l.appendLabel(label)
+	}
+	l.last = li
+	return li
+}
+
+func (l *Lineage) appendLabel(label string) int32 {
+	if l.index == nil {
+		l.index = make(map[string]int32)
+	}
+	li := int32(len(l.labels))
+	l.labels = append(l.labels, label)
+	l.index[label] = li
+	return li
+}
 
 // Add registers element id (dense, append-ordered) with its parent.
 func (l *Lineage) Add(id int32, frame cilk.FrameID, label string, parent int32) {
-	for int(id) >= len(l.meta) {
-		l.meta = append(l.meta, lineageEntry{parent: NoParent})
+	l.set(id, lineageEntry{frame: frame, label: l.intern(label), parent: parent})
+}
+
+// AddReduce registers element id as a reduce invocation of frame: its
+// label renders as label+"/reduce".
+func (l *Lineage) AddReduce(id int32, frame cilk.FrameID, label string, parent int32) {
+	l.set(id, lineageEntry{frame: frame, label: l.intern(label), parent: parent, reduce: true})
+}
+
+// AddCopy registers element id with the frame, label and parent of
+// element of, so both render the same path.
+func (l *Lineage) AddCopy(id, of int32) {
+	l.set(id, l.meta[of])
+}
+
+func (l *Lineage) set(id int32, e lineageEntry) {
+	if n := int(id) + 1; n > cap(l.meta) {
+		// append grows a large slice by a quarter, which copies each
+		// entry about four times over a run; doubling copies it once.
+		l.meta = append(make([]lineageEntry, 0, max(2*cap(l.meta), n, 256)), l.meta...)
 	}
-	l.meta[id] = lineageEntry{frame: frame, label: label, parent: parent}
+	for int(id) >= len(l.meta) {
+		l.meta = append(l.meta, lineageEntry{label: -1, parent: NoParent})
+	}
+	l.meta[id] = e
 }
 
 // Frame returns the frame of element id.
@@ -53,7 +114,17 @@ func (l *Lineage) Label(id int32) string {
 	if int(id) >= len(l.meta) || id < 0 {
 		return "?"
 	}
-	return l.meta[id].label
+	return l.label(l.meta[id])
+}
+
+func (l *Lineage) label(e lineageEntry) string {
+	switch {
+	case e.label < 0:
+		return ""
+	case e.reduce:
+		return l.labels[e.label] + "/reduce"
+	}
+	return l.labels[e.label]
 }
 
 // Path reconstructs the spawn path of element id, innermost last,
@@ -62,7 +133,7 @@ func (l *Lineage) Path(id int32) string {
 	const defaultDepth = 16
 	var segs []string
 	for cur := id; cur != NoParent && int(cur) < len(l.meta); cur = l.meta[cur].parent {
-		segs = append(segs, l.meta[cur].label)
+		segs = append(segs, l.label(l.meta[cur]))
 		if len(segs) > defaultDepth {
 			segs = append(segs, "…")
 			break

@@ -19,6 +19,24 @@ func TestLineagePath(t *testing.T) {
 	if l.Frame(-1) != -1 || l.Label(99) != "?" {
 		t.Fatal("out-of-range accessors must be safe")
 	}
+	// A reduce invocation renders its frame's label plus "/reduce"; a copy
+	// renders its original's path.
+	l.AddReduce(3, 1, "f", 1)
+	l.AddCopy(4, 2)
+	if got := l.Path(3); got != "main>f>f/reduce" || l.Label(3) != "f/reduce" {
+		t.Fatalf("reduce path = %q, label %q", got, l.Label(3))
+	}
+	if got := l.Path(4); got != "main>f>g" || l.Frame(4) != 2 {
+		t.Fatalf("copy path = %q, frame %d", got, l.Frame(4))
+	}
+	// A copy is independent: labels added to either side stay there.
+	var c Lineage
+	c.CopyFrom(&l)
+	c.Add(5, 5, "h", 4)
+	l.Add(5, 6, "k", 4)
+	if c.Path(5) != "main>f>g>h" || l.Path(5) != "main>f>g>k" {
+		t.Fatalf("copies share state: %q vs %q", c.Path(5), l.Path(5))
+	}
 }
 
 func TestLineageTruncatesDeepPaths(t *testing.T) {

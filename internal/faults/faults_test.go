@@ -127,6 +127,91 @@ func TestFaultVerdictTable(t *testing.T) {
 	}
 }
 
+// bagDetectors are the three detectors that keep per-frame bags.
+var bagDetectors = []struct {
+	name string
+	mk   func() cilk.Hooks
+}{
+	{"peer-set", func() cilk.Hooks { return peerset.New() }},
+	{"sp-bags", func() cilk.Hooks { return spbags.New() }},
+	{"sp+", func() cilk.Hooks { return spplus.New() }},
+}
+
+// TestDroppedSyncBeforeReturn pins the one fault that would let a frame
+// return with a non-empty bag: the frame's own Sync is lost. g spawns a
+// and then calls b, so at g's return Peer-Set's SP bag holds b, and the
+// P bags of SP-bags and SP+ hold a. Each detector must reject the return
+// with a KindState error, through both replay front doors.
+func TestDroppedSyncBeforeReturn(t *testing.T) {
+	data, _ := record(t, func(c *cilk.Ctx) {
+		c.Call("g", func(g *cilk.Ctx) {
+			g.Spawn("a", func(*cilk.Ctx) {})
+			g.Call("b", func(*cilk.Ctx) {})
+		})
+	}, nil)
+	at := syncIndexOf(t, data, "g")
+	replays := []struct {
+		name string
+		run  func(cilk.Hooks) error
+	}{
+		{"Replay", func(h cilk.Hooks) error {
+			_, err := trace.Replay(bytes.NewReader(data), h)
+			return err
+		}},
+		{"ReplayAll", func(h cilk.Hooks) error {
+			_, err := trace.ReplayAll(data, nil, nil, h)
+			return err
+		}},
+	}
+	for _, det := range bagDetectors {
+		for _, rp := range replays {
+			inj := faults.New(det.mk(), faults.Plan{Kind: faults.Drop, At: at})
+			err := rp.run(inj)
+			if !inj.Injected() {
+				t.Fatalf("%s/%s: drop@%d did not fire", det.name, rp.name, at)
+			}
+			var se *streamerr.Error
+			if !errors.As(err, &se) || se.Kind != streamerr.KindState {
+				t.Errorf("%s/%s: want a KindState *streamerr.Error, got %v", det.name, rp.name, err)
+			}
+		}
+	}
+}
+
+// syncIndexOf returns the 0-based hook-call index of the last Sync of the
+// frame labelled label.
+func syncIndexOf(t *testing.T, data []byte, label string) int64 {
+	t.Helper()
+	spy := &syncSpy{label: label, at: -1}
+	if _, err := trace.Replay(bytes.NewReader(data), spy); err != nil {
+		t.Fatal(err)
+	}
+	if spy.at < 0 {
+		t.Fatalf("no Sync of %q in trace", label)
+	}
+	return spy.at
+}
+
+// syncSpy records the index of the last Sync of one labelled frame. It
+// counts only control events, which is every event of a trace without
+// memory accesses or reducers.
+type syncSpy struct {
+	cilk.Empty
+	label string
+	n, at int64
+}
+
+func (s *syncSpy) ProgramStart(*cilk.Frame)     { s.n++ }
+func (s *syncSpy) ProgramEnd(*cilk.Frame)       { s.n++ }
+func (s *syncSpy) FrameEnter(*cilk.Frame)       { s.n++ }
+func (s *syncSpy) FrameReturn(_, _ *cilk.Frame) { s.n++ }
+func (s *syncSpy) Sync(f *cilk.Frame) {
+	if f.Label == s.label {
+		s.at = s.n
+	}
+	s.n++
+}
+
 // TestEveryFaultEveryDetector is the pipeline's robustness acceptance
 // property: every fault class, injected at seeded stream positions into
 // each of the three detectors during replay of a reducer-heavy trace, must
@@ -136,16 +221,8 @@ func TestEveryFaultEveryDetector(t *testing.T) {
 	al := mem.NewAllocator()
 	data, total := record(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
 
-	detectors := []struct {
-		name string
-		mk   func() cilk.Hooks
-	}{
-		{"peer-set", func() cilk.Hooks { return peerset.New() }},
-		{"sp-bags", func() cilk.Hooks { return spbags.New() }},
-		{"sp+", func() cilk.Hooks { return spplus.New() }},
-	}
 	plans := faults.Plans(1, 10*int(faults.NumKinds), total)
-	for _, det := range detectors {
+	for _, det := range bagDetectors {
 		for _, plan := range plans {
 			inj := faults.New(det.mk(), plan)
 			_, err := trace.Replay(bytes.NewReader(data), inj)

@@ -50,15 +50,18 @@ type bag struct {
 	root dsu.Elem // dsu.None when empty
 }
 
+// frameRec is one frame's state. Records are reused by depth
+// (core.PushRecord), with the bags embedded: a returning frame leaves all
+// three empty, so no forest payload points into a parked record.
 type frameRec struct {
 	id    cilk.FrameID
 	label string
 	elem  dsu.Elem
 	ls    int // local-spawn count
 	as    int // ancestor-spawn count
-	ss    *bag
-	sp    *bag
-	p     *bag
+	ss    bag
+	sp    bag
+	p     bag
 }
 
 type readerInfo struct {
@@ -98,8 +101,6 @@ func (d *Detector) Name() string { return "peer-set" }
 // Report implements core.Detector.
 func (d *Detector) Report() *core.Report { return &d.report }
 
-func (d *Detector) newBag(k bagKind) *bag { return &bag{kind: k, root: dsu.None} }
-
 // addToBag inserts a fresh forest element for rec into b.
 func (d *Detector) addToBag(b *bag, e dsu.Elem) {
 	d.counts.BagOps++
@@ -132,7 +133,7 @@ func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
 func (d *Detector) FrameEnter(f *cilk.Frame) {
 	d.events++
 	d.counts.FrameEnters++
-	rec := &frameRec{id: f.ID, label: f.Label}
+	as, parentElem := 0, core.NoParent
 	if len(d.stack) > 0 {
 		parent := d.top()
 		if f.Spawned {
@@ -140,21 +141,21 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 			// A new spawn changes the peer set of F's subsequent strands:
 			// descendants matching the previous continuation no longer
 			// match any strand of F.
-			d.unionInto(parent.p, parent.sp)
+			d.unionInto(&parent.p, &parent.sp)
 		}
-		rec.as = parent.as + parent.ls
+		as = parent.as + parent.ls
+		parentElem = int32(parent.elem)
 	}
-	rec.ss = d.newBag(kindSS)
-	rec.sp = d.newBag(kindSP)
-	rec.p = d.newBag(kindP)
+	var rec *frameRec
+	d.stack, rec = core.PushRecord(d.stack)
+	rec.id, rec.label = f.ID, f.Label
+	rec.ls, rec.as = 0, as
+	rec.ss = bag{kind: kindSS, root: dsu.None}
+	rec.sp = bag{kind: kindSP, root: dsu.None}
+	rec.p = bag{kind: kindP, root: dsu.None}
 	rec.elem = d.forest.MakeSet(nil)
-	d.addToBag(rec.ss, rec.elem) // G.SS = MakeBag(G)
-	parent := core.NoParent
-	if len(d.stack) > 0 {
-		parent = int32(d.top().elem)
-	}
-	d.lin.Add(int32(rec.elem), f.ID, f.Label, parent)
-	d.stack = append(d.stack, rec)
+	d.addToBag(&rec.ss, rec.elem) // G.SS = MakeBag(G)
+	d.lin.Add(int32(rec.elem), f.ID, f.Label, parentElem)
 }
 
 // FrameReturn implements the "G returns to F" case of Figure 3.
@@ -170,29 +171,34 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 		panic(core.Violatef("peerset", core.StreamOrder, g.ID,
 			"event order violation: returning %v, top is %v", g.ID, grec.id))
 	}
+	// Functions sync before returning, which empties G.SP; only a stream
+	// that lost a Sync gets here with it full.
+	if grec.sp.root != dsu.None {
+		panic(core.Violatef("peerset", core.StreamState, g.ID,
+			"frame %v returned with a non-empty SP bag (missing sync)", g.ID))
+	}
 	d.stack = d.stack[:len(d.stack)-1]
 	frec := d.top()
 	if frec.id != f.ID {
 		panic(core.Violatef("peerset", core.StreamOrder, f.ID,
 			"parent mismatch on return: returning to %v, below top is %v", f.ID, frec.id))
 	}
-	d.unionInto(frec.p, grec.p)
+	d.unionInto(&frec.p, &grec.p)
 	switch {
 	case g.Spawned:
 		// Everything under a spawned child is parallel to F's later
 		// strands' peers differently — G's descendants can never share a
 		// peer set with a strand of F.
-		d.unionInto(frec.p, grec.ss)
+		d.unionInto(&frec.p, &grec.ss)
 	case frec.ls == 0:
 		// Called with no outstanding spawns: G's first strand has the
 		// same peer set as F's first strand.
-		d.unionInto(frec.ss, grec.ss)
+		d.unionInto(&frec.ss, &grec.ss)
 	default:
 		// Called with outstanding spawns: G's first strand matches F's
 		// last executed continuation strand.
-		d.unionInto(frec.sp, grec.ss)
+		d.unionInto(&frec.sp, &grec.ss)
 	}
-	// G.SP is guaranteed empty: functions sync before returning.
 }
 
 // Sync implements the "F syncs" case of Figure 3.
@@ -208,7 +214,7 @@ func (d *Detector) Sync(f *cilk.Frame) {
 			"sync frame mismatch: syncing %v, top is %v", f.ID, rec.id))
 	}
 	rec.ls = 0
-	d.unionInto(rec.p, rec.sp)
+	d.unionInto(&rec.p, &rec.sp)
 }
 
 // ReducerCreate treats reducer creation as a reducer-read (§3 defines
@@ -267,7 +273,17 @@ func (d *Detector) readReducer(f *cilk.Frame, r *cilk.Reducer) {
 			})
 		}
 	}
-	d.reader[r] = readerInfo{elem: rec.elem, frame: rec.id, label: rec.label, s: s, event: d.events}
+	elem := rec.elem
+	if rec.ls > 0 {
+		// A read at a continuation strand. F's own ID sits in F.SS, which
+		// tracks F's first strand, not this one: record a fresh element in
+		// F.SP instead, which follows this strand's peer set into F.P at
+		// F's next spawn or sync. It renders F's path.
+		elem = d.forest.MakeSet(nil)
+		d.addToBag(&rec.sp, elem)
+		d.lin.AddCopy(int32(elem), int32(rec.elem))
+	}
+	d.reader[r] = readerInfo{elem: elem, frame: rec.id, label: rec.label, s: s, event: d.events}
 }
 
 // The algorithm is oblivious to raw memory traffic; the embedded cilk.Empty

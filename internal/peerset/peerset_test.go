@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cilk"
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/mem"
 	"repro/internal/progs"
 )
@@ -214,5 +215,55 @@ func TestDeepNestingStress(t *testing.T) {
 	}, cilk.Config{Hooks: d})
 	if d.Report().Empty() {
 		t.Fatal("nested reads at different depths must race")
+	}
+}
+
+// TestReadAtContinuationStrand pins a read at a continuation strand of a
+// called function: c's read has peers {s}, main's later read has peers
+// {s'}, yet both read at spawn count 1 and c's ID ends up in main.SS. The
+// reader must follow c's continuation strand into a P bag instead.
+func TestReadAtContinuationStrand(t *testing.T) {
+	rec := dag.NewRecorder()
+	d := New()
+	cilk.Run(func(c *cilk.Ctx) {
+		r := c.NewReducerQuiet("r", progs.SumMonoid, 0)
+		c.Sync()
+		c.Call("c", func(cc *cilk.Ctx) {
+			cc.Spawn("s", func(*cilk.Ctx) {})
+			cc.Value(r)
+			cc.Sync()
+		})
+		c.Spawn("s'", func(*cilk.Ctx) {})
+		c.Value(r)
+		c.Sync()
+	}, cilk.Config{Hooks: cilk.Multi{rec, d}})
+	if !rec.D.HasViewReadRace() {
+		t.Fatal("the dag oracle must find the race")
+	}
+	races := d.Report().Races()
+	if len(races) != 1 {
+		t.Fatalf("want the one view-read race, got:\n%s", d.Report().Summary())
+	}
+	// The fresh reader element renders its frame's path.
+	if got := races[0].First; got.Label != "c" || got.Path != "main>c" {
+		t.Fatalf("first reader = %+v, want c at main>c", got)
+	}
+	if got := races[0].Prov.Relation; got != "reader in P-bag" {
+		t.Fatalf("relation = %q, want reader in P-bag", got)
+	}
+}
+
+// TestOracleSeeds pins the random programs on which Peer-Set once missed
+// a view-read race the dag oracle finds.
+func TestOracleSeeds(t *testing.T) {
+	for _, seed := range []int64{-9117238200276258988, 5300689013499601254} {
+		al := mem.NewAllocator()
+		rec := dag.NewRecorder()
+		d := New()
+		cilk.Run(progs.Random(al, progs.RandomOpts{Seed: seed, Reads: true}),
+			cilk.Config{Hooks: cilk.Multi{rec, d}})
+		if oracle, got := rec.D.HasViewReadRace(), !d.Report().Empty(); oracle != got {
+			t.Errorf("seed %d: oracle %v, peer-set %v", seed, oracle, got)
+		}
 	}
 }

@@ -36,12 +36,15 @@ type bag struct {
 	root dsu.Elem
 }
 
+// frameRec is one frame's state. Records are reused by depth
+// (core.PushRecord), with the bags embedded: a returning frame leaves both
+// empty, so no forest payload points into a parked record.
 type frameRec struct {
 	id    cilk.FrameID
 	label string
 	elem  dsu.Elem
-	s     *bag
-	p     *bag
+	s     bag
+	p     bag
 }
 
 // Detector runs SP-bags over the cilk event stream. Create one per run.
@@ -84,8 +87,6 @@ func (d *Detector) Name() string { return "sp-bags" }
 // Report implements core.Detector.
 func (d *Detector) Report() *core.Report { return &d.report }
 
-func (d *Detector) newBag(k bagKind) *bag { return &bag{kind: k, root: dsu.None} }
-
 func (d *Detector) addToBag(b *bag, e dsu.Elem) {
 	d.counts.BagOps++
 	if b.root == dsu.None {
@@ -116,23 +117,25 @@ func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
 func (d *Detector) FrameEnter(f *cilk.Frame) {
 	d.events++
 	d.counts.FrameEnters++
-	rec := &frameRec{id: f.ID, label: f.Label}
-	rec.s = d.newBag(kindS)
-	rec.p = d.newBag(kindP)
-	rec.elem = d.forest.MakeSet(nil)
-	d.addToBag(rec.s, rec.elem)
 	parent := core.NoParent
 	if len(d.stack) > 0 {
 		parent = int32(d.top().elem)
 	}
+	var rec *frameRec
+	d.stack, rec = core.PushRecord(d.stack)
+	rec.id, rec.label = f.ID, f.Label
+	rec.s = bag{kind: kindS, root: dsu.None}
+	rec.p = bag{kind: kindP, root: dsu.None}
+	rec.elem = d.forest.MakeSet(nil)
+	d.addToBag(&rec.s, rec.elem)
 	d.lin.Add(int32(rec.elem), f.ID, f.Label, parent)
-	d.stack = append(d.stack, rec)
 	d.current = rec
 }
 
 // FrameReturn merges the child's bags into the parent: a spawned child's S
 // bag becomes parallel work (into P_F); a called child's S bag stays serial
-// (into S_F). The child synced before returning, so its P bag is empty.
+// (into S_F). The child synced before returning, so its P bag is empty; a
+// stream that lost that Sync is rejected.
 func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 	d.events++
 	d.counts.FrameReturns++
@@ -145,14 +148,17 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 		panic(core.Violatef("sp-bags", core.StreamOrder, g.ID,
 			"event order violation: return %d, top %d", g.ID, grec.id))
 	}
+	if grec.p.root != dsu.None {
+		panic(core.Violatef("sp-bags", core.StreamState, g.ID,
+			"frame %v returned with a non-empty P bag (missing sync)", g.ID))
+	}
 	d.stack = d.stack[:len(d.stack)-1]
 	frec := d.top()
 	if g.Spawned {
-		d.unionInto(frec.p, grec.s)
+		d.unionInto(&frec.p, &grec.s)
 	} else {
-		d.unionInto(frec.s, grec.s)
+		d.unionInto(&frec.s, &grec.s)
 	}
-	d.unionInto(frec.p, grec.p) // defensive: empty in well-formed runs
 	d.current = frec
 }
 
@@ -164,7 +170,7 @@ func (d *Detector) Sync(f *cilk.Frame) {
 		panic(core.Violatef("sp-bags", core.StreamOrder, f.ID, "sync before any frame entered"))
 	}
 	rec := d.top()
-	d.unionInto(rec.s, rec.p)
+	d.unionInto(&rec.s, &rec.p)
 }
 
 func (d *Detector) bagOf(e dsu.Elem) *bag {

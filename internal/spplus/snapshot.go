@@ -48,21 +48,21 @@ func cloneBag(memo map[*bag]*bag, b *bag) *bag {
 	return c
 }
 
-// cloneFrames deep-copies a frame stack, memoizing bag copies so shared
-// references stay shared on the other side.
-func cloneFrames(stack []*frameRec, memo map[*bag]*bag) []*frameRec {
-	return cloneFramesInto(make([]*frameRec, 0, len(stack)), stack, memo)
-}
-
-// cloneFramesInto is cloneFrames appending into a recycled slice.
-func cloneFramesInto(out []*frameRec, stack []*frameRec, memo map[*bag]*bag) []*frameRec {
+// cloneFramesInto deep-copies a frame stack into out's records, reusing
+// the ones out already holds. The memo maps every source bag, embedded or
+// not, to its copy, so shared references stay shared on the other side.
+func cloneFramesInto(out, stack []*frameRec, memo map[*bag]*bag) []*frameRec {
+	out = out[:0]
 	for _, fr := range stack {
-		nfr := &frameRec{id: fr.id, label: fr.label, elem: fr.elem, s: cloneBag(memo, fr.s)}
-		nfr.pstack = make([]*bag, len(fr.pstack))
-		for j, b := range fr.pstack {
-			nfr.pstack[j] = cloneBag(memo, b)
+		var nfr *frameRec
+		out, nfr = core.PushRecord(out)
+		nfr.id, nfr.label, nfr.elem = fr.id, fr.label, fr.elem
+		nfr.s, nfr.p = fr.s, fr.p
+		memo[&fr.s], memo[&fr.p] = &nfr.s, &nfr.p
+		nfr.pstack = nfr.pstack[:0]
+		for _, b := range fr.pstack {
+			nfr.pstack = append(nfr.pstack, cloneBag(memo, b))
 		}
-		out = append(out, nfr)
 	}
 	return out
 }
@@ -86,11 +86,13 @@ func (d *Detector) Snapshot() *Snapshot {
 }
 
 // SnapshotInto is Snapshot reusing a retired snapshot's containers: the
-// frame-stack slice, the forest's backing arrays, the shadow page maps and
-// the report's storage. The work-stealing sweep refcounts handed-off
-// snapshots and, once every seeded thief has restored, recycles the struct
-// through a per-worker free list — the capture itself then allocates only
-// the cloned bags. Passing nil allocates fresh, exactly like Snapshot.
+// frame records with their embedded bags, the forest's backing arrays, the
+// shadow page maps and the report's storage. The work-stealing sweep
+// refcounts handed-off snapshots and, once every seeded thief has
+// restored, recycles the struct through a per-worker free list — the
+// capture itself then allocates only the bag memo and the stolen
+// continuations' P bags. Passing nil allocates fresh, exactly like
+// Snapshot.
 // Recycling is safe because Restore copies state out of the snapshot; the
 // only aliased storage is the copy-on-write page buffers, which are
 // immutable once shared and are never reused here.
@@ -104,7 +106,7 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 		s = &Snapshot{}
 	}
 	memo := make(map[*bag]*bag)
-	s.stack = cloneFramesInto(s.stack[:0], d.stack, memo)
+	s.stack = cloneFramesInto(s.stack, d.stack, memo)
 	s.current = -1
 	if s.forest == nil {
 		s.forest = d.forest.Clone()
@@ -138,7 +140,7 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 // allocations where possible, so pooled detectors fork cheaply.
 func (d *Detector) Restore(s *Snapshot) {
 	memo := make(map[*bag]*bag)
-	d.stack = append(d.stack[:0], cloneFrames(s.stack, memo)...)
+	d.stack = cloneFramesInto(d.stack, s.stack, memo)
 	d.forest.CopyFrom(s.forest)
 	remapPayloads(d.forest, memo)
 	d.current = nil

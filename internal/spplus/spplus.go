@@ -53,12 +53,18 @@ type bag struct {
 	root dsu.Elem
 }
 
+// frameRec is one frame's state. Records are reused by depth
+// (core.PushRecord), with the S bag and the bottom P bag embedded; the P
+// bags of stolen continuations come from the detector's free list. A
+// returning frame leaves every bag empty, so no forest payload points
+// into a parked record.
 type frameRec struct {
 	id     cilk.FrameID
 	label  string
 	elem   dsu.Elem
-	s      *bag
-	pstack []*bag
+	s      bag
+	p      bag    // the bottom P bag: pstack[0] == &p
+	pstack []*bag // one P bag per unreduced view, oldest first
 }
 
 func (r *frameRec) topP() *bag { return r.pstack[len(r.pstack)-1] }
@@ -90,6 +96,10 @@ type Detector struct {
 	inReduce   bool
 	reduceVID  cilk.ViewID
 	reduceElem dsu.Elem
+
+	// freeBags holds the P bags reductions have emptied, for the next
+	// stolen continuation.
+	freeBags []*bag
 
 	// readerEv/writerEv shadow the same locations with the detector-relative
 	// event ordinal of the recorded access, so a race report can point back
@@ -160,20 +170,21 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 	d.events++
 	d.counts.FrameEnters++
 	var inherit cilk.ViewID
-	if len(d.stack) > 0 {
-		inherit = d.top().topP().vid
-	}
-	rec := &frameRec{id: f.ID, label: f.Label}
-	rec.s = &bag{kind: kindS, vid: inherit, root: dsu.None}
-	rec.pstack = []*bag{{kind: kindP, vid: inherit, root: dsu.None}}
-	rec.elem = d.forest.MakeSet(nil)
-	d.addToBag(rec.s, rec.elem)
 	parent := core.NoParent
 	if len(d.stack) > 0 {
-		parent = int32(d.top().elem)
+		top := d.top()
+		inherit = top.topP().vid
+		parent = int32(top.elem)
 	}
+	var rec *frameRec
+	d.stack, rec = core.PushRecord(d.stack)
+	rec.id, rec.label = f.ID, f.Label
+	rec.s = bag{kind: kindS, vid: inherit, root: dsu.None}
+	rec.p = bag{kind: kindP, vid: inherit, root: dsu.None}
+	rec.pstack = append(rec.pstack[:0], &rec.p)
+	rec.elem = d.forest.MakeSet(nil)
+	d.addToBag(&rec.s, rec.elem)
 	d.lin.Add(int32(rec.elem), f.ID, f.Label, parent)
-	d.stack = append(d.stack, rec)
 	d.current = rec
 }
 
@@ -195,18 +206,22 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 		panic(core.Violatef("spplus", core.StreamState, g.ID,
 			"%v returned with %d P bags", g, len(grec.pstack)))
 	}
+	if grec.pstack[0].root != dsu.None {
+		panic(core.Violatef("spplus", core.StreamState, g.ID,
+			"%v returned with a non-empty P bag (missing sync)", g))
+	}
 	d.stack = d.stack[:len(d.stack)-1]
 	frec := d.top()
 	if g.Spawned {
-		d.unionInto(frec.topP(), grec.s)
+		d.unionInto(frec.topP(), &grec.s)
 	} else {
-		d.unionInto(frec.s, grec.s)
+		d.unionInto(&frec.s, &grec.s)
 	}
 	d.current = frec
 }
 
 // Sync implements "F syncs": the single remaining P bag's contents move
-// into F.S, and a fresh P bag with F.S's view ID replaces it.
+// into F.S, and the bag, now empty, takes F.S's view ID.
 func (d *Detector) Sync(f *cilk.Frame) {
 	d.events++
 	d.counts.Syncs++
@@ -218,8 +233,8 @@ func (d *Detector) Sync(f *cilk.Frame) {
 		panic(core.Violatef("spplus", core.StreamState, f.ID,
 			"sync with %d P bags; reduces must precede sync", len(rec.pstack)))
 	}
-	d.unionInto(rec.s, rec.pstack[0])
-	rec.pstack[0] = &bag{kind: kindP, vid: rec.s.vid, root: dsu.None}
+	d.unionInto(&rec.s, rec.pstack[0])
+	rec.pstack[0].vid = rec.s.vid
 }
 
 // ContinuationStolen implements "F executes a stolen continuation": push a
@@ -231,7 +246,15 @@ func (d *Detector) ContinuationStolen(f *cilk.Frame, newVID cilk.ViewID) {
 		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "stolen continuation before any frame entered"))
 	}
 	rec := d.top()
-	rec.pstack = append(rec.pstack, &bag{kind: kindP, vid: newVID, root: dsu.None})
+	var b *bag
+	if n := len(d.freeBags); n > 0 {
+		b = d.freeBags[n-1]
+		d.freeBags = d.freeBags[:n-1]
+	} else {
+		b = new(bag)
+	}
+	*b = bag{kind: kindP, vid: newVID, root: dsu.None}
+	rec.pstack = append(rec.pstack, b)
 }
 
 // ReduceStart implements "F executes Reduce": the dominated view's P bag is
@@ -259,6 +282,7 @@ func (d *Detector) ReduceStart(f *cilk.Frame, keepVID, dieVID cilk.ViewID) {
 			"reduce of unknown view pair (%d,%d)", keepVID, dieVID))
 	}
 	d.unionInto(rec.pstack[idx-1], rec.pstack[idx])
+	d.freeBags = append(d.freeBags, rec.pstack[idx])
 	rec.pstack = append(rec.pstack[:idx], rec.pstack[idx+1:]...)
 	d.inReduce = true
 	d.reduceVID = keepVID
@@ -266,7 +290,7 @@ func (d *Detector) ReduceStart(f *cilk.Frame, keepVID, dieVID cilk.ViewID) {
 	// everything the reduction joins, parallel to the frame's other views.
 	d.reduceElem = d.forest.MakeSet(nil)
 	d.addToBag(rec.pstack[idx-1], d.reduceElem)
-	d.lin.Add(int32(d.reduceElem), f.ID, f.Label+"/reduce", int32(rec.elem))
+	d.lin.AddReduce(int32(d.reduceElem), f.ID, f.Label, int32(rec.elem))
 }
 
 // ReduceEnd implements cilk.Hooks.

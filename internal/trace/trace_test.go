@@ -3,15 +3,19 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cilk"
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/peerset"
 	"repro/internal/progs"
+	"repro/internal/report"
+	"repro/internal/spbags"
 	"repro/internal/spplus"
 	"repro/internal/streamerr"
 )
@@ -70,7 +74,14 @@ func TestReplayReproducesPeerSet(t *testing.T) {
 	}
 }
 
+// TestQuickReplayIdenticalOnRandomPrograms: each bag detector's report
+// document is byte-identical live and replayed. The executor reuses frames
+// by depth while the replayer keeps every frame, so a detector holding a
+// *cilk.Frame past its FrameReturn would diverge here.
 func TestQuickReplayIdenticalOnRandomPrograms(t *testing.T) {
+	detectors := func() []core.Detector {
+		return []core.Detector{peerset.New(), spbags.New(), spplus.New()}
+	}
 	check := func(seed int64, p8 uint8) bool {
 		p := float64(p8%4) / 4
 		al := mem.NewAllocator()
@@ -79,21 +90,63 @@ func TestQuickReplayIdenticalOnRandomPrograms(t *testing.T) {
 
 		var buf bytes.Buffer
 		tw := NewWriter(&buf)
-		live := spplus.New()
-		cilk.Run(prog, cilk.Config{Spec: spec, Hooks: cilk.Multi{tw, live}})
+		live := detectors()
+		hooks := cilk.Multi{tw}
+		for _, d := range live {
+			hooks = append(hooks, asReplayed{Hooks: d, reducers: map[int]*cilk.Reducer{}})
+		}
+		cilk.Run(prog, cilk.Config{Spec: spec, Hooks: hooks})
 		if tw.Close() != nil {
 			return false
 		}
-		replayed := spplus.New()
-		if _, err := Replay(bytes.NewReader(buf.Bytes()), replayed); err != nil {
+		replayed := detectors()
+		n, err := ReplayAll(buf.Bytes(), nil, nil, replayed[0], replayed[1], replayed[2])
+		if err != nil {
 			t.Logf("seed %d: replay error: %v", seed, err)
 			return false
 		}
-		return live.Report().Summary() == replayed.Report().Summary()
+		for i, d := range live {
+			a, errA := report.FromDetector(d.Name(), "", n, d).Marshal()
+			b, errB := report.FromDetector(d.Name(), "", n, replayed[i]).Marshal()
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Logf("seed %d: %s differs:\nlive:   %s\nreplay: %s", seed, d.Name(), a, b)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// asReplayed hands its detector each reducer as a replay does: the random
+// programs declare reducers quietly, and a trace names such a reducer only
+// by its index.
+type asReplayed struct {
+	cilk.Hooks
+	reducers map[int]*cilk.Reducer
+}
+
+func (a asReplayed) reducer(r *cilk.Reducer) *cilk.Reducer {
+	s, ok := a.reducers[r.Index()]
+	if !ok {
+		s = cilk.SyntheticReducer(fmt.Sprintf("reducer#%d", r.Index()), r.Index())
+		a.reducers[r.Index()] = s
+	}
+	return s
+}
+
+func (a asReplayed) ReducerRead(f *cilk.Frame, r *cilk.Reducer) {
+	a.Hooks.ReducerRead(f, a.reducer(r))
+}
+
+func (a asReplayed) ViewAwareBegin(f *cilk.Frame, op cilk.ViewOp, r *cilk.Reducer) {
+	a.Hooks.ViewAwareBegin(f, op, a.reducer(r))
+}
+
+func (a asReplayed) ViewAwareEnd(f *cilk.Frame, op cilk.ViewOp, r *cilk.Reducer) {
+	a.Hooks.ViewAwareEnd(f, op, a.reducer(r))
 }
 
 func TestTraceCompactness(t *testing.T) {
