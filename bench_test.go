@@ -134,68 +134,6 @@ func BenchmarkAblationPStacks(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLabeling compares SP-bags against the two §9 labeling
-// schemes (Mellor-Crummey offset-span, Nudler-Rudolph English-Hebrew):
-// O(α) constant-size bag operations versus O(depth) reusable labels versus
-// ever-growing static labels, on a deep spawn tree.
-func BenchmarkAblationLabeling(b *testing.B) {
-	al := mem.NewAllocator()
-	x := al.Alloc("xs", 64)
-	var nest func(c *cilk.Ctx, d int)
-	nest = func(c *cilk.Ctx, d int) {
-		if d == 0 {
-			c.Load(x.At(0))
-			c.Store(x.At(1 + d%63))
-			return
-		}
-		c.Spawn("n", func(cc *cilk.Ctx) { nest(cc, d-1) })
-		c.Load(x.At(d % 64))
-		c.Sync()
-	}
-	prog := func(c *cilk.Ctx) {
-		for i := 0; i < 8; i++ {
-			c.Spawn("t", func(cc *cilk.Ctx) { nest(cc, 48) })
-		}
-		c.Sync()
-	}
-	for _, det := range []rader.DetectorName{rader.SPBags, rader.OffsetSpan, rader.EnglishHebrew} {
-		det := det
-		b.Run(string(det), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rader.MustRun(prog, rader.Config{Detector: det})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationLazyViews compares the runtime's lazy view creation
-// (§1's optimization) against eagerly materializing identity views at
-// every steal (DESIGN.md ablation 4), on a program with several reducers
-// of which each strand updates only one.
-func BenchmarkAblationLazyViews(b *testing.B) {
-	prog := func(c *cilk.Ctx) {
-		reds := make([]reducer.Handle[int], 8)
-		for i := range reds {
-			reds[i] = reducer.New[int](c, "r", reducer.OpAdd[int](), 0)
-		}
-		c.ParForGrain("upd", 512, 1, func(cc *cilk.Ctx, i int) {
-			reds[i%8].Update(cc, func(_ *cilk.Ctx, v int) int { return v + 1 })
-		})
-	}
-	for _, eager := range []bool{false, true} {
-		name := "lazy"
-		if eager {
-			name = "eager"
-		}
-		eager := eager
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cilk.Run(prog, cilk.Config{Spec: cilk.StealAll{}, EagerViews: eager})
-			}
-		})
-	}
-}
-
 // BenchmarkSpecGenFamilies times the §7 family construction (Theorems 6
 // and 7) for growing sync-block sizes.
 func BenchmarkSpecGenFamilies(b *testing.B) {

@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		progName = fs.String("prog", "fib", "program: fig1[-early|-late|-fixed], fig2, a corpus entry name, a bridged program (see -live list), or a benchmark (collision, dedup, ferret, fib, knapsack, pbfs)")
-		detector = fs.String("detector", "sp+", "detector: none, empty, peer-set, sp-bags, sp+, offset-span, english-hebrew, or all (single-pass Peer-Set+SP-bags+SP+)")
+		detector = fs.String("detector", "sp+", fmt.Sprintf("detector, one of %v (all: single-pass Peer-Set+SP-bags+SP+)", rader.DetectorNames))
 		specStr  = fs.String("spec", "none", "steal specification (none, all, all-eager, depth:D, single:A, pair:A,B, triple:I,J,K, random:SEED,K, labels:...)")
 		scale    = fs.String("scale", "small", "benchmark scale: test, small, bench")
 		reads    = fs.String("reads", "1,9", "fig2 only, local runs only: comma-separated strands that read the reducer")

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/rader"
 	"repro/internal/service"
 )
 
@@ -81,12 +82,11 @@ func requireLocalRemoteParity(t *testing.T, base, name string, args ...string) {
 // print the same verdict block, and both exit with the same code.
 func TestLocalRemoteParityEveryDetector(t *testing.T) {
 	_, base := startDaemon(t, service.Config{Workers: 2})
-	dets := []string{"none", "empty", "peer-set", "sp-bags", "sp+", "offset-span", "english-hebrew", "depa", "all"}
 	for prog, path := range pipelineTraces(t) {
-		for _, det := range dets {
+		for _, det := range rader.DetectorNames {
 			for _, elide := range []bool{false, true} {
 				for _, jsonOut := range []bool{true, false} {
-					args := []string{"-replay", path, "-detector", det}
+					args := []string{"-replay", path, "-detector", string(det)}
 					if elide {
 						args = append(args, "-elide")
 					}
@@ -108,13 +108,12 @@ func TestLocalRemoteParityEveryDetector(t *testing.T) {
 // code; so do their -coverage sweeps, sampled ones included.
 func TestLocalRemoteParityNamedPrograms(t *testing.T) {
 	_, base := startDaemon(t, service.Config{Workers: 2})
-	dets := []string{"none", "empty", "peer-set", "sp-bags", "sp+", "offset-span", "english-hebrew", "depa", "all"}
 	progs := append([]string{"fig1", "fig1-fixed", "fig2", "view-read-early-get", "clean-reducer-sum", "dedup", "pbfs"},
 		corpus.LiveNames()...)
 	for _, prog := range progs {
-		for _, det := range dets {
+		for _, det := range rader.DetectorNames {
 			for _, spec := range []string{"none", "all"} {
-				args := []string{"-prog", prog, "-scale", "test", "-detector", det, "-spec", spec}
+				args := []string{"-prog", prog, "-scale", "test", "-detector", string(det), "-spec", spec}
 				name := fmt.Sprintf("%s/%s/%s", prog, det, spec)
 				requireLocalRemoteParity(t, base, name, append(args, "-json")...)
 				requireLocalRemoteParity(t, base, name+"/plain", args...)

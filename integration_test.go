@@ -95,7 +95,12 @@ func TestCLIs(t *testing.T) {
 		runCmd(t, rader, 0, "-prog", "fig2", "-reads", "5,9", "-detector", "peer-set")
 	})
 	t.Run("rader-offset-span", func(t *testing.T) {
-		runCmd(t, rader, 0, "-prog", "fib", "-scale", "test", "-detector", "offset-span")
+		// The §9 offset-span detector is gone: its name is a usage error
+		// like any unknown one, and the message lists what is accepted.
+		out := runCmd(t, rader, 2, "-prog", "fib", "-scale", "test", "-detector", "offset-span")
+		if !strings.Contains(out, `unknown detector "offset-span"`) || !strings.Contains(out, "sp+") {
+			t.Fatalf("offset-span output:\n%s", out)
+		}
 	})
 	t.Run("rader-dot", func(t *testing.T) {
 		out := runCmd(t, rader, 0, "-prog", "fig2", "-dot")

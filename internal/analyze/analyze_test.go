@@ -14,9 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-var names = []rader.DetectorName{rader.None, rader.EmptyTool, rader.PeerSet, rader.SPBags,
-	rader.SPPlus, rader.OffsetSpan, rader.EnglishHebrew, rader.Depa, rader.All}
-
 func record(t *testing.T, prog func(*cilk.Ctx)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -54,7 +51,7 @@ func TestTraceElisionParity(t *testing.T) {
 		"dedup": record(t, dedup.Build(mem.NewAllocator(), apps.Test).Prog),
 	}
 	for name, data := range traces {
-		for _, det := range names {
+		for _, det := range rader.DetectorNames {
 			full, fullDoc := marshal(t, data, Options{Detector: det})
 			elided, elidedDoc := marshal(t, data, Options{Detector: det, Elide: true})
 			if fullDoc != elidedDoc || full.Clean != elided.Clean {
@@ -86,7 +83,7 @@ func TestTraceElisionParity(t *testing.T) {
 // rejected before any work.
 func TestTraceErrors(t *testing.T) {
 	data := record(t, progs.Fig1(mem.NewAllocator(), progs.Fig1Options{}))
-	for _, det := range names {
+	for _, det := range rader.DetectorNames {
 		for _, elide := range []bool{false, true} {
 			_, err := Trace(data[:len(data)-20], Options{Detector: det, Elide: elide})
 			var se *streamerr.Error

@@ -29,12 +29,6 @@ type Config struct {
 	// Gate, when set, withholds the run's first events from Hooks and
 	// observes its continuation probes.
 	Gate *Gate
-	// EagerViews disables the runtime's lazy view creation: every
-	// simulated steal immediately materializes identity views for all
-	// registered reducers, instead of waiting for the first Update. The
-	// paper's runtime is lazy (§1); this knob exists for the
-	// BenchmarkAblationLazyViews comparison.
-	EagerViews bool
 }
 
 // Gate withholds a run's events from its hooks until a continuation probe.
@@ -103,13 +97,12 @@ type Executor struct {
 	deadline time.Time
 	events   int64 // events emitted, counted only in emitCount mode
 
-	nextFrame  FrameID
-	nextView   ViewID
-	contSeq    int
-	reducers   []*Reducer
-	viewAware  int
-	eagerViews bool
-	res        Result
+	nextFrame FrameID
+	nextView  ViewID
+	contSeq   int
+	reducers  int // reducers registered so far; the next one's index
+	viewAware int
+	res       Result
 
 	// frames holds one Frame per depth of the serial stack. A frame lives
 	// exactly as long as its place on the stack, so the next frame entered
@@ -124,7 +117,7 @@ type Executor struct {
 // the events withheld before it.
 func Run(prog func(*Ctx), cfg Config) *Result {
 	ex := &Executor{
-		spec: cfg.Spec, hooks: cfg.Hooks, eagerViews: cfg.EagerViews,
+		spec: cfg.Spec, hooks: cfg.Hooks,
 		gate: cfg.Gate, budget: cfg.EventBudget, deadline: cfg.Deadline,
 	}
 	if ex.spec == nil {
@@ -406,11 +399,6 @@ func (c *Ctx) Spawn(label string, body func(*Ctx)) {
 		if ex.emit() {
 			ex.hooks.ContinuationStolen(f, ns.vid)
 		}
-		if ex.eagerViews {
-			for _, r := range ex.reducers {
-				f.ctx.createIdentity(r, ns)
-			}
-		}
 	}
 
 	// Reduction scheduling. A view may be reduced only once no live strand
@@ -545,8 +533,8 @@ func (c *Ctx) NewReducer(name string, m Monoid, initial any) *Reducer {
 // the construction read participating.
 func (c *Ctx) NewReducerQuiet(name string, m Monoid, initial any) *Reducer {
 	ex := c.ex
-	r := &Reducer{Name: name, m: m, idx: len(ex.reducers)}
-	ex.reducers = append(ex.reducers, r)
+	r := &Reducer{Name: name, m: m, idx: ex.reducers}
+	ex.reducers++
 	c.frame.top().set(r, initial)
 	return r
 }

@@ -5,59 +5,6 @@ import (
 	"testing"
 )
 
-func TestEagerViewsMatchLazySemantics(t *testing.T) {
-	// EagerViews materializes identities at steals instead of first
-	// update; the reduced results must be identical.
-	prog := func(out *[]int) func(*Ctx) {
-		return func(c *Ctx) {
-			r := c.NewReducer("l", listMonoid, []int(nil))
-			r2 := c.NewReducer("untouched", sumMonoid, 7)
-			c.ParForGrain("w", 20, 1, func(cc *Ctx, i int) {
-				cc.Update(r, func(_ *Ctx, v any) any { return append(v.([]int), i) })
-			})
-			*out = c.Value(r).([]int)
-			if got := c.Value(r2).(int); got != 7 {
-				t.Fatalf("untouched reducer = %d, want 7", got)
-			}
-		}
-	}
-	var lazy, eager []int
-	Run(prog(&lazy), Config{Spec: StealAll{}})
-	Run(prog(&eager), Config{Spec: StealAll{}, EagerViews: true})
-	if fmt.Sprint(lazy) != fmt.Sprint(eager) {
-		t.Fatalf("lazy %v != eager %v", lazy, eager)
-	}
-}
-
-func TestEagerViewsRunMoreIdentities(t *testing.T) {
-	ids := 0
-	m := MonoidFuncs(
-		func(*Ctx) any { ids++; return 0 },
-		func(_ *Ctx, l, r any) any { return l.(int) + r.(int) },
-	)
-	prog := func(c *Ctx) {
-		r := c.NewReducer("h", m, 0)
-		for i := 0; i < 4; i++ {
-			c.Spawn("f", func(cc *Ctx) {
-				cc.Update(r, func(_ *Ctx, v any) any { return v.(int) + 1 })
-			})
-		}
-		c.Sync()
-	}
-	ids = 0
-	Run(prog, Config{Spec: StealAll{}})
-	lazyIDs := ids
-	ids = 0
-	Run(prog, Config{Spec: StealAll{}, EagerViews: true})
-	eagerIDs := ids
-	if eagerIDs < lazyIDs {
-		t.Fatalf("eager identities %d < lazy %d", eagerIDs, lazyIDs)
-	}
-	if lazyIDs == 0 {
-		t.Fatal("steals must force identity creation even lazily")
-	}
-}
-
 func TestSetValueInStolenContinuation(t *testing.T) {
 	// set_value replaces the *current* view; in a stolen continuation
 	// that is the fresh identity view context, and the final value folds

@@ -103,9 +103,9 @@ type Provenance struct {
 	FirstEvent int64
 	// SecondEvent is the ordinal of the access at which the race fired.
 	SecondEvent int64
-	// Relation names the SP relation (or label rule) that triggered the
-	// report: "reader in P-bag", "writer on parallel view",
-	// "spawn-count mismatch", "unordered labels", ...
+	// Relation names the SP relation that triggered the report:
+	// "reader in P-bag", "writer on parallel view", "spawn-count
+	// mismatch", ...
 	Relation string
 }
 

@@ -33,8 +33,7 @@ type Entry struct {
 	DetStealAll bool // SP+ reports one under StealAll
 	DetSweep    bool // the §7 sweep finds a determinacy race
 	// Oblivious marks programs with no reducer machinery, on which the
-	// three reducer-oblivious baselines (SP-bags, offset-span,
-	// English-Hebrew) must agree with SP+ exactly.
+	// reducer-oblivious baseline SP-bags must agree with SP+ exactly.
 	Oblivious bool
 }
 

@@ -145,44 +145,3 @@ func (f *Forest) Reset() {
 	f.payload = f.payload[:0]
 	f.finds, f.unions = 0, 0
 }
-
-// NaiveForest is a linked-list disjoint-set without path compression or
-// union by rank. It exists only as the ablation baseline for
-// BenchmarkAblationPathCompression; production code uses Forest.
-type NaiveForest struct {
-	parent  []Elem
-	payload []any
-}
-
-// NewNaiveForest returns an empty naive forest.
-func NewNaiveForest() *NaiveForest { return &NaiveForest{} }
-
-// MakeSet creates a fresh singleton set with payload p.
-func (f *NaiveForest) MakeSet(p any) Elem {
-	e := Elem(len(f.parent))
-	f.parent = append(f.parent, e)
-	f.payload = append(f.payload, p)
-	return e
-}
-
-// Find returns the root of e's set without compressing.
-func (f *NaiveForest) Find(e Elem) Elem {
-	for f.parent[e] != e {
-		e = f.parent[e]
-	}
-	return e
-}
-
-// Payload returns the payload of e's set.
-func (f *NaiveForest) Payload(e Elem) any { return f.payload[f.Find(e)] }
-
-// Union merges src's set into dst's, keeping dst's payload.
-func (f *NaiveForest) Union(dst, src Elem) Elem {
-	rd, rs := f.Find(dst), f.Find(src)
-	if rd == rs {
-		return rd
-	}
-	f.parent[rs] = rd
-	f.payload[rs] = nil
-	return rd
-}

@@ -167,10 +167,51 @@ func TestQuickAgainstReference(t *testing.T) {
 	}
 }
 
+// naiveForest is a linked-list disjoint-set without path compression or
+// union by rank: the reference TestNaiveForestMatchesForest checks Forest
+// against, and the baseline of BenchmarkAblationPathCompression.
+type naiveForest struct {
+	parent  []Elem
+	payload []any
+}
+
+// newNaiveForest returns an empty naive forest.
+func newNaiveForest() *naiveForest { return &naiveForest{} }
+
+// MakeSet creates a fresh singleton set with payload p.
+func (f *naiveForest) MakeSet(p any) Elem {
+	e := Elem(len(f.parent))
+	f.parent = append(f.parent, e)
+	f.payload = append(f.payload, p)
+	return e
+}
+
+// Find returns the root of e's set without compressing.
+func (f *naiveForest) Find(e Elem) Elem {
+	for f.parent[e] != e {
+		e = f.parent[e]
+	}
+	return e
+}
+
+// Payload returns the payload of e's set.
+func (f *naiveForest) Payload(e Elem) any { return f.payload[f.Find(e)] }
+
+// Union merges src's set into dst's, keeping dst's payload.
+func (f *naiveForest) Union(dst, src Elem) Elem {
+	rd, rs := f.Find(dst), f.Find(src)
+	if rd == rs {
+		return rd
+	}
+	f.parent[rs] = rd
+	f.payload[rs] = nil
+	return rd
+}
+
 func TestNaiveForestMatchesForest(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := NewForest(0)
-	n := NewNaiveForest()
+	n := newNaiveForest()
 	var fe []Elem
 	var ne []Elem
 	for op := 0; op < 500; op++ {
@@ -227,7 +268,7 @@ func BenchmarkAblationPathCompression(b *testing.B) {
 	})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f := NewNaiveForest()
+			f := newNaiveForest()
 			elems := make([]Elem, n)
 			for j := range elems {
 				elems[j] = f.MakeSet(nil)

@@ -12,10 +12,10 @@
 //     pseudotransitivity rule, exactly internal/depa's detection rules)
 //     never fires on it: no access to it is logically parallel with a
 //     prior conflicting access. SP-bags and depa fire races at exactly
-//     these addresses; SP+, Offset-Span and English-Hebrew fire at a
-//     subset of them (verified corpus-wide and fuzzed by FuzzElide);
-//     Peer-Set never consumes Load/Store events at all. So no
-//     detector's race set mentions an elided address.
+//     these addresses; SP+ fires at a subset of them (verified
+//     corpus-wide and fuzzed by FuzzElide); Peer-Set never consumes
+//     Load/Store events at all. So no detector's race set mentions an
+//     elided address.
 //
 //   - Isolation. Every detector keeps per-address shadow state and
 //     evolves its control state (bags, labels, timestamps) from control
@@ -64,10 +64,9 @@ const (
 
 // Event-log entries. An access logs its address's slot; a control event
 // logs the sentinel of the ordinal spaces it counts in: space A
-// ({FrameEnter, FrameReturn, Sync, Load, Store}: SP-bags, Offset-Span,
-// English-Hebrew, depa) and space B (A plus {Stolen, ReduceStart,
-// ReduceEnd, ViewAwareBegin, ViewAwareEnd}: SP+). Slots stay below both
-// sentinels.
+// ({FrameEnter, FrameReturn, Sync, Load, Store}: SP-bags, depa) and
+// space B (A plus {Stolen, ReduceStart, ReduceEnd, ViewAwareBegin,
+// ViewAwareEnd}: SP+). Slots stay below both sentinels.
 const (
 	logAB uint32 = math.MaxUint32     // FrameEnter, FrameReturn, Sync
 	logB  uint32 = math.MaxUint32 - 1 // space-B-only control events

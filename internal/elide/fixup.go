@@ -40,7 +40,7 @@ func (p *Plan) runsFor(detector string) []run {
 	switch rader.DetectorName(detector) {
 	case rader.SPPlus:
 		return p.runsB
-	case rader.SPBags, rader.OffsetSpan, rader.EnglishHebrew, rader.Depa:
+	case rader.SPBags, rader.Depa:
 		return p.runsA
 	default:
 		return nil

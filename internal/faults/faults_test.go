@@ -27,7 +27,7 @@ func record(t *testing.T, prog func(*cilk.Ctx), spec cilk.StealSpec) ([]byte, in
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := trace.Replay(bytes.NewReader(buf.Bytes()), cilk.Empty{})
+	n, err := trace.ReplayAll(buf.Bytes(), nil, nil, cilk.Empty{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func eventIndexOf(t *testing.T, data []byte, label string) int64 {
 			idx = n
 		}
 	}, n: &n}
-	if _, err := trace.Replay(bytes.NewReader(data), spy); err != nil {
+	if _, err := trace.ReplayAll(data, nil, nil, spy); err != nil {
 		t.Fatal(err)
 	}
 	if idx < 0 {
@@ -102,7 +102,7 @@ func TestFaultVerdictTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		inj := faults.New(peerset.New(), faults.Plan{Kind: tc.fault, At: at})
-		_, err := trace.Replay(bytes.NewReader(data), inj)
+		_, err := trace.ReplayAll(data, nil, nil, inj)
 		if !inj.Injected() {
 			t.Errorf("%v@%d: fault did not fire", tc.fault, at)
 			continue
@@ -141,7 +141,7 @@ var bagDetectors = []struct {
 // return with a non-empty bag: the frame's own Sync is lost. g spawns a
 // and then calls b, so at g's return Peer-Set's SP bag holds b, and the
 // P bags of SP-bags and SP+ hold a. Each detector must reject the return
-// with a KindState error, through both replay front doors.
+// with a KindState error.
 func TestDroppedSyncBeforeReturn(t *testing.T) {
 	data, _ := record(t, func(c *cilk.Ctx) {
 		c.Call("g", func(g *cilk.Ctx) {
@@ -150,30 +150,15 @@ func TestDroppedSyncBeforeReturn(t *testing.T) {
 		})
 	}, nil)
 	at := syncIndexOf(t, data, "g")
-	replays := []struct {
-		name string
-		run  func(cilk.Hooks) error
-	}{
-		{"Replay", func(h cilk.Hooks) error {
-			_, err := trace.Replay(bytes.NewReader(data), h)
-			return err
-		}},
-		{"ReplayAll", func(h cilk.Hooks) error {
-			_, err := trace.ReplayAll(data, nil, nil, h)
-			return err
-		}},
-	}
 	for _, det := range bagDetectors {
-		for _, rp := range replays {
-			inj := faults.New(det.mk(), faults.Plan{Kind: faults.Drop, At: at})
-			err := rp.run(inj)
-			if !inj.Injected() {
-				t.Fatalf("%s/%s: drop@%d did not fire", det.name, rp.name, at)
-			}
-			var se *streamerr.Error
-			if !errors.As(err, &se) || se.Kind != streamerr.KindState {
-				t.Errorf("%s/%s: want a KindState *streamerr.Error, got %v", det.name, rp.name, err)
-			}
+		inj := faults.New(det.mk(), faults.Plan{Kind: faults.Drop, At: at})
+		_, err := trace.ReplayAll(data, nil, nil, inj)
+		if !inj.Injected() {
+			t.Fatalf("%s: drop@%d did not fire", det.name, at)
+		}
+		var se *streamerr.Error
+		if !errors.As(err, &se) || se.Kind != streamerr.KindState {
+			t.Errorf("%s: want a KindState *streamerr.Error, got %v", det.name, err)
 		}
 	}
 }
@@ -183,7 +168,7 @@ func TestDroppedSyncBeforeReturn(t *testing.T) {
 func syncIndexOf(t *testing.T, data []byte, label string) int64 {
 	t.Helper()
 	spy := &syncSpy{label: label, at: -1}
-	if _, err := trace.Replay(bytes.NewReader(data), spy); err != nil {
+	if _, err := trace.ReplayAll(data, nil, nil, spy); err != nil {
 		t.Fatal(err)
 	}
 	if spy.at < 0 {
@@ -225,7 +210,7 @@ func TestEveryFaultEveryDetector(t *testing.T) {
 	for _, det := range bagDetectors {
 		for _, plan := range plans {
 			inj := faults.New(det.mk(), plan)
-			_, err := trace.Replay(bytes.NewReader(data), inj)
+			_, err := trace.ReplayAll(data, nil, nil, inj)
 			if err == nil {
 				continue // provably harmless: clean replay despite the fault
 			}

@@ -50,7 +50,7 @@ func FuzzFaultPlan(f *testing.F) {
 			At:   at,
 		}
 		inj := faults.New(spplus.New(), plan)
-		_, err := trace.Replay(bytes.NewReader(fuzzTraceBytes()), inj)
+		_, err := trace.ReplayAll(fuzzTraceBytes(), nil, nil, inj)
 		if err == nil {
 			return
 		}

@@ -121,7 +121,7 @@ type shadowPage struct {
 // read as the sentinel passed at construction. Pages materialize on first
 // write, so sparse address spaces stay cheap while hot loops avoid map
 // overhead — the ablation bench BenchmarkAblationShadow quantifies this
-// against MapShadow.
+// against a plain map.
 type Shadow struct {
 	pages    map[uint64]*shadowPage
 	sentinel int32
@@ -284,28 +284,3 @@ func (s *Shadow) Restore(snap *ShadowSnap) {
 		s.pages[pn] = pg
 	}
 }
-
-// MapShadow is the map-backed alternative used only as the ablation baseline.
-type MapShadow struct {
-	m        map[Addr]int32
-	sentinel int32
-}
-
-// NewMapShadow returns a map-backed shadow with the given sentinel.
-func NewMapShadow(sentinel int32) *MapShadow {
-	return &MapShadow{m: make(map[Addr]int32), sentinel: sentinel}
-}
-
-// Get returns the value at a or the sentinel.
-func (s *MapShadow) Get(a Addr) int32 {
-	if v, ok := s.m[a]; ok {
-		return v
-	}
-	return s.sentinel
-}
-
-// Set stores v at a.
-func (s *MapShadow) Set(a Addr, v int32) { s.m[a] = v }
-
-// Reset forgets every stored value, the MapShadow parity of Shadow.Reset.
-func (s *MapShadow) Reset() { clear(s.m) }

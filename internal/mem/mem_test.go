@@ -97,7 +97,7 @@ func TestShadowMatchesMapShadow(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewShadow(-1)
-		m := NewMapShadow(-1)
+		m := newMapShadow(-1)
 		for i := 0; i < 500; i++ {
 			a := Addr(rng.Intn(1 << 16))
 			if rng.Intn(2) == 0 {
@@ -130,7 +130,7 @@ func BenchmarkAblationShadow(b *testing.B) {
 		}
 	})
 	b.Run("map", func(b *testing.B) {
-		s := NewMapShadow(-1)
+		s := newMapShadow(-1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			a := Addr(i % span)

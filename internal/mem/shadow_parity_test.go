@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The paged Shadow and the map-backed MapShadow implement one contract: a
+// The paged Shadow and the map-backed mapShadow implement one contract: a
 // Get returns the last Set value, or the sentinel for a never-written
 // address. The property test drives both with an identical random
 // operation mix over the full 64-bit address range — including the page
@@ -35,7 +35,7 @@ func TestShadowMapShadowParity(t *testing.T) {
 	}
 
 	paged := NewShadow(sentinel)
-	mapped := NewMapShadow(sentinel)
+	mapped := newMapShadow(sentinel)
 	for i := 0; i < 20000; i++ {
 		a := pick()
 		switch rng.Intn(40) {
@@ -95,3 +95,29 @@ func TestShadowSentinelBoundary(t *testing.T) {
 		t.Fatalf("expected exactly 2 materialized pages, got %d", s.Pages())
 	}
 }
+
+// mapShadow is the map-backed shadow space: the reference the parity tests
+// check Shadow against, and the baseline of BenchmarkAblationShadow.
+type mapShadow struct {
+	m        map[Addr]int32
+	sentinel int32
+}
+
+// newMapShadow returns a map-backed shadow with the given sentinel.
+func newMapShadow(sentinel int32) *mapShadow {
+	return &mapShadow{m: make(map[Addr]int32), sentinel: sentinel}
+}
+
+// Get returns the value at a or the sentinel.
+func (s *mapShadow) Get(a Addr) int32 {
+	if v, ok := s.m[a]; ok {
+		return v
+	}
+	return s.sentinel
+}
+
+// Set stores v at a.
+func (s *mapShadow) Set(a Addr, v int32) { s.m[a] = v }
+
+// Reset forgets every stored value, the mapShadow parity of Shadow.Reset.
+func (s *mapShadow) Reset() { clear(s.m) }

@@ -101,9 +101,9 @@ func TestShadowResetThenReuse(t *testing.T) {
 	}
 }
 
-// MapShadow.Reset is the parity operation of Shadow.Reset.
+// mapShadow.Reset is the parity operation of Shadow.Reset.
 func TestMapShadowReset(t *testing.T) {
-	m := NewMapShadow(-1)
+	m := newMapShadow(-1)
 	m.Set(3, 9)
 	m.Reset()
 	if got := m.Get(3); got != -1 {

@@ -15,6 +15,7 @@ package rader
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -22,9 +23,7 @@ import (
 	"repro/internal/cilk"
 	"repro/internal/core"
 	"repro/internal/depa"
-	"repro/internal/ehlabel"
 	"repro/internal/obs"
-	"repro/internal/offsetspan"
 	"repro/internal/peerset"
 	"repro/internal/sched"
 	"repro/internal/spbags"
@@ -45,12 +44,6 @@ const (
 	PeerSet   DetectorName = "peer-set"
 	SPBags    DetectorName = "sp-bags"
 	SPPlus    DetectorName = "sp+"
-	// OffsetSpan is the Mellor-Crummey labeling detector of §9's related
-	// work, included as a second reducer-oblivious baseline.
-	OffsetSpan DetectorName = "offset-span"
-	// EnglishHebrew is the Nudler-Rudolph labeling detector, the earliest
-	// scheme §9 surveys.
-	EnglishHebrew DetectorName = "english-hebrew"
 	// Depa is the order-maintenance detector: DePa-style (depth,
 	// fork-path) strand timestamps with a sharded parallel detection
 	// phase. Verdicts are byte-identical to SP-bags; it additionally
@@ -67,14 +60,16 @@ const (
 // this order.
 var AllDetectors = []DetectorName{PeerSet, SPBags, SPPlus}
 
+// DetectorNames lists every name ParseDetector accepts, in the order
+// usage text and errors print them.
+var DetectorNames = []DetectorName{None, EmptyTool, PeerSet, SPBags, SPPlus, Depa, All}
+
 // ParseDetector validates a detector name.
 func ParseDetector(s string) (DetectorName, error) {
-	switch DetectorName(s) {
-	case None, EmptyTool, PeerSet, SPBags, SPPlus, OffsetSpan, EnglishHebrew, Depa, All:
-		return DetectorName(s), nil
-	default:
-		return "", fmt.Errorf("rader: unknown detector %q (have none, empty, peer-set, sp-bags, sp+, offset-span, english-hebrew, depa, all)", s)
+	if !slices.Contains(DetectorNames, DetectorName(s)) {
+		return "", fmt.Errorf("rader: unknown detector %q (have %v)", s, DetectorNames)
 	}
+	return DetectorName(s), nil
 }
 
 // Config selects the analysis, schedule and resource limits for one run.
@@ -136,12 +131,6 @@ func NewDetector(name DetectorName) (core.Detector, cilk.Hooks, error) {
 		return d, d, nil
 	case SPPlus:
 		d := spplus.New()
-		return d, d, nil
-	case OffsetSpan:
-		d := offsetspan.New()
-		return d, d, nil
-	case EnglishHebrew:
-		d := ehlabel.New()
 		return d, d, nil
 	case Depa:
 		d := depa.New()

@@ -13,13 +13,15 @@ import (
 )
 
 func TestParseDetector(t *testing.T) {
-	for _, s := range []string{"none", "empty", "peer-set", "sp-bags", "sp+"} {
-		if _, err := ParseDetector(s); err != nil {
-			t.Fatal(err)
+	for _, name := range DetectorNames {
+		if got, err := ParseDetector(string(name)); err != nil || got != name {
+			t.Fatalf("ParseDetector(%q) = %q, %v", name, got, err)
 		}
 	}
-	if _, err := ParseDetector("tsan"); err == nil {
-		t.Fatal("unknown detector must error")
+	for _, s := range []string{"tsan", "", "offset-span", "english-hebrew"} {
+		if _, err := ParseDetector(s); err == nil {
+			t.Fatalf("unknown detector %q must error", s)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ type Access struct {
 }
 
 // Provenance explains why the detector reported the race: the SP relation
-// (or label rule) that fired and the detector-relative event ordinals of
+// that fired and the detector-relative event ordinals of
 // the two sides (see core.Provenance for the ordinal contract).
 type Provenance struct {
 	FirstEvent  int64  `json:"firstEvent,omitempty"`

@@ -187,8 +187,7 @@ func TestMarshalDeterministic(t *testing.T) {
 // document's Race.String equals core.Race.String, so a verdict printed
 // from a remote document reads exactly like one printed locally.
 func TestRaceTextMatchesCore(t *testing.T) {
-	dets := []rader.DetectorName{rader.PeerSet, rader.SPBags, rader.SPPlus,
-		rader.OffsetSpan, rader.EnglishHebrew, rader.Depa}
+	dets := []rader.DetectorName{rader.PeerSet, rader.SPBags, rader.SPPlus, rader.Depa}
 	kinds := map[string]int{}
 	for _, e := range corpus.All() {
 		for _, det := range dets {

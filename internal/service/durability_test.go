@@ -254,7 +254,7 @@ func TestResumableIngestAndAnalyzeByDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := trace.Replay(bytes.NewReader(raw), hooks)
+	events, err := trace.ReplayAll(raw, nil, nil, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -11,20 +12,14 @@ import (
 	"repro/internal/store"
 )
 
-// knownDetectors is the closed label set for per-detector series. Detector
-// names reaching metrics.done are already validated by rader.ParseDetector
-// (plus the internal "sweep" pseudo-detector), but the exposition guards
+// sanitizeDetector folds a name outside the closed label set for
+// per-detector series — rader.DetectorNames plus the internal "sweep"
+// pseudo-detector — into "other". Detector names reaching metrics.done
+// are already validated by rader.ParseDetector, but the exposition guards
 // its own cardinality anyway: a future call site forwarding raw client
 // input must not be able to mint unbounded label values.
-var knownDetectors = map[string]bool{
-	"none": true, "empty": true, "peer-set": true, "sp-bags": true,
-	"sp+": true, "offset-span": true, "english-hebrew": true, "depa": true,
-	"all": true, "sweep": true,
-}
-
-// sanitizeDetector folds unknown detector names into "other".
 func sanitizeDetector(d string) string {
-	if knownDetectors[d] {
+	if d == "sweep" || slices.Contains(rader.DetectorNames, rader.DetectorName(d)) {
 		return d
 	}
 	return "other"

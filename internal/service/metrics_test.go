@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cilk"
 	"repro/internal/corpus"
+	"repro/internal/rader"
 )
 
 // progOf wraps a plain func as a named program.
@@ -26,13 +27,12 @@ func progOf(desc string, body func()) corpus.Program {
 }
 
 func TestSanitizeDetector(t *testing.T) {
-	for _, d := range []string{"none", "empty", "peer-set", "sp-bags", "sp+",
-		"offset-span", "english-hebrew", "depa", "all", "sweep"} {
-		if got := sanitizeDetector(d); got != d {
+	for _, d := range append([]rader.DetectorName{"sweep"}, rader.DetectorNames...) {
+		if got := sanitizeDetector(string(d)); got != string(d) {
 			t.Errorf("sanitizeDetector(%q) = %q, want identity", d, got)
 		}
 	}
-	for _, d := range []string{"", "bogus", "sp+\nINJECTED 1", `x"y`, "SP+"} {
+	for _, d := range []string{"", "bogus", "sp+\nINJECTED 1", `x"y`, "SP+", "offset-span", "english-hebrew"} {
 		if got := sanitizeDetector(d); got != "other" {
 			t.Errorf("sanitizeDetector(%q) = %q, want \"other\"", d, got)
 		}

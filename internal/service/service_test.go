@@ -104,7 +104,7 @@ func TestAnalyzeUploadCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := trace.Replay(bytes.NewReader(raw), hooks)
+	events, err := trace.ReplayAll(raw, nil, nil, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +202,7 @@ func TestAnalyzeRejectsBadRequests(t *testing.T) {
 	}{
 		{"empty body, no prog", "/analyze", nil, http.StatusBadRequest},
 		{"bad detector", "/analyze?detector=quantum", []byte("x"), http.StatusBadRequest},
+		{"removed detector", "/analyze?prog=fig1&detector=english-hebrew", nil, http.StatusBadRequest},
 		{"unknown program", "/analyze?prog=nonesuch", nil, http.StatusNotFound},
 		{"bad spec", "/analyze?prog=fig1&spec=sometimes", nil, http.StatusBadRequest},
 		{"bad scale", "/analyze?prog=fib&scale=galactic", nil, http.StatusNotFound},

@@ -299,7 +299,7 @@ func (s *Store) HasTrace(digest string) bool {
 	return err == nil
 }
 
-// OpenTrace opens a finalized trace for streaming replay. The caller
+// OpenTrace opens a finalized trace for reading. The caller
 // closes it. Returns os.ErrNotExist when the digest is not stored.
 func (s *Store) OpenTrace(digest string) (io.ReadCloser, int64, error) {
 	if !ValidDigest(digest) {

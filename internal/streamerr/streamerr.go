@@ -5,13 +5,14 @@
 // executor validate the event contract as they consume the stream. A live
 // execution can never violate the contract, so the validation failure mode
 // is a panic — but the panic *value* is always a *streamerr.Error, never a
-// bare string. Recovery points (trace.Replay and trace.ReplayAll,
-// rader.Run, the rader sweep workers) translate that panic value back into an ordinary error carrying
-// the layer that detected the fault, the event index, the offending frame
-// and, for byte-level trace faults, the stream offset. Anything else that
-// escapes as a panic — a crashing downstream consumer, a runtime fault in
-// a detector driven off contract — is wrapped with KindConsumer so callers
-// always observe one error type and the process never dies.
+// bare string. Recovery points (trace.ReplayAll, rader.Run, the rader
+// sweep workers) translate that panic value back into an ordinary error
+// carrying the layer that detected the fault, the event index, the
+// offending frame and, for byte-level trace faults, the stream offset.
+// Anything else that escapes as a panic — a crashing downstream consumer,
+// a runtime fault in a detector driven off contract — is wrapped with
+// KindConsumer so callers always observe one error type and the process
+// never dies.
 //
 // This package sits below internal/cilk on purpose: the executor itself
 // panics with *Error, and internal/core re-exports the type as
@@ -77,7 +78,7 @@ func (k Kind) String() string {
 
 // Error is the pipeline's structured stream error. Fields that are unknown
 // at the detection site hold -1 and are filled in by the recovery point
-// that has them (trace.Replay knows the event index and byte offset; a
+// that has them (trace.ReplayAll knows the event index and byte offset; a
 // detector knows the offending frame).
 type Error struct {
 	// Layer names the component that detected the fault: "cilk",

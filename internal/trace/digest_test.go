@@ -73,7 +73,7 @@ func TestWriterDigestLabelHeavy(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: writer digest %s != DigestOf %s", trial, got, want)
 		}
-		if _, err := Replay(bytes.NewReader(buf.Bytes()), spplus.New()); err != nil {
+		if _, err := ReplayAll(buf.Bytes(), nil, nil, spplus.New()); err != nil {
 			t.Fatalf("trial %d: label-heavy stream failed integrity replay: %v", trial, err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestDigestImpliesReplayEquivalence(t *testing.T) {
 	}
 	run := func() string {
 		d := spplus.New()
-		if _, err := Replay(bytes.NewReader(buf.Bytes()), d); err != nil {
+		if _, err := ReplayAll(buf.Bytes(), nil, nil, d); err != nil {
 			t.Fatal(err)
 		}
 		return d.Report().Summary()
@@ -201,7 +201,7 @@ func TestCloseIdempotentClean(t *testing.T) {
 	if buf.Len() != size {
 		t.Fatalf("second Close grew the stream from %d to %d bytes", size, buf.Len())
 	}
-	if _, err := Replay(bytes.NewReader(buf.Bytes()), spplus.New()); err != nil {
+	if _, err := ReplayAll(buf.Bytes(), nil, nil, spplus.New()); err != nil {
 		t.Fatal(err)
 	}
 }

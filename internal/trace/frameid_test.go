@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -44,14 +43,14 @@ func TestFrameIDOverflowRejected(t *testing.T) {
 		"maxuint": head.rec(evLoad, 1<<64-1, 64),
 	}
 	for name, data := range cases {
-		_, streamErr := Replay(bytes.NewReader(data), cilk.Empty{})
+		_, streamErr := replayReference(data, cilk.Empty{})
 		_, allErr := ReplayAll(data, nil, nil, cilk.Empty{})
 		var se *streamerr.Error
 		if !errors.As(streamErr, &se) || se.Kind != streamerr.KindMalformed {
-			t.Fatalf("%s: Replay returned %v, want a malformed-input error", name, streamErr)
+			t.Fatalf("%s: the reference returned %v, want a malformed-input error", name, streamErr)
 		}
 		if allErr == nil || streamErr.Error() != allErr.Error() {
-			t.Fatalf("%s: decoders disagree:\n  Replay: %v\nReplayAll: %v", name, streamErr, allErr)
+			t.Fatalf("%s: decoders disagree:\nreference: %v\nReplayAll: %v", name, streamErr, allErr)
 		}
 	}
 

@@ -5,10 +5,8 @@ import (
 
 	"repro/internal/cilk"
 	"repro/internal/core"
-	"repro/internal/ehlabel"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/offsetspan"
 	"repro/internal/peerset"
 	"repro/internal/progs"
 	"repro/internal/spbags"
@@ -23,9 +21,7 @@ func TestDetectorProvenanceAndCounts(t *testing.T) {
 	al := mem.NewAllocator()
 	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
 
-	dets := []core.Detector{
-		peerset.New(), spbags.New(), spplus.New(), offsetspan.New(), ehlabel.New(),
-	}
+	dets := []core.Detector{peerset.New(), spbags.New(), spplus.New()}
 	hooks := make([]cilk.Hooks, len(dets))
 	for i, d := range dets {
 		hooks[i] = d.(cilk.Hooks)

@@ -1,10 +1,8 @@
-// Single-pass multi-consumer replay: the fan-out engine behind the
-// service's "analyze under everything" path. Replay (trace.go) streams
-// from an io.Reader and folds the CRC byte by byte — general, but it pays
-// the full decode cost once per consumer when a trace is analysed under
-// several detectors. The Replayer in this file decodes an in-memory
-// stream exactly once and fans every event out to all registered hooks,
-// with a pooled, allocation-free decode loop:
+// The package's one decoder: rader -replay, raderd's /analyze and the
+// elision pipeline all replay through the Replayer in this file. It
+// decodes an in-memory stream exactly once, fanning every event out to
+// all registered hooks (three detectors cost one decode), with a pooled,
+// allocation-free decode loop:
 //
 //   - frames come from a chunked arena that is reused across replays
 //     (chunks never move, so frame pointers stay stable while the table
@@ -19,8 +17,8 @@
 //
 // In the steady state the decode loop performs zero allocations per
 // event (BenchmarkReplayAll and TestReplayAllSteadyStateAllocs pin this
-// down), which is what makes the single-pass all-detectors path cheaper
-// than even one streaming replay plus decode.
+// down). The parity tests and FuzzReplay check it against an independent
+// streaming decoder kept in the package's tests (reference_test.go).
 package trace
 
 import (
@@ -49,7 +47,7 @@ const maxInterned = 4096
 // decodes an encoded CILKTRACE stream exactly once and feeds every
 // registered cilk.Hooks consumer — detectors, the dag recorder, digest
 // accounting — in event order, producing behaviour bit-identical to one
-// streaming Replay per consumer. The zero value is not ready; use
+// replay per consumer. The zero value is not ready; use
 // NewReplayer (or the pooled ReplayAll front door).
 //
 // A Replayer is not safe for concurrent use, and the *cilk.Frame and
@@ -193,7 +191,10 @@ func (rp *Replayer) u() (uint64, error) {
 		rp.off += n
 		return v, nil
 	}
-	if n == 0 {
+	// n == 0 means the stream ended inside the varint, a truncation —
+	// unless ten continuation bytes have already arrived, which no
+	// suffix can turn into a 64-bit varint.
+	if n == 0 && len(rp.body)-rp.off < binary.MaxVarintLen64 {
 		rp.off = len(rp.body)
 		return 0, rp.truncated()
 	}
@@ -225,9 +226,8 @@ func (rp *Replayer) str() (string, error) {
 			"label of %d bytes", n).WithEvent(rp.events).WithOffset(int64(rp.off))
 	}
 	if uint64(len(rp.body)-rp.off) < n {
-		// The streaming replayer's offset counts only fully consumed
-		// bytes, so a label cut mid-way reports the position after its
-		// length varint; keep rp.off there for identical errors.
+		// A label cut mid-way is a truncation at the offset just past
+		// its length varint.
 		return "", rp.truncated()
 	}
 	b := rp.body[rp.off : rp.off+int(n)]
@@ -235,12 +235,21 @@ func (rp *Replayer) str() (string, error) {
 	return rp.intern(b), nil
 }
 
-// Replay decodes data — one full encoded stream, header to footer — and
-// drives every hook with the reconstructed events. It accepts the same
-// v1/v2 formats as the streaming Replay, synthesizes identical frame and
-// reducer metadata, and classifies failures with the same
-// *streamerr.Error kinds; the only observable difference is speed. It
+// Replay decodes data — one full encoded stream, header to footer, v1 or
+// v2 — and drives every hook with the reconstructed events. Frame and
+// reducer objects are synthesized: frames carry ID, label, spawn flag,
+// parent and depth; reducers carry name and index. A reducer declared
+// quietly (cilk.NewReducerQuiet) has no creation event in the stream, so
+// it replays under the synthetic name "reducer#<idx>"; detector verdicts
+// are unaffected because reducers are identified by object, not name. It
 // returns the number of events replayed.
+//
+// On failure the returned error is a *streamerr.Error: a truncated v2
+// stream reports KindTruncated with the event reached, an integrity
+// failure reports KindCorrupt with the byte offset, an undecodable record
+// reports KindMalformed, a detector contract violation keeps the
+// detector's own error (kind, layer and frame) with the event index
+// filled in, and any other consumer panic is wrapped as KindConsumer.
 func (rp *Replayer) Replay(data []byte, hooks ...cilk.Hooks) (events int64, err error) {
 	rp.skip = nil
 	return rp.replay(data, hooks...)
@@ -260,8 +269,10 @@ func (rp *Replayer) ReplaySkip(data []byte, skip *SkipSet, hooks ...cilk.Hooks) 
 func (rp *Replayer) replay(data []byte, hooks ...cilk.Hooks) (events int64, err error) {
 	rp.reset()
 	rp.hooks = cilk.MultiHooks(hooks...)
-	// Contract violations out of a detector (and any other consumer
-	// panic) become typed errors, exactly as in the streaming Replay.
+	// Detectors validate the event contract with *streamerr.Error panics
+	// (a live run can never violate it). A corrupt or adversarial trace
+	// can, so contract violations — and any other consumer panic — become
+	// typed errors here, keeping the original layer, kind and frame.
 	defer func() {
 		if p := recover(); p != nil {
 			se := streamerr.FromPanic("trace", p)
@@ -312,8 +323,7 @@ func (rp *Replayer) replay(data []byte, hooks ...cilk.Hooks) (events int64, err 
 			foot := rp.body[rp.off : rp.off+footerLen-1]
 			wantCRC := binary.LittleEndian.Uint32(foot[0:4])
 			wantN := binary.LittleEndian.Uint64(foot[4:12])
-			// One bulk CRC pass over the event bytes replaces the
-			// streaming replayer's per-byte folding.
+			// One bulk CRC pass over the event bytes.
 			if got := crc32.Update(0, castagnoli, rp.body[:offAtRecord]); wantCRC != got {
 				return rp.events, streamerr.Errorf("trace", streamerr.KindCorrupt,
 					"CRC mismatch: footer %08x, stream %08x", wantCRC, got).

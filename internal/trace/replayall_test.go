@@ -34,15 +34,15 @@ func verdict(rp *core.Report) string {
 	return s
 }
 
-// checkSeqVsAll replays data three times sequentially (one streaming
-// Replay per detector) and once through the single-pass engine, and
+// checkSeqVsAll replays data three times sequentially (one reference
+// replay per detector) and once through the single-pass engine, and
 // demands bit-identical verdicts and event counts.
 func checkSeqVsAll(t *testing.T, name string, data []byte) {
 	t.Helper()
 	seq := allDets()
 	var seqN int64
 	for i, d := range seq {
-		n, err := Replay(bytes.NewReader(data), d.(cilk.Hooks))
+		n, err := replayReference(data, d.(cilk.Hooks))
 		if err != nil {
 			t.Fatalf("%s: sequential replay %d: %v", name, i, err)
 		}
@@ -138,62 +138,65 @@ func TestReplayAllSweepCorpus(t *testing.T) {
 	}
 }
 
+// checkReplayParity replays stream through the reference decoder and
+// through ReplayAll, each into a fresh SP+ detector, and demands the same
+// replayed-event count and, on failure, the same typed kind and the same
+// message byte for byte.
+func checkReplayParity(t testing.TB, name string, stream []byte) {
+	t.Helper()
+	wantN, wantErr := replayReference(stream, spplus.New())
+	gotN, gotErr := ReplayAll(stream, nil, nil, spplus.New())
+	if wantN != gotN {
+		t.Fatalf("%s: events %d (streaming) vs %d (single-pass)", name, wantN, gotN)
+	}
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: error %v (streaming) vs %v (single-pass)", name, wantErr, gotErr)
+	}
+	if wantErr == nil {
+		return
+	}
+	var ws, gs *streamerr.Error
+	if !errors.As(wantErr, &ws) || !errors.As(gotErr, &gs) {
+		t.Fatalf("%s: untyped error: %v vs %v", name, wantErr, gotErr)
+	}
+	if ws.Kind != gs.Kind || wantErr.Error() != gotErr.Error() {
+		t.Fatalf("%s: errors diverge:\nstreaming:   %v\nsingle-pass: %v", name, wantErr, gotErr)
+	}
+}
+
 // TestReplayAllErrorParity truncates a valid v2 trace at every byte
 // position and corrupts it in the classic ways; the single-pass engine
-// must fail with the same typed kind, the same message, and the same
-// replayed-event count as the streaming replayer, byte for byte.
+// must fail exactly as the streaming reference does (checkReplayParity).
 func TestReplayAllErrorParity(t *testing.T) {
 	al := mem.NewAllocator()
 	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
 
-	check := func(name string, stream []byte) {
-		t.Helper()
-		wantN, wantErr := Replay(bytes.NewReader(stream), spplus.New())
-		gotN, gotErr := ReplayAll(stream, nil, nil, spplus.New())
-		if wantN != gotN {
-			t.Fatalf("%s: events %d (streaming) vs %d (single-pass)", name, wantN, gotN)
-		}
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: error %v (streaming) vs %v (single-pass)", name, wantErr, gotErr)
-		}
-		if wantErr == nil {
-			return
-		}
-		var ws, gs *streamerr.Error
-		if !errors.As(wantErr, &ws) || !errors.As(gotErr, &gs) {
-			t.Fatalf("%s: untyped error: %v vs %v", name, wantErr, gotErr)
-		}
-		if ws.Kind != gs.Kind || wantErr.Error() != gotErr.Error() {
-			t.Fatalf("%s: errors diverge:\nstreaming:   %v\nsingle-pass: %v", name, wantErr, gotErr)
-		}
-	}
-
 	for n := 0; n <= len(data); n++ {
-		check(fmt.Sprintf("prefix-%d", n), data[:n])
+		checkReplayParity(t, fmt.Sprintf("prefix-%d", n), data[:n])
 	}
 
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(Magic)+4] ^= 0x01
-	check("label-bitflip", corrupt)
+	checkReplayParity(t, "label-bitflip", corrupt)
 
 	badCount := append([]byte(nil), data...)
 	badCount[len(badCount)-1] ^= 0x40
-	check("count-corrupt", badCount)
+	checkReplayParity(t, "count-corrupt", badCount)
 
-	check("trailing", append(append([]byte(nil), data...), 0x00))
-	check("bad-magic", []byte("NOTATRACE!!\n"))
-	check("bad-kind", append([]byte(Magic), 0xEE))
-	check("unknown-frame", append([]byte(Magic), byte(evSync), 42))
+	checkReplayParity(t, "trailing", append(append([]byte(nil), data...), 0x00))
+	checkReplayParity(t, "bad-magic", []byte("NOTATRACE!!\n"))
+	checkReplayParity(t, "bad-kind", append([]byte(Magic), 0xEE))
+	checkReplayParity(t, "unknown-frame", append([]byte(Magic), byte(evSync), 42))
 
 	// v1 prefixes: clean event boundaries must stay clean in both engines.
 	v1 := toV1(t, data)
 	for n := 0; n <= len(v1); n++ {
-		check(fmt.Sprintf("v1-prefix-%d", n), v1[:n])
+		checkReplayParity(t, fmt.Sprintf("v1-prefix-%d", n), v1[:n])
 	}
 }
 
-// TestReplayAllConsumerPanic: a hook panic surfaces as the same typed
-// consumer error the streaming replayer produces.
+// TestReplayAllConsumerPanic: a hook panic surfaces as a typed consumer
+// error carrying the event and byte offset it happened at.
 func TestReplayAllConsumerPanic(t *testing.T) {
 	al := mem.NewAllocator()
 	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
@@ -321,7 +324,7 @@ func BenchmarkReplayAll(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, d := range allDets() {
-				if _, err := Replay(bytes.NewReader(data), d.(cilk.Hooks)); err != nil {
+				if _, err := replayReference(data, d.(cilk.Hooks)); err != nil {
 					b.Fatal(err)
 				}
 			}

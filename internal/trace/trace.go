@@ -3,7 +3,7 @@
 // decoupling program execution from race analysis. A program (plus steal
 // specification) is executed once under a trace Writer; the resulting
 // trace can then be replayed into Peer-Set, SP-bags, SP+, the dag
-// recorder, or all of them, without re-running the program. Replay
+// recorder, or all of them, without re-running the program. A replay
 // produces bit-identical detector behaviour because the detectors consume
 // nothing but this event stream.
 //
@@ -13,13 +13,13 @@
 // a length-prefixed label — and finally a 13-byte footer written by Close:
 // the footer kind byte, the CRC32C (Castagnoli) of all event bytes, and
 // the event count, both little-endian. Typical traces run 2–4 bytes per
-// memory access. The footer lets Replay distinguish a clean end of stream
+// memory access. The footer lets replay distinguish a clean end of stream
 // from a truncation ("ended at event N") and from corruption ("CRC
 // mismatch at byte offset B"). Version 1 traces ("CILKTRACE1\n", no
 // footer) still replay; for them any EOF at a record boundary is a clean
 // end, exactly as before.
 //
-// Every Replay failure — bad header, undecodable record, truncation,
+// Every replay failure — bad header, undecodable record, truncation,
 // integrity failure, a detector contract violation, or a panicking
 // consumer — surfaces as a *streamerr.Error carrying the event index,
 // byte offset and (for contract violations) the offending frame.
@@ -31,11 +31,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/cilk"
 	"repro/internal/mem"
@@ -46,7 +44,7 @@ import (
 const Magic = "CILKTRACE2\n"
 
 // MagicV1 identifies a legacy v1 stream: no integrity footer, any EOF at
-// a record boundary is a clean end. Replay accepts both; the Writer only
+// a record boundary is a clean end. ReplayAll accepts both; the Writer only
 // produces v2.
 const MagicV1 = "CILKTRACE1\n"
 
@@ -97,7 +95,8 @@ type Digest [sha256.Size]byte
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
 
 // DigestOf consumes r to EOF and returns the digest of its bytes. It does
-// not validate the stream; pair it with Replay when integrity matters.
+// not validate the stream; pair it with ReplayAll or VerifyIntegrity when
+// integrity matters.
 func DigestOf(r io.Reader) (Digest, error) {
 	h := sha256.New()
 	if _, err := io.Copy(h, r); err != nil {
@@ -292,371 +291,4 @@ var _ cilk.Hooks = (*Writer)(nil)
 func frameIDOverflow(id uint64, event, off int64) *streamerr.Error {
 	return streamerr.Errorf("trace", streamerr.KindMalformed,
 		"frame ID %d overflows int32", id).WithEvent(event).WithOffset(off)
-}
-
-// replayReader tracks the byte offset and running CRC of everything the
-// decoder consumes, so failures can name the exact stream position and the
-// v2 footer can be verified.
-type replayReader struct {
-	br  *bufio.Reader
-	off int64
-	crc uint32
-	one [1]byte
-}
-
-// ReadByte implements io.ByteReader (binary.ReadUvarint reads through it).
-func (r *replayReader) ReadByte() (byte, error) {
-	b, err := r.br.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	r.off++
-	r.one[0] = b
-	r.crc = crc32.Update(r.crc, castagnoli, r.one[:])
-	return b, nil
-}
-
-func (r *replayReader) full(b []byte) error {
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		return err
-	}
-	r.off += int64(len(b))
-	r.crc = crc32.Update(r.crc, castagnoli, b)
-	return nil
-}
-
-// Replay reads a trace from r and drives hooks with the reconstructed
-// event stream. Frame and reducer objects are synthesized: frames carry
-// ID, label, spawn flag, parent and depth; reducers carry name and index.
-// A reducer declared quietly (cilk.NewReducerQuiet) has no creation event
-// in the stream, so it replays under the synthetic name "reducer#<idx>";
-// detector verdicts are unaffected because reducers are identified by
-// object, not name. It returns the number of events replayed.
-//
-// On failure the returned error is a *streamerr.Error: a truncated v2
-// stream reports KindTruncated with the event reached, an integrity
-// failure reports KindCorrupt with the byte offset, an undecodable record
-// reports KindMalformed, a detector contract violation keeps the
-// detector's own error (kind, layer and frame) with the event index
-// filled in, and any other consumer panic is wrapped as KindConsumer.
-func Replay(r io.Reader, hooks cilk.Hooks) (events int64, err error) {
-	rd := &replayReader{br: bufio.NewReader(r)}
-	// Detectors validate the event contract with *streamerr.Error panics
-	// (a live run can never violate it). A corrupt or adversarial trace
-	// can, so convert contract violations — and any other panic a
-	// consumer raises — into structured errors here, preserving the
-	// original layer, kind and frame.
-	defer func() {
-		if p := recover(); p != nil {
-			se := streamerr.FromPanic("trace", p)
-			if se.Event < 0 {
-				se.Event = events
-			}
-			if se.Offset < 0 {
-				se.Offset = rd.off
-			}
-			err = se
-		}
-	}()
-	head := make([]byte, len(Magic))
-	if _, err := io.ReadFull(rd.br, head); err != nil {
-		return 0, streamerr.Errorf("trace", streamerr.KindTruncated,
-			"reading header: %v", err)
-	}
-	var v2 bool
-	switch string(head) {
-	case Magic:
-		v2 = true
-	case MagicV1:
-		v2 = false
-	default:
-		return 0, streamerr.New("trace", streamerr.KindMalformed, "bad magic header")
-	}
-
-	frames := make(map[cilk.FrameID]*cilk.Frame)
-	reducers := make(map[int]*cilk.Reducer)
-	var stack []*cilk.Frame
-
-	// truncated classifies a mid-record decode failure: an EOF is a
-	// truncation at the current event; anything else passes through.
-	truncated := func(e error) error {
-		if errors.Is(e, io.EOF) || errors.Is(e, io.ErrUnexpectedEOF) {
-			return streamerr.Errorf("trace", streamerr.KindTruncated,
-				"stream truncated mid-event").WithEvent(events).WithOffset(rd.off)
-		}
-		return e
-	}
-	u := func() (uint64, error) {
-		v, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return 0, truncated(err)
-		}
-		return v, nil
-	}
-	str := func() (string, error) {
-		n, err := u()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", streamerr.Errorf("trace", streamerr.KindMalformed,
-				"label of %d bytes", n).WithEvent(events).WithOffset(rd.off)
-		}
-		b := make([]byte, n)
-		if err := rd.full(b); err != nil {
-			return "", truncated(err)
-		}
-		return string(b), nil
-	}
-	frameOf := func(id uint64) (*cilk.Frame, error) {
-		if id > math.MaxInt32 {
-			return nil, frameIDOverflow(id, events, rd.off)
-		}
-		f, ok := frames[cilk.FrameID(id)]
-		if !ok {
-			return nil, streamerr.Errorf("trace", streamerr.KindOrder,
-				"unknown frame %d", id).WithEvent(events).WithFrame(int64(id)).WithOffset(rd.off)
-		}
-		return f, nil
-	}
-	reducerOf := func(idx uint64) *cilk.Reducer {
-		r, ok := reducers[int(idx)]
-		if !ok {
-			r = cilk.SyntheticReducer(fmt.Sprintf("reducer#%d", idx), int(idx))
-			reducers[int(idx)] = r
-		}
-		return r
-	}
-
-	for {
-		crcAtRecord := rd.crc
-		offAtRecord := rd.off
-		kb, err := rd.ReadByte()
-		if err == io.EOF {
-			if v2 {
-				return events, streamerr.Errorf("trace", streamerr.KindTruncated,
-					"stream ended without footer").WithEvent(events).WithOffset(rd.off)
-			}
-			return events, nil
-		}
-		if err != nil {
-			return events, err
-		}
-		if v2 && kb == footerKind {
-			var foot [footerLen - 1]byte
-			if _, err := io.ReadFull(rd.br, foot[:]); err != nil {
-				return events, streamerr.Errorf("trace", streamerr.KindTruncated,
-					"stream ended inside footer").WithEvent(events).WithOffset(offAtRecord)
-			}
-			wantCRC := binary.LittleEndian.Uint32(foot[0:4])
-			wantN := binary.LittleEndian.Uint64(foot[4:12])
-			if wantCRC != crcAtRecord {
-				return events, streamerr.Errorf("trace", streamerr.KindCorrupt,
-					"CRC mismatch: footer %08x, stream %08x", wantCRC, crcAtRecord).
-					WithEvent(events).WithOffset(offAtRecord)
-			}
-			if wantN != uint64(events) {
-				return events, streamerr.Errorf("trace", streamerr.KindCorrupt,
-					"footer records %d events, stream replayed %d", wantN, events).
-					WithEvent(events).WithOffset(offAtRecord)
-			}
-			if _, err := rd.br.ReadByte(); err != io.EOF {
-				return events, streamerr.New("trace", streamerr.KindCorrupt,
-					"trailing data after footer").WithEvent(events).WithOffset(offAtRecord + footerLen)
-			}
-			return events, nil
-		}
-		k := kind(kb)
-		if k == 0 || k >= evMax {
-			return events, streamerr.Errorf("trace", streamerr.KindMalformed,
-				"bad event kind %d", kb).WithEvent(events).WithOffset(offAtRecord)
-		}
-		events++
-		switch k {
-		case evProgramStart:
-			// The root frame arrives with the first FrameEnter; the
-			// executor emits ProgramStart immediately before it.
-		case evProgramEnd:
-			if len(stack) > 0 {
-				hooks.ProgramEnd(stack[0])
-			}
-		case evFrameEnterSpawn, evFrameEnterCall:
-			id, err := u()
-			if err != nil {
-				return events, err
-			}
-			if id > math.MaxInt32 {
-				return events, frameIDOverflow(id, events, rd.off)
-			}
-			label, err := str()
-			if err != nil {
-				return events, err
-			}
-			f := &cilk.Frame{ID: cilk.FrameID(id), Label: label, Spawned: k == evFrameEnterSpawn}
-			if len(stack) > 0 {
-				f.Parent = stack[len(stack)-1]
-				f.Depth = f.Parent.Depth + 1
-			}
-			frames[f.ID] = f
-			stack = append(stack, f)
-			if len(stack) == 1 {
-				hooks.ProgramStart(f)
-			}
-			hooks.FrameEnter(f)
-		case evFrameReturn:
-			gid, err := u()
-			if err != nil {
-				return events, err
-			}
-			fid, err := u()
-			if err != nil {
-				return events, err
-			}
-			g, err := frameOf(gid)
-			if err != nil {
-				return events, err
-			}
-			f, err := frameOf(fid)
-			if err != nil {
-				return events, err
-			}
-			if len(stack) == 0 || stack[len(stack)-1] != g {
-				return events, streamerr.Errorf("trace", streamerr.KindOrder,
-					"return of %d does not match frame stack", gid).
-					WithEvent(events).WithFrame(int64(gid)).WithOffset(offAtRecord)
-			}
-			stack = stack[:len(stack)-1]
-			hooks.FrameReturn(g, f)
-		case evSync:
-			id, err := u()
-			if err != nil {
-				return events, err
-			}
-			f, err := frameOf(id)
-			if err != nil {
-				return events, err
-			}
-			hooks.Sync(f)
-		case evStolen:
-			id, err := u()
-			if err != nil {
-				return events, err
-			}
-			vid, err := u()
-			if err != nil {
-				return events, err
-			}
-			f, err := frameOf(id)
-			if err != nil {
-				return events, err
-			}
-			hooks.ContinuationStolen(f, cilk.ViewID(vid))
-		case evReduceStart:
-			id, err := u()
-			if err != nil {
-				return events, err
-			}
-			keep, err := u()
-			if err != nil {
-				return events, err
-			}
-			die, err := u()
-			if err != nil {
-				return events, err
-			}
-			f, err := frameOf(id)
-			if err != nil {
-				return events, err
-			}
-			hooks.ReduceStart(f, cilk.ViewID(keep), cilk.ViewID(die))
-		case evReduceEnd:
-			id, err := u()
-			if err != nil {
-				return events, err
-			}
-			f, err := frameOf(id)
-			if err != nil {
-				return events, err
-			}
-			hooks.ReduceEnd(f)
-		case evVABegin, evVAEnd:
-			id, err := u()
-			if err != nil {
-				return events, err
-			}
-			op, err := u()
-			if err != nil {
-				return events, err
-			}
-			ridx, err := u()
-			if err != nil {
-				return events, err
-			}
-			f, err := frameOf(id)
-			if err != nil {
-				return events, err
-			}
-			if op > uint64(cilk.OpReduce) {
-				return events, streamerr.Errorf("trace", streamerr.KindMalformed,
-					"bad view op %d", op).WithEvent(events).WithOffset(offAtRecord)
-			}
-			if k == evVABegin {
-				hooks.ViewAwareBegin(f, cilk.ViewOp(op), reducerOf(ridx))
-			} else {
-				hooks.ViewAwareEnd(f, cilk.ViewOp(op), reducerOf(ridx))
-			}
-		case evReducerCreate:
-			id, err := u()
-			if err != nil {
-				return events, err
-			}
-			ridx, err := u()
-			if err != nil {
-				return events, err
-			}
-			name, err := str()
-			if err != nil {
-				return events, err
-			}
-			f, err := frameOf(id)
-			if err != nil {
-				return events, err
-			}
-			r := cilk.SyntheticReducer(name, int(ridx))
-			reducers[int(ridx)] = r
-			hooks.ReducerCreate(f, r)
-		case evReducerRead:
-			id, err := u()
-			if err != nil {
-				return events, err
-			}
-			ridx, err := u()
-			if err != nil {
-				return events, err
-			}
-			f, err := frameOf(id)
-			if err != nil {
-				return events, err
-			}
-			hooks.ReducerRead(f, reducerOf(ridx))
-		case evLoad, evStore:
-			id, err := u()
-			if err != nil {
-				return events, err
-			}
-			a, err := u()
-			if err != nil {
-				return events, err
-			}
-			f, err := frameOf(id)
-			if err != nil {
-				return events, err
-			}
-			if k == evLoad {
-				hooks.Load(f, mem.Addr(a))
-			} else {
-				hooks.Store(f, mem.Addr(a))
-			}
-		}
-	}
 }

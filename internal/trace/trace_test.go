@@ -33,7 +33,7 @@ func TestReplayReproducesSPPlus(t *testing.T) {
 	}
 
 	replayed := spplus.New()
-	n, err := Replay(bytes.NewReader(buf.Bytes()), replayed)
+	n, err := ReplayAll(buf.Bytes(), nil, nil, replayed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestReplayReproducesPeerSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	replayed := peerset.New()
-	if _, err := Replay(bytes.NewReader(buf.Bytes()), replayed); err != nil {
+	if _, err := ReplayAll(buf.Bytes(), nil, nil, replayed); err != nil {
 		t.Fatal(err)
 	}
 	// The fixture's reducer is quiet-declared, so it replays under a
@@ -178,7 +178,7 @@ func TestReplayErrors(t *testing.T) {
 		{"no footer", []byte(Magic), streamerr.KindTruncated},
 	}
 	for _, tc := range cases {
-		_, err := Replay(bytes.NewReader(tc.data), cilk.Empty{})
+		_, err := ReplayAll(tc.data, nil, nil, cilk.Empty{})
 		if err == nil {
 			t.Errorf("%s: expected error", tc.name)
 			continue
@@ -222,11 +222,11 @@ func TestReplayV1Compat(t *testing.T) {
 	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
 
 	live := spplus.New()
-	if _, err := Replay(bytes.NewReader(data), live); err != nil {
+	if _, err := ReplayAll(data, nil, nil, live); err != nil {
 		t.Fatal(err)
 	}
 	v1 := spplus.New()
-	n, err := Replay(bytes.NewReader(toV1(t, data)), v1)
+	n, err := ReplayAll(toV1(t, data), nil, nil, v1)
 	if err != nil {
 		t.Fatalf("v1 replay: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestReplayDetectsCorruption(t *testing.T) {
 	// stream stays structurally decodable — only the CRC footer can tell.
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(Magic)+4] ^= 0x01
-	_, err := Replay(bytes.NewReader(corrupt), cilk.Empty{})
+	_, err := ReplayAll(corrupt, nil, nil, cilk.Empty{})
 	var se *streamerr.Error
 	if !errors.As(err, &se) || se.Kind != streamerr.KindCorrupt {
 		t.Fatalf("label corruption: got %v, want KindCorrupt", err)
@@ -259,14 +259,14 @@ func TestReplayDetectsCorruption(t *testing.T) {
 	// count field alone must also be caught.
 	badCount := append([]byte(nil), data...)
 	badCount[len(badCount)-1] ^= 0x40
-	_, err = Replay(bytes.NewReader(badCount), cilk.Empty{})
+	_, err = ReplayAll(badCount, nil, nil, cilk.Empty{})
 	if !errors.As(err, &se) || se.Kind != streamerr.KindCorrupt {
 		t.Fatalf("count corruption: got %v, want KindCorrupt", err)
 	}
 
 	// Trailing garbage after the footer is corruption, not silently ignored.
 	trailing := append(append([]byte(nil), data...), 0x00)
-	_, err = Replay(bytes.NewReader(trailing), cilk.Empty{})
+	_, err = ReplayAll(trailing, nil, nil, cilk.Empty{})
 	if !errors.As(err, &se) || se.Kind != streamerr.KindCorrupt {
 		t.Fatalf("trailing data: got %v, want KindCorrupt", err)
 	}
@@ -276,7 +276,7 @@ func TestReplayTruncationReportsEvent(t *testing.T) {
 	data := traceOf(t, progs.Fig2Reads(1, 9), cilk.StealAll{})
 	// Cut the stream in half, mid-events.
 	cut := data[:len(Magic)+(len(data)-len(Magic))/2]
-	n, err := Replay(bytes.NewReader(cut), cilk.Empty{})
+	n, err := ReplayAll(cut, nil, nil, cilk.Empty{})
 	var se *streamerr.Error
 	if !errors.As(err, &se) || se.Kind != streamerr.KindTruncated {
 		t.Fatalf("got %v, want KindTruncated", err)
@@ -296,7 +296,7 @@ func TestTruncatedTestdata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rerr := Replay(bytes.NewReader(data), spplus.New())
+	_, rerr := ReplayAll(data, nil, nil, spplus.New())
 	var se *streamerr.Error
 	if !errors.As(rerr, &se) || se.Kind != streamerr.KindTruncated {
 		t.Fatalf("fixture replay: got %v, want KindTruncated", rerr)
@@ -324,7 +324,7 @@ func TestReplayFrameMetadata(t *testing.T) {
 			}
 		}
 	}}
-	if _, err := Replay(bytes.NewReader(buf.Bytes()), spy); err != nil {
+	if _, err := ReplayAll(buf.Bytes(), nil, nil, spy); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(seen, " ") != "main#0 child#1 leaf#2" {
@@ -339,7 +339,10 @@ type frameSpy struct {
 
 func (s frameSpy) FrameEnter(f *cilk.Frame) { s.on(f) }
 
-// FuzzReplay: arbitrary bytes must never panic the replayer.
+// FuzzReplay feeds arbitrary bytes to ReplayAll, the decoder behind
+// rader -replay and raderd's /analyze, and to the streaming reference:
+// neither may panic, and both must replay the same number of events and
+// fail with the same kind and text (checkReplayParity).
 func FuzzReplay(f *testing.F) {
 	var buf bytes.Buffer
 	tw := NewWriter(&buf)
@@ -349,8 +352,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := spplus.New()
-		_, _ = Replay(bytes.NewReader(data), d)
+		checkReplayParity(t, "fuzz input", data)
 	})
 }
 
@@ -406,7 +408,7 @@ func TestReplayEveryTruncation(t *testing.T) {
 	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
 
 	for n := 0; n < len(data); n++ {
-		_, err := Replay(bytes.NewReader(data[:n]), spplus.New())
+		_, err := ReplayAll(data[:n], nil, nil, spplus.New())
 		if err == nil {
 			t.Fatalf("v2 prefix of %d/%d bytes replayed cleanly", n, len(data))
 		}
@@ -415,14 +417,14 @@ func TestReplayEveryTruncation(t *testing.T) {
 			t.Fatalf("v2 prefix of %d bytes: untyped error %v", n, err)
 		}
 	}
-	if _, err := Replay(bytes.NewReader(data), spplus.New()); err != nil {
+	if _, err := ReplayAll(data, nil, nil, spplus.New()); err != nil {
 		t.Fatalf("full v2 trace must replay cleanly, got %v", err)
 	}
 
 	v1 := toV1(t, data)
 	clean := 0
 	for n := 0; n <= len(v1); n++ {
-		if _, err := Replay(bytes.NewReader(v1[:n]), spplus.New()); err == nil {
+		if _, err := ReplayAll(v1[:n], nil, nil, spplus.New()); err == nil {
 			clean++
 		}
 	}
@@ -459,7 +461,7 @@ func BenchmarkTraceWriteReplay(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			d := spplus.New()
-			if _, err := Replay(bytes.NewReader(data), d); err != nil {
+			if _, err := ReplayAll(data, nil, nil, d); err != nil {
 				b.Fatal(err)
 			}
 		}

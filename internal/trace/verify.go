@@ -13,7 +13,7 @@ import (
 // most the footer's worth of trailing bytes, so verifying a multi-GB
 // trace costs O(1) memory. This is the cheap durability check the
 // disk-backed store runs before admitting an uploaded trace — a full
-// Replay also validates record structure, but costs a decode pass.
+// ReplayAll also validates record structure, but costs a decode pass.
 //
 // A v2 stream must end in a well-formed footer whose CRC matches the
 // event bytes; a v1 stream has no footer and verifies vacuously (any
