@@ -117,8 +117,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return exitError
 	}
+	// fatal prints err under exactly one "rader:" prefix: errors from
+	// the rader package already carry it.
 	fatal := func(err error) int {
-		fmt.Fprintln(stderr, "rader:", err)
+		fmt.Fprintln(stderr, "rader:", strings.TrimPrefix(err.Error(), "rader: "))
 		return exitError
 	}
 	eo := elideOpts{enabled: *elideOn || *elideAud != "" || *elideOut != "", auditPath: *elideAud, outPath: *elideOut}
@@ -303,7 +305,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatal(err)
 	}
 	if !*jsonOut && !res.Clean && len(out.Result.Steals) > 0 {
-		fmt.Fprintf(stdout, "replay with: -spec '%s'\n", out.Replay)
+		fmt.Fprintf(stdout, "replay with: -spec '%s'\n", out.Replay())
 	}
 	return verdictExit(res.Clean, true)
 }

@@ -34,10 +34,10 @@ func main() {
 	// view-aware writes of the list reducer.
 	out := rader.MustRun(prog, rader.Config{Detector: rader.SPPlus, Spec: cilk.StealAll{}})
 	fmt.Printf("sp+ under steal-all:             %s\n", out.Report.Summary())
-	fmt.Printf("replayable via steal spec:       %s\n", out.Replay)
+	fmt.Printf("replayable via steal spec:       %s\n", out.Replay())
 
 	// The replay label reproduces it exactly.
-	spec, err := sched.Parse(out.Replay)
+	spec, err := sched.Parse(out.Replay())
 	if err != nil {
 		panic(err)
 	}

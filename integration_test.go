@@ -96,9 +96,11 @@ func TestCLIs(t *testing.T) {
 	})
 	t.Run("rader-offset-span", func(t *testing.T) {
 		// The §9 offset-span detector is gone: its name is a usage error
-		// like any unknown one, and the message lists what is accepted.
+		// like any unknown one, and the message lists what is accepted
+		// under a single "rader:" prefix.
 		out := runCmd(t, rader, 2, "-prog", "fib", "-scale", "test", "-detector", "offset-span")
-		if !strings.Contains(out, `unknown detector "offset-span"`) || !strings.Contains(out, "sp+") {
+		if !strings.Contains(out, `unknown detector "offset-span"`) || !strings.Contains(out, "sp+") ||
+			strings.Contains(out, "rader: rader:") {
 			t.Fatalf("offset-span output:\n%s", out)
 		}
 	})

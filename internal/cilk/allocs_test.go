@@ -1,10 +1,13 @@
 package cilk_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cilk"
 	"repro/internal/core"
+	"repro/internal/depa"
+	"repro/internal/mem"
 	"repro/internal/peerset"
 	"repro/internal/spbags"
 	"repro/internal/spplus"
@@ -44,6 +47,14 @@ func TestRunAllocsFlatInFrames(t *testing.T) {
 	t.Logf("%.0f allocations at 1k frames, %.0f at 64k", small, large)
 }
 
+// bagDetectors are the three detectors that keep bags in a disjoint-set
+// forest.
+var bagDetectors = []func() core.Detector{
+	func() core.Detector { return peerset.New() },
+	func() core.Detector { return spbags.New() },
+	func() core.Detector { return spplus.New() },
+}
+
 // TestDetectorAllocsFlatInFrames: the three bag detectors reuse frame
 // records by depth, so a 64k-frame run allocates under 1% of its frame
 // count — only the forest, the lineage and the detector itself grow. The
@@ -51,16 +62,83 @@ func TestRunAllocsFlatInFrames(t *testing.T) {
 func TestDetectorAllocsFlatInFrames(t *testing.T) {
 	const height = 15
 	frames := float64(int(1)<<(height+1) - 1)
-	for _, det := range []func() core.Detector{
-		func() core.Detector { return peerset.New() },
-		func() core.Detector { return spbags.New() },
-		func() core.Detector { return spplus.New() },
-	} {
+	for _, det := range bagDetectors {
 		name := det().Name()
 		allocs := allocsPerRun(tree(height), func() cilk.Hooks { return det() })
 		if allocs >= frames/100 {
 			t.Errorf("%s: %.0f allocations over %.0f frames, want under 1%%", name, allocs, frames)
 		}
 		t.Logf("%s: %.0f allocations over %.0f frames", name, allocs, frames)
+	}
+}
+
+// TestDetectorBytesPerFrame: the bag detectors store one forest node and
+// one lineage entry per frame, in chunks that growth never copies, and no
+// bag points into the forest, so a 64k-frame run allocates about 28 bytes
+// per frame. The CI allocation-regression step runs this test.
+func TestDetectorBytesPerFrame(t *testing.T) {
+	const height, runs = 15, 4
+	frames := float64(int(1)<<(height+1) - 1)
+	prog := tree(height)
+	for _, det := range bagDetectors {
+		name := det().Name()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			cilk.Run(prog, cilk.Config{Hooks: det()})
+		}
+		runtime.ReadMemStats(&after)
+		perFrame := float64(after.TotalAlloc-before.TotalAlloc) / runs / frames
+		if perFrame > 40 {
+			t.Errorf("%s: %.1f bytes per frame, want at most 40", name, perFrame)
+		}
+		t.Logf("%s: %.1f bytes per frame", name, perFrame)
+	}
+}
+
+// racyStores is a program with n determinacy races at n distinct
+// addresses: a spawned strand stores each address and the continuation
+// stores it again.
+func racyStores(n int) func(*cilk.Ctx) {
+	stores := func(c *cilk.Ctx) {
+		for i := 0; i < n; i++ {
+			c.Store(mem.Addr(0x1000 + 8*i))
+		}
+	}
+	return func(c *cilk.Ctx) {
+		c.Spawn("w", stores)
+		stores(c)
+		c.Sync()
+	}
+}
+
+// TestDetectorAllocsPerExtraRace: a report keeps 1,024 races and only
+// counts the rest, and the detectors render a race only when the report
+// keeps it, so races past the limit cost next to no allocation. The CI
+// allocation-regression step runs this test.
+func TestDetectorAllocsPerExtraRace(t *testing.T) {
+	const small, large = 2048, 8192
+	for _, det := range []func() core.Detector{
+		func() core.Detector { return spbags.New() },
+		func() core.Detector { return spplus.New() },
+		func() core.Detector { return depa.New() },
+	} {
+		name := det().Name()
+		allocs := func(n int) float64 {
+			prog := racyStores(n)
+			return testing.AllocsPerRun(3, func() {
+				d := det()
+				cilk.Run(prog, cilk.Config{Hooks: d})
+				if got := d.Report().Distinct(); got != n {
+					t.Fatalf("%s: %d distinct races, want %d", name, got, n)
+				}
+			})
+		}
+		perRace := (allocs(large) - allocs(small)) / (large - small)
+		if perRace >= 0.1 {
+			t.Errorf("%s: %.2f allocations per race past the report limit, want under 0.1", name, perRace)
+		}
+		t.Logf("%s: %.3f allocations per race past the report limit", name, perRace)
 	}
 }

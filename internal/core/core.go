@@ -140,33 +140,48 @@ type raceKey struct {
 }
 
 // Report accumulates races from one detector run.
+//
+// A detector reports a race in two steps, so that it renders a race's
+// accesses only for the races the report keeps: Admit counts the report
+// and says whether to keep it, and Keep stores the rendered race.
 type Report struct {
 	// Limit bounds the number of distinct races retained (0 = default 1024).
 	Limit int
 
 	races []Race
-	seen  map[raceKey]int
+	seen  map[raceKey]struct{}
 	total int
 }
 
-// Add records a race.
-func (rp *Report) Add(r Race) {
+// Admit counts one report of the race with the given key: kind, location
+// (addr for a determinacy race, reducer for a view-read race) and the
+// frames of its two accesses. It returns true only for a key it has not
+// seen before while fewer than Limit races are retained; the caller must
+// then pass the rendered race to Keep.
+func (rp *Report) Admit(kind Kind, addr mem.Addr, reducer string, first, second cilk.FrameID) bool {
 	rp.total++
 	if rp.seen == nil {
-		rp.seen = make(map[raceKey]int)
+		rp.seen = make(map[raceKey]struct{})
 	}
-	k := raceKey{kind: r.Kind, addr: r.Addr, reducer: r.Reducer, first: r.First.Frame, second: r.Second.Frame}
+	k := raceKey{kind: kind, addr: addr, reducer: reducer, first: first, second: second}
 	if _, dup := rp.seen[k]; dup {
-		rp.seen[k]++
-		return
+		return false
 	}
-	rp.seen[k] = 1
+	rp.seen[k] = struct{}{}
 	limit := rp.Limit
 	if limit == 0 {
 		limit = 1024
 	}
-	if len(rp.races) < limit {
-		rp.races = append(rp.races, r)
+	return len(rp.races) < limit
+}
+
+// Keep retains r, the race Admit has just admitted.
+func (rp *Report) Keep(r Race) { rp.races = append(rp.races, r) }
+
+// Add records a race: Admit, then Keep if admitted.
+func (rp *Report) Add(r Race) {
+	if rp.Admit(r.Kind, r.Addr, r.Reducer, r.First.Frame, r.Second.Frame) {
+		rp.Keep(r)
 	}
 }
 
@@ -179,9 +194,9 @@ func (rp *Report) Clone() *Report {
 	out := &Report{Limit: rp.Limit, total: rp.total}
 	out.races = append(make([]Race, 0, len(rp.races)), rp.races...)
 	if rp.seen != nil {
-		out.seen = make(map[raceKey]int, len(rp.seen))
-		for k, v := range rp.seen {
-			out.seen[k] = v
+		out.seen = make(map[raceKey]struct{}, len(rp.seen))
+		for k := range rp.seen {
+			out.seen[k] = struct{}{}
 		}
 	}
 	return out
@@ -198,10 +213,10 @@ func (rp *Report) CopyFrom(src *Report) {
 	}
 	if src.seen != nil {
 		if rp.seen == nil {
-			rp.seen = make(map[raceKey]int, len(src.seen))
+			rp.seen = make(map[raceKey]struct{}, len(src.seen))
 		}
-		for k, v := range src.seen {
-			rp.seen[k] = v
+		for k := range src.seen {
+			rp.seen[k] = struct{}{}
 		}
 	}
 }
@@ -284,7 +299,8 @@ type EventCountsProvider interface {
 // returns it. A record lives exactly as long as its frame's place on the
 // serial stack, so the push reuses the record a returned frame left parked
 // past the stack's length: a detector allocates one record per depth, not
-// one per frame. The caller resets every field it reads.
+// one per frame. The caller resets every field it reads, except state
+// it keeps per depth on purpose, such as the bag detectors' bag indices.
 func PushRecord[T any](stack []*T) ([]*T, *T) {
 	n := len(stack)
 	if n < cap(stack) {

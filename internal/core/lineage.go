@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 
+	"repro/internal/chunk"
 	"repro/internal/cilk"
 )
 
@@ -13,10 +14,10 @@ import (
 // from without any cost on the hot path.
 //
 // Entries are pointer-free: a label is an index into an append-only label
-// table, so growing the entry slice copies no pointers and the garbage
-// collector never scans it.
+// table. They live in a chunk.Store, so growing the lineage copies no
+// entry and the garbage collector never scans it.
 type Lineage struct {
-	meta   []lineageEntry
+	meta   chunk.Store[lineageEntry]
 	labels []string         // append-only label table
 	index  map[string]int32 // label → position in labels
 	last   int32            // position of the label interned last
@@ -34,7 +35,7 @@ const NoParent int32 = -1
 
 // CopyFrom makes l an independent copy of src, reusing l's capacity.
 func (l *Lineage) CopyFrom(src *Lineage) {
-	l.meta = append(l.meta[:0], src.meta...)
+	l.meta.CopyFrom(&src.meta)
 	l.labels = l.labels[:0]
 	clear(l.index)
 	for _, s := range src.labels {
@@ -45,7 +46,7 @@ func (l *Lineage) CopyFrom(src *Lineage) {
 
 // Reset empties the lineage, keeping allocated capacity for reuse. The
 // label table survives: labels are interned for the lineage's lifetime.
-func (l *Lineage) Reset() { l.meta = l.meta[:0] }
+func (l *Lineage) Reset() { l.meta.Reset() }
 
 // intern returns the table index of label, appending it on first sight.
 func (l *Lineage) intern(label string) int32 {
@@ -86,35 +87,47 @@ func (l *Lineage) AddReduce(id int32, frame cilk.FrameID, label string, parent i
 // AddCopy registers element id with the frame, label and parent of
 // element of, so both render the same path.
 func (l *Lineage) AddCopy(id, of int32) {
-	l.set(id, l.meta[of])
+	l.set(id, *l.meta.At(of))
 }
 
+// set stores e as element id. Elements are dense: id is at most one past
+// the last element, and a gap, if a caller leaves one, renders as a root
+// with no label.
 func (l *Lineage) set(id int32, e lineageEntry) {
-	if n := int(id) + 1; n > cap(l.meta) {
-		// append grows a large slice by a quarter, which copies each
-		// entry about four times over a run; doubling copies it once.
-		l.meta = append(make([]lineageEntry, 0, max(2*cap(l.meta), n, 256)), l.meta...)
+	for int(id) > l.meta.Len() {
+		l.meta.Append(lineageEntry{label: -1, parent: NoParent})
 	}
-	for int(id) >= len(l.meta) {
-		l.meta = append(l.meta, lineageEntry{label: -1, parent: NoParent})
+	if int(id) == l.meta.Len() {
+		l.meta.Append(e)
+		return
 	}
-	l.meta[id] = e
+	*l.meta.At(id) = e
+}
+
+// entry returns element id's entry, or false when id is out of range.
+func (l *Lineage) entry(id int32) (lineageEntry, bool) {
+	if id < 0 || int(id) >= l.meta.Len() {
+		return lineageEntry{}, false
+	}
+	return *l.meta.At(id), true
 }
 
 // Frame returns the frame of element id.
 func (l *Lineage) Frame(id int32) cilk.FrameID {
-	if int(id) >= len(l.meta) || id < 0 {
+	e, ok := l.entry(id)
+	if !ok {
 		return -1
 	}
-	return l.meta[id].frame
+	return e.frame
 }
 
 // Label returns the label of element id.
 func (l *Lineage) Label(id int32) string {
-	if int(id) >= len(l.meta) || id < 0 {
+	e, ok := l.entry(id)
+	if !ok {
 		return "?"
 	}
-	return l.label(l.meta[id])
+	return l.label(e)
 }
 
 func (l *Lineage) label(e lineageEntry) string {
@@ -128,12 +141,12 @@ func (l *Lineage) label(e lineageEntry) string {
 }
 
 // Path reconstructs the spawn path of element id, innermost last,
-// truncated to the last maxDepth segments (0 means 16).
+// truncated to the last 16 segments.
 func (l *Lineage) Path(id int32) string {
 	const defaultDepth = 16
 	var segs []string
-	for cur := id; cur != NoParent && int(cur) < len(l.meta); cur = l.meta[cur].parent {
-		segs = append(segs, l.label(l.meta[cur]))
+	for e, ok := l.entry(id); ok; e, ok = l.entry(e.parent) {
+		segs = append(segs, l.label(e))
 		if len(segs) > defaultDepth {
 			segs = append(segs, "…")
 			break
@@ -144,4 +157,10 @@ func (l *Lineage) Path(id int32) string {
 		segs[i], segs[j] = segs[j], segs[i]
 	}
 	return strings.Join(segs, ">")
+}
+
+// Access renders element id's side of a race: its frame, label and
+// spawn path, with operation op.
+func (l *Lineage) Access(id int32, op AccessOp) Access {
+	return Access{Frame: l.Frame(id), Label: l.Label(id), Path: l.Path(id), Op: op}
 }

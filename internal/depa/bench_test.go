@@ -39,12 +39,12 @@ func BenchmarkShardCriticalPath(b *testing.B) {
 				var one, span time.Duration
 				for i := 0; i < b.N; i++ {
 					t0 := time.Now()
-					shardSink = detectShard(d.entries, d.strands, &d.lin, 0, 1)
+					shardSink = detectShard(d.entries, d.strands, 0, 1)
 					one += time.Since(t0)
 					var slowest time.Duration
 					for s := 0; s < shards; s++ {
 						t0 := time.Now()
-						shardSink = detectShard(d.entries, d.strands, &d.lin, s, shards)
+						shardSink = detectShard(d.entries, d.strands, s, shards)
 						slowest = max(slowest, time.Since(t0))
 					}
 					span += slowest

@@ -267,14 +267,12 @@ func (d *Detector) finalize() {
 
 // runDetection is the shared detection tail of both depa modes: shard the
 // log, merge the candidates back into serial order, and fold them into
-// the report.
+// the report, rendering only the races it keeps.
 func runDetection(entries []entry, strands []strandRec, lin *core.Lineage, shards int, tr *obs.Trace, rp *core.Report) {
 	span := tr.Start("rader_depa_finalize")
-	pending := detectSharded(entries, strands, lin, shards, tr)
+	pending := detectSharded(entries, strands, shards, tr)
 	for _, p := range mergePending(pending) {
-		for i := int32(0); i < p.count; i++ {
-			rp.Add(p.race)
-		}
+		p.admit(rp, strands, lin)
 	}
 	span.Arg("shards", shards).Arg("entries", len(entries)).
 		Arg("races", rp.Distinct()).End()

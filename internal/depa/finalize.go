@@ -12,12 +12,46 @@ import (
 // pendingRace is one candidate race found by a shard, tagged with the
 // serial ordinal of the access that fired it so the merge step can
 // re-linearize candidates from all shards into the exact order a serial
-// detector would have reported them.
+// detector would have reported them. It names the two strands and their
+// operations; the race is rendered after the merge, and only if the
+// report keeps it.
 type pendingRace struct {
-	race  core.Race
-	ord   int64 // serial ordinal of the firing access (first repeat of a run)
-	sub   uint8 // at one store, the reader-race (0) precedes the writer-race (1)
-	count int32 // coalesced repeats, each of which re-fires the same race
+	addr          mem.Addr
+	ord           int64 // serial ordinal of the firing access (first repeat of a run)
+	firstEv       int32 // ordinal the shadow recorded for the prior access
+	first, second int32 // strands of the prior and the firing access
+	count         int32 // coalesced repeats, each of which re-fires the same race
+	sub           uint8 // at one store, the reader-race (0) precedes the writer-race (1)
+	firstOp       uint8 // opLoad or opStore
+	secondOp      uint8
+}
+
+// admit counts p's count reports in rp and, if rp keeps the race, renders
+// it from the strands' lineage elements.
+func (p *pendingRace) admit(rp *core.Report, strands []strandRec, lin *core.Lineage) {
+	first, second := strands[p.first].frame, strands[p.second].frame
+	for i := int32(0); i < p.count; i++ {
+		if !rp.Admit(core.Determinacy, p.addr, "", lin.Frame(first), lin.Frame(second)) {
+			continue
+		}
+		relation := "writer parallel"
+		if p.firstOp == opLoad {
+			relation = "reader parallel"
+		}
+		rp.Keep(core.Race{
+			Kind: core.Determinacy, Addr: p.addr,
+			First:  lin.Access(first, accessOp(p.firstOp)),
+			Second: lin.Access(second, accessOp(p.secondOp)),
+			Prov:   core.Provenance{FirstEvent: int64(p.firstEv), SecondEvent: p.ord, Relation: relation},
+		})
+	}
+}
+
+func accessOp(op uint8) core.AccessOp {
+	if op == opLoad {
+		return core.OpRead
+	}
+	return core.OpWrite
 }
 
 // detectSharded runs the shadow-space discipline over the access log,
@@ -29,14 +63,14 @@ type pendingRace struct {
 // timestamps alone, never from detector state evolved on other
 // locations. There is no serial bucketing pass to Amdahl away the
 // speedup; the only serial work left is the final merge of candidates.
-func detectSharded(entries []entry, strands []strandRec, lin *core.Lineage, shards int, tr *obs.Trace) [][]pendingRace {
+func detectSharded(entries []entry, strands []strandRec, shards int, tr *obs.Trace) [][]pendingRace {
 	if shards < 1 {
 		shards = 1
 	}
 	out := make([][]pendingRace, shards)
 	one := func(s int) {
 		span := tr.StartTID(s+1, "rader_depa_shard")
-		out[s] = detectShard(entries, strands, lin, s, shards)
+		out[s] = detectShard(entries, strands, s, shards)
 		span.Arg("shard", s).Arg("races", len(out[s])).End()
 	}
 	if shards == 1 {
@@ -63,7 +97,7 @@ func detectSharded(entries []entry, strands []strandRec, lin *core.Lineage, shar
 // only when the previous reader is serial with the current strand
 // (pseudotransitivity of ∥ keeps one reader sufficient); the writer
 // shadow advances only from none or a serial writer.
-func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard, shards int) []pendingRace {
+func detectShard(entries []entry, strands []strandRec, shard, shards int) []pendingRace {
 	reader := mem.NewShadow(noStrand)
 	writer := mem.NewShadow(noStrand)
 	readerEv := mem.NewShadow(0)
@@ -77,10 +111,6 @@ func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard,
 		mask = shards - 1
 	}
 	var pend []pendingRace
-	access := func(s int32, op core.AccessOp) core.Access {
-		elem := strands[s].frame
-		return core.Access{Frame: lin.Frame(elem), Label: lin.Label(elem), Path: lin.Path(elem), Op: op}
-	}
 	for _, e := range entries {
 		if shards > 1 {
 			page := int(uint64(e.addr) >> mem.PageBits)
@@ -100,21 +130,17 @@ func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard,
 		// lands on the run's last ordinal, exactly as repeat-by-repeat
 		// processing would leave it.
 		lastOrd := e.ord + int64(e.count) - 1
+		race := func(prior int32, priorOp uint8, ev *mem.Shadow, sub uint8) {
+			pend = append(pend, pendingRace{
+				addr: e.addr, ord: e.ord, firstEv: ev.Get(e.addr),
+				first: prior, second: cur, count: e.count,
+				sub: sub, firstOp: priorOp, secondOp: e.op,
+			})
+		}
 		switch e.op {
 		case opLoad:
 			if w := writer.Get(e.addr); w != noStrand && Parallel(strands[w].ts, curTs) {
-				pend = append(pend, pendingRace{
-					race: core.Race{
-						Kind: core.Determinacy, Addr: e.addr,
-						First:  access(w, core.OpWrite),
-						Second: access(cur, core.OpRead),
-						Prov: core.Provenance{
-							FirstEvent: int64(writerEv.Get(e.addr)), SecondEvent: e.ord,
-							Relation: "writer parallel",
-						},
-					},
-					ord: e.ord, sub: 0, count: e.count,
-				})
+				race(w, opStore, writerEv, 0)
 			}
 			if r := reader.Get(e.addr); r == noStrand || !Parallel(strands[r].ts, curTs) {
 				reader.Set(e.addr, cur)
@@ -122,33 +148,11 @@ func detectShard(entries []entry, strands []strandRec, lin *core.Lineage, shard,
 			}
 		case opStore:
 			if r := reader.Get(e.addr); r != noStrand && Parallel(strands[r].ts, curTs) {
-				pend = append(pend, pendingRace{
-					race: core.Race{
-						Kind: core.Determinacy, Addr: e.addr,
-						First:  access(r, core.OpRead),
-						Second: access(cur, core.OpWrite),
-						Prov: core.Provenance{
-							FirstEvent: int64(readerEv.Get(e.addr)), SecondEvent: e.ord,
-							Relation: "reader parallel",
-						},
-					},
-					ord: e.ord, sub: 0, count: e.count,
-				})
+				race(r, opLoad, readerEv, 0)
 			}
 			w := writer.Get(e.addr)
 			if w != noStrand && Parallel(strands[w].ts, curTs) {
-				pend = append(pend, pendingRace{
-					race: core.Race{
-						Kind: core.Determinacy, Addr: e.addr,
-						First:  access(w, core.OpWrite),
-						Second: access(cur, core.OpWrite),
-						Prov: core.Provenance{
-							FirstEvent: int64(writerEv.Get(e.addr)), SecondEvent: e.ord,
-							Relation: "writer parallel",
-						},
-					},
-					ord: e.ord, sub: 1, count: e.count,
-				})
+				race(w, opStore, writerEv, 1)
 			}
 			if w == noStrand || !Parallel(strands[w].ts, curTs) {
 				writer.Set(e.addr, cur)

@@ -4,77 +4,89 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/chunk"
 )
 
 func TestMakeSetSingleton(t *testing.T) {
-	f := NewForest(4)
-	a := f.MakeSet("a")
-	b := f.MakeSet("b")
+	var f Forest
+	a, b := f.MakeSet(), f.MakeSet()
 	if f.Same(a, b) {
 		t.Fatal("fresh sets must be disjoint")
 	}
-	if got := f.Payload(a); got != "a" {
-		t.Fatalf("payload(a) = %v, want a", got)
+	if got := f.Payload(a); got != -1 {
+		t.Fatalf("fresh payload = %d, want -1", got)
 	}
-	if got := f.Payload(b); got != "b" {
-		t.Fatalf("payload(b) = %v, want b", got)
+	f.SetPayload(a, 7)
+	f.SetPayload(b, 8)
+	if f.Payload(a) != 7 || f.Payload(b) != 8 {
+		t.Fatalf("payloads = %d, %d, want 7, 8", f.Payload(a), f.Payload(b))
 	}
 }
 
 func TestUnionKeepsDstPayload(t *testing.T) {
-	f := NewForest(4)
-	a := f.MakeSet("A")
-	b := f.MakeSet("B")
+	var f Forest
+	a, b := f.MakeSet(), f.MakeSet()
+	f.SetPayload(a, 1)
+	f.SetPayload(b, 2)
 	f.Union(a, b)
 	if !f.Same(a, b) {
 		t.Fatal("union failed")
 	}
-	if got := f.Payload(b); got != "A" {
-		t.Fatalf("payload after union = %v, want A (dst payload survives)", got)
+	if got := f.Payload(b); got != 1 {
+		t.Fatalf("payload after union = %d, want 1 (dst payload survives)", got)
 	}
 }
 
 func TestUnionChainPayload(t *testing.T) {
-	// Repeatedly union singletons into a growing set; payload must always be
-	// the original destination's, regardless of which root rank picks.
-	f := NewForest(64)
-	dst := f.MakeSet("keep")
+	// Repeatedly union singletons, and sets of every rank, into a growing
+	// set; the payload must always be the original destination's,
+	// whichever root union by rank picks.
+	var f Forest
+	dst := f.MakeSet()
+	f.SetPayload(dst, 42)
 	for i := 0; i < 50; i++ {
-		e := f.MakeSet(i)
+		e := f.MakeSet()
+		f.SetPayload(e, int32(i))
+		if i%3 == 0 {
+			g := f.MakeSet()
+			f.Union(e, g)
+		}
 		f.Union(dst, e)
-		if got := f.Payload(e); got != "keep" {
-			t.Fatalf("after union %d payload = %v, want keep", i, got)
+		if got := f.Payload(e); got != 42 {
+			t.Fatalf("after union %d payload = %d, want 42", i, got)
 		}
 	}
 }
 
 func TestUnionSelf(t *testing.T) {
-	f := NewForest(2)
-	a := f.MakeSet("x")
+	var f Forest
+	a := f.MakeSet()
+	f.SetPayload(a, 3)
 	if r := f.Union(a, a); r != f.Find(a) {
 		t.Fatal("self union should be a no-op returning the root")
 	}
-	if f.Payload(a) != "x" {
+	if f.Payload(a) != 3 {
 		t.Fatal("self union must not drop payload")
 	}
 }
 
 func TestSetPayload(t *testing.T) {
-	f := NewForest(2)
-	a := f.MakeSet("old")
-	b := f.MakeSet("junk")
+	var f Forest
+	a, b := f.MakeSet(), f.MakeSet()
+	f.SetPayload(a, 1)
 	f.Union(a, b)
-	f.SetPayload(b, "new")
-	if got := f.Payload(a); got != "new" {
-		t.Fatalf("payload = %v, want new", got)
+	f.SetPayload(b, 9)
+	if got := f.Payload(a); got != 9 {
+		t.Fatalf("payload = %d, want 9", got)
 	}
 }
 
 func TestFindCompresses(t *testing.T) {
-	f := NewForest(1024)
+	var f Forest
 	elems := make([]Elem, 1000)
 	for i := range elems {
-		elems[i] = f.MakeSet(nil)
+		elems[i] = f.MakeSet()
 	}
 	for i := 1; i < len(elems); i++ {
 		f.Union(elems[0], elems[i])
@@ -87,7 +99,7 @@ func TestFindCompresses(t *testing.T) {
 	}
 	// After compression every node points at the root directly.
 	for _, e := range elems {
-		if p := f.nodes[e].parent; p != root {
+		if p := f.nodes.At(int32(e)).parent; p != root {
 			t.Fatalf("node %d parent = %d, want root %d after compression", e, p, root)
 		}
 	}
@@ -96,15 +108,15 @@ func TestFindCompresses(t *testing.T) {
 // refDSU is a trivially correct reference: set membership by map coloring.
 type refDSU struct {
 	color   map[int]int
-	payload map[int]any
+	payload map[int]int32
 	next    int
 }
 
 func newRefDSU() *refDSU {
-	return &refDSU{color: map[int]int{}, payload: map[int]any{}}
+	return &refDSU{color: map[int]int{}, payload: map[int]int32{}}
 }
 
-func (r *refDSU) makeSet(p any) int {
+func (r *refDSU) makeSet(p int32) int {
 	id := r.next
 	r.next++
 	r.color[id] = id
@@ -129,7 +141,7 @@ func (r *refDSU) union(dst, src int) {
 
 func (r *refDSU) same(a, b int) bool { return r.color[a] == r.color[b] }
 
-func (r *refDSU) pay(e int) any { return r.payload[r.color[e]] }
+func (r *refDSU) pay(e int) int32 { return r.payload[r.color[e]] }
 
 // TestQuickAgainstReference drives Forest and a reference implementation with
 // the same random operation sequence and requires identical observable
@@ -137,15 +149,17 @@ func (r *refDSU) pay(e int) any { return r.payload[r.color[e]] }
 func TestQuickAgainstReference(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		f := NewForest(0)
+		var f Forest
 		ref := newRefDSU()
 		var elems []Elem
 		var refs []int
 		for op := 0; op < 300; op++ {
 			switch {
 			case len(elems) < 2 || rng.Intn(3) == 0:
-				p := rng.Intn(1000)
-				elems = append(elems, f.MakeSet(p))
+				p := rng.Int31n(1000)
+				e := f.MakeSet()
+				f.SetPayload(e, p)
+				elems = append(elems, e)
 				refs = append(refs, ref.makeSet(p))
 			default:
 				i, j := rng.Intn(len(elems)), rng.Intn(len(elems))
@@ -168,21 +182,21 @@ func TestQuickAgainstReference(t *testing.T) {
 }
 
 // naiveForest is a linked-list disjoint-set without path compression or
-// union by rank: the reference TestNaiveForestMatchesForest checks Forest
+// union by rank: the reference the differential tests check Forest
 // against, and the baseline of BenchmarkAblationPathCompression.
 type naiveForest struct {
 	parent  []Elem
-	payload []any
+	payload []int32
 }
 
 // newNaiveForest returns an empty naive forest.
 func newNaiveForest() *naiveForest { return &naiveForest{} }
 
-// MakeSet creates a fresh singleton set with payload p.
-func (f *naiveForest) MakeSet(p any) Elem {
+// MakeSet creates a fresh singleton set with payload -1, like Forest's.
+func (f *naiveForest) MakeSet() Elem {
 	e := Elem(len(f.parent))
 	f.parent = append(f.parent, e)
-	f.payload = append(f.payload, p)
+	f.payload = append(f.payload, -1)
 	return e
 }
 
@@ -195,7 +209,10 @@ func (f *naiveForest) Find(e Elem) Elem {
 }
 
 // Payload returns the payload of e's set.
-func (f *naiveForest) Payload(e Elem) any { return f.payload[f.Find(e)] }
+func (f *naiveForest) Payload(e Elem) int32 { return f.payload[f.Find(e)] }
+
+// SetPayload replaces the payload of e's set.
+func (f *naiveForest) SetPayload(e Elem, p int32) { f.payload[f.Find(e)] = p }
 
 // Union merges src's set into dst's, keeping dst's payload.
 func (f *naiveForest) Union(dst, src Elem) Elem {
@@ -204,40 +221,98 @@ func (f *naiveForest) Union(dst, src Elem) Elem {
 		return rd
 	}
 	f.parent[rs] = rd
-	f.payload[rs] = nil
 	return rd
+}
+
+func (f *naiveForest) clone() *naiveForest {
+	return &naiveForest{parent: append([]Elem(nil), f.parent...), payload: append([]int32(nil), f.payload...)}
+}
+
+// drive applies ops random operations to f and n in lockstep and fails t
+// at the first observable disagreement. Unions favour recent elements so
+// that sets span chunk boundaries.
+func drive(t *testing.T, rng *rand.Rand, f *Forest, n *naiveForest, ops int) {
+	t.Helper()
+	for op := 0; op < ops; op++ {
+		size := len(n.parent)
+		switch {
+		case size < 2 || rng.Intn(3) == 0:
+			e, ne := f.MakeSet(), n.MakeSet()
+			if e != ne {
+				t.Fatalf("MakeSet = %d, naive %d", e, ne)
+			}
+			if rng.Intn(2) == 0 {
+				p := rng.Int31n(100)
+				f.SetPayload(e, p)
+				n.SetPayload(e, p)
+			}
+		default:
+			i := Elem(rng.Intn(size))
+			j := Elem(size - 1 - rng.Intn(min(size, 64)))
+			if rng.Intn(2) == 0 {
+				i, j = j, i
+			}
+			f.Union(i, j)
+			n.Union(i, j)
+		}
+		a, b := Elem(rng.Intn(len(n.parent))), Elem(rng.Intn(len(n.parent)))
+		if f.Same(a, b) != (n.Find(a) == n.Find(b)) {
+			t.Fatalf("op %d: naive and fast forests disagree on Same(%d, %d)", op, a, b)
+		}
+		if f.Payload(a) != n.Payload(a) {
+			t.Fatalf("op %d: Payload(%d) = %d, naive %d", op, a, f.Payload(a), n.Payload(a))
+		}
+	}
+	if f.Len() != len(n.parent) {
+		t.Fatalf("Len = %d, naive %d", f.Len(), len(n.parent))
+	}
 }
 
 func TestNaiveForestMatchesForest(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	f := NewForest(0)
+	var f Forest
+	drive(t, rng, &f, newNaiveForest(), 500)
+}
+
+// The forest keeps its nodes in chunks, reuses them after Reset and
+// copies them in CopyFrom: check every path against the naive forest,
+// with enough elements to fill several chunks.
+func TestForestChunksMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ops := 4 * chunk.Size * 3 / 2 // about 4 chunks of elements
+	var f Forest
 	n := newNaiveForest()
-	var fe []Elem
-	var ne []Elem
-	for op := 0; op < 500; op++ {
-		if len(fe) < 2 || rng.Intn(3) == 0 {
-			p := rng.Intn(100)
-			fe = append(fe, f.MakeSet(p))
-			ne = append(ne, n.MakeSet(p))
-		} else {
-			i, j := rng.Intn(len(fe)), rng.Intn(len(fe))
-			f.Union(fe[i], fe[j])
-			n.Union(ne[i], ne[j])
-		}
-		a, b := rng.Intn(len(fe)), rng.Intn(len(fe))
-		if f.Same(fe[a], fe[b]) != (n.Find(ne[a]) == n.Find(ne[b])) {
-			t.Fatal("naive and fast forests disagree on Same")
-		}
-		if f.Payload(fe[a]) != n.Payload(ne[a]) {
-			t.Fatal("naive and fast forests disagree on Payload")
-		}
+	drive(t, rng, &f, n, ops)
+
+	// A copy agrees with the naive forest and evolves independently of
+	// its source.
+	var c Forest
+	c.CopyFrom(&f)
+	cn := n.clone()
+	drive(t, rng, &c, cn, ops)
+	drive(t, rng, &f, n, ops/4)
+
+	// Copying a small forest over a large one leaves no stale nodes.
+	var small Forest
+	sn := newNaiveForest()
+	drive(t, rng, &small, sn, 100)
+	c.CopyFrom(&small)
+	drive(t, rng, &c, sn.clone(), ops)
+
+	// A reset forest reuses its chunks and behaves like a fresh one.
+	f.Reset()
+	if f.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", f.Len())
 	}
+	if finds, unions := f.Stats(); finds != 0 || unions != 0 {
+		t.Fatalf("Stats after Reset = %d, %d", finds, unions)
+	}
+	drive(t, rng, &f, newNaiveForest(), ops)
 }
 
 func TestStats(t *testing.T) {
-	f := NewForest(4)
-	a := f.MakeSet(nil)
-	b := f.MakeSet(nil)
+	var f Forest
+	a, b := f.MakeSet(), f.MakeSet()
 	f.Union(a, b)
 	f.Find(a)
 	finds, unions := f.Stats()
@@ -247,16 +322,21 @@ func TestStats(t *testing.T) {
 	if finds < 3 { // two inside Union, one explicit
 		t.Fatalf("finds = %d, want >= 3", finds)
 	}
+	var c Forest
+	c.CopyFrom(&f)
+	if cf, cu := c.Stats(); cf != finds || cu != unions {
+		t.Fatalf("copied stats = %d, %d, want %d, %d", cf, cu, finds, unions)
+	}
 }
 
 func BenchmarkAblationPathCompression(b *testing.B) {
 	const n = 1 << 12
 	b.Run("forest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f := NewForest(n)
+			var f Forest
 			elems := make([]Elem, n)
 			for j := range elems {
-				elems[j] = f.MakeSet(nil)
+				elems[j] = f.MakeSet()
 			}
 			for j := 1; j < n; j++ {
 				f.Union(elems[j], elems[j-1])
@@ -271,7 +351,7 @@ func BenchmarkAblationPathCompression(b *testing.B) {
 			f := newNaiveForest()
 			elems := make([]Elem, n)
 			for j := range elems {
-				elems[j] = f.MakeSet(nil)
+				elems[j] = f.MakeSet()
 			}
 			for j := 1; j < n; j++ {
 				f.Union(elems[j], elems[j-1])

@@ -43,31 +43,29 @@ const (
 )
 
 // bag is one Peer-Set bag: a possibly-empty set in the disjoint-set forest.
-// The forest payload of the set's root points back at the bag, so finding
-// the bag containing a frame is a Find plus one pointer chase.
+// The forest payload of the set's root is the bag's index in the
+// detector's bag table, so finding the bag containing a frame is a Find
+// plus one table lookup.
 type bag struct {
 	kind bagKind
 	root dsu.Elem // dsu.None when empty
 }
 
 // frameRec is one frame's state. Records are reused by depth
-// (core.PushRecord), with the bags embedded: a returning frame leaves all
-// three empty, so no forest payload points into a parked record.
+// (core.PushRecord), and so are their three bags: a returning frame leaves
+// all three empty, so no forest payload names a parked record's bag.
 type frameRec struct {
-	id    cilk.FrameID
-	label string
-	elem  dsu.Elem
-	ls    int // local-spawn count
-	as    int // ancestor-spawn count
-	ss    bag
-	sp    bag
-	p     bag
+	id        cilk.FrameID
+	elem      dsu.Elem
+	ls        int   // local-spawn count
+	as        int   // ancestor-spawn count
+	ss, sp, p int32 // bag-table indices
+	slotted   bool  // ss, sp and p are allocated
 }
 
 type readerInfo struct {
 	elem  dsu.Elem
 	frame cilk.FrameID
-	label string
 	s     int   // spawn count of the reader at the read
 	event int64 // detector-relative ordinal of the read, for provenance
 }
@@ -77,7 +75,8 @@ type readerInfo struct {
 type Detector struct {
 	cilk.Empty // Peer-Set ignores memory accesses and view events
 
-	forest *dsu.Forest
+	forest dsu.Forest
+	bags   []bag
 	stack  []*frameRec
 	reader map[*cilk.Reducer]readerInfo
 	lin    core.Lineage
@@ -89,10 +88,7 @@ type Detector struct {
 
 // New returns a fresh Peer-Set detector.
 func New() *Detector {
-	return &Detector{
-		forest: dsu.NewForest(256),
-		reader: make(map[*cilk.Reducer]readerInfo),
-	}
+	return &Detector{reader: make(map[*cilk.Reducer]readerInfo)}
 }
 
 // Name implements core.Detector.
@@ -101,30 +97,37 @@ func (d *Detector) Name() string { return "peer-set" }
 // Report implements core.Detector.
 func (d *Detector) Report() *core.Report { return &d.report }
 
-// addToBag inserts a fresh forest element for rec into b.
-func (d *Detector) addToBag(b *bag, e dsu.Elem) {
+func (d *Detector) newBag(kind bagKind) int32 {
+	d.bags = append(d.bags, bag{kind: kind, root: dsu.None})
+	return int32(len(d.bags) - 1)
+}
+
+// addToBag inserts a fresh forest element into bag b.
+func (d *Detector) addToBag(b int32, e dsu.Elem) {
 	d.counts.BagOps++
-	if b.root == dsu.None {
-		b.root = e
+	bg := &d.bags[b]
+	if bg.root == dsu.None {
+		bg.root = e
 		d.forest.SetPayload(e, b)
 		return
 	}
-	b.root = d.forest.Union(b.root, e)
+	bg.root = d.forest.Union(bg.root, e)
 }
 
 // unionInto unions src's contents into dst and empties src.
-func (d *Detector) unionInto(dst, src *bag) {
-	if src.root == dsu.None {
+func (d *Detector) unionInto(dst, src int32) {
+	sb, db := &d.bags[src], &d.bags[dst]
+	if sb.root == dsu.None {
 		return
 	}
 	d.counts.BagOps++
-	if dst.root == dsu.None {
-		dst.root = src.root
-		d.forest.SetPayload(src.root, dst)
+	if db.root == dsu.None {
+		db.root = sb.root
+		d.forest.SetPayload(sb.root, dst)
 	} else {
-		dst.root = d.forest.Union(dst.root, src.root)
+		db.root = d.forest.Union(db.root, sb.root)
 	}
-	src.root = dsu.None
+	sb.root = dsu.None
 }
 
 func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
@@ -141,20 +144,21 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 			// A new spawn changes the peer set of F's subsequent strands:
 			// descendants matching the previous continuation no longer
 			// match any strand of F.
-			d.unionInto(&parent.p, &parent.sp)
+			d.unionInto(parent.p, parent.sp)
 		}
 		as = parent.as + parent.ls
 		parentElem = int32(parent.elem)
 	}
 	var rec *frameRec
 	d.stack, rec = core.PushRecord(d.stack)
-	rec.id, rec.label = f.ID, f.Label
+	rec.id = f.ID
 	rec.ls, rec.as = 0, as
-	rec.ss = bag{kind: kindSS, root: dsu.None}
-	rec.sp = bag{kind: kindSP, root: dsu.None}
-	rec.p = bag{kind: kindP, root: dsu.None}
-	rec.elem = d.forest.MakeSet(nil)
-	d.addToBag(&rec.ss, rec.elem) // G.SS = MakeBag(G)
+	if !rec.slotted {
+		rec.ss, rec.sp, rec.p = d.newBag(kindSS), d.newBag(kindSP), d.newBag(kindP)
+		rec.slotted = true
+	}
+	rec.elem = d.forest.MakeSet()
+	d.addToBag(rec.ss, rec.elem) // G.SS = MakeBag(G)
 	d.lin.Add(int32(rec.elem), f.ID, f.Label, parentElem)
 }
 
@@ -173,7 +177,7 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 	}
 	// Functions sync before returning, which empties G.SP; only a stream
 	// that lost a Sync gets here with it full.
-	if grec.sp.root != dsu.None {
+	if d.bags[grec.sp].root != dsu.None {
 		panic(core.Violatef("peerset", core.StreamState, g.ID,
 			"frame %v returned with a non-empty SP bag (missing sync)", g.ID))
 	}
@@ -183,21 +187,21 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 		panic(core.Violatef("peerset", core.StreamOrder, f.ID,
 			"parent mismatch on return: returning to %v, below top is %v", f.ID, frec.id))
 	}
-	d.unionInto(&frec.p, &grec.p)
+	d.unionInto(frec.p, grec.p)
 	switch {
 	case g.Spawned:
 		// Everything under a spawned child is parallel to F's later
 		// strands' peers differently — G's descendants can never share a
 		// peer set with a strand of F.
-		d.unionInto(&frec.p, &grec.ss)
+		d.unionInto(frec.p, grec.ss)
 	case frec.ls == 0:
 		// Called with no outstanding spawns: G's first strand has the
 		// same peer set as F's first strand.
-		d.unionInto(&frec.ss, &grec.ss)
+		d.unionInto(frec.ss, grec.ss)
 	default:
 		// Called with outstanding spawns: G's first strand matches F's
 		// last executed continuation strand.
-		d.unionInto(&frec.sp, &grec.ss)
+		d.unionInto(frec.sp, grec.ss)
 	}
 }
 
@@ -214,7 +218,7 @@ func (d *Detector) Sync(f *cilk.Frame) {
 			"sync frame mismatch: syncing %v, top is %v", f.ID, rec.id))
 	}
 	rec.ls = 0
-	d.unionInto(&rec.p, &rec.sp)
+	d.unionInto(rec.p, rec.sp)
 }
 
 // ReducerCreate treats reducer creation as a reducer-read (§3 defines
@@ -245,32 +249,8 @@ func (d *Detector) readReducer(f *cilk.Frame, r *cilk.Reducer) {
 	s := rec.as + rec.ls
 	d.counts.ShadowLookups++
 	if prev, ok := d.reader[r]; ok {
-		b := d.forest.Payload(prev.elem).(*bag)
-		if b.kind == kindP || prev.s != s {
-			// Lemma 2 vs Lemma 3: the prior reader either fell into a P bag
-			// (some ancestor spawned past it) or sits in an SS/SP bag with a
-			// different spawn count; name whichever rule fired.
-			relation := "spawn-count mismatch"
-			if b.kind == kindP {
-				relation = "reader in P-bag"
-			}
-			d.report.Add(core.Race{
-				Kind:    core.ViewRead,
-				Reducer: r.Name,
-				First: core.Access{
-					Frame: prev.frame, Label: prev.label,
-					Path: d.lin.Path(int32(prev.elem)), Op: core.OpReducerRead,
-				},
-				Second: core.Access{
-					Frame: rec.id, Label: rec.label,
-					Path: d.lin.Path(int32(rec.elem)), Op: core.OpReducerRead,
-				},
-				Prov: core.Provenance{
-					FirstEvent:  prev.event,
-					SecondEvent: d.events,
-					Relation:    relation,
-				},
-			})
+		if kind := d.bags[d.forest.Payload(prev.elem)].kind; kind == kindP || prev.s != s {
+			d.race(r, prev, rec, kind)
 		}
 	}
 	elem := rec.elem
@@ -279,11 +259,34 @@ func (d *Detector) readReducer(f *cilk.Frame, r *cilk.Reducer) {
 		// tracks F's first strand, not this one: record a fresh element in
 		// F.SP instead, which follows this strand's peer set into F.P at
 		// F's next spawn or sync. It renders F's path.
-		elem = d.forest.MakeSet(nil)
-		d.addToBag(&rec.sp, elem)
+		elem = d.forest.MakeSet()
+		d.addToBag(rec.sp, elem)
 		d.lin.AddCopy(int32(elem), int32(rec.elem))
 	}
-	d.reader[r] = readerInfo{elem: elem, frame: rec.id, label: rec.label, s: s, event: d.events}
+	d.reader[r] = readerInfo{elem: elem, frame: rec.id, s: s, event: d.events}
+}
+
+// race reports a view-read race on r between the read prev recorded and
+// the current read in rec, rendering it only if the report keeps it.
+// kind is the kind of the bag prev's reader sits in.
+func (d *Detector) race(r *cilk.Reducer, prev readerInfo, rec *frameRec, kind bagKind) {
+	if !d.report.Admit(core.ViewRead, 0, r.Name, prev.frame, rec.id) {
+		return
+	}
+	// Lemma 2 vs Lemma 3: the prior reader either fell into a P bag (some
+	// ancestor spawned past it) or sits in an SS/SP bag with a different
+	// spawn count; name whichever rule fired.
+	relation := "spawn-count mismatch"
+	if kind == kindP {
+		relation = "reader in P-bag"
+	}
+	d.report.Keep(core.Race{
+		Kind:    core.ViewRead,
+		Reducer: r.Name,
+		First:   d.lin.Access(int32(prev.elem), core.OpReducerRead),
+		Second:  d.lin.Access(int32(rec.elem), core.OpReducerRead),
+		Prov:    core.Provenance{FirstEvent: prev.event, SecondEvent: d.events, Relation: relation},
+	})
 }
 
 // The algorithm is oblivious to raw memory traffic; the embedded cilk.Empty

@@ -106,11 +106,17 @@ type Outcome struct {
 	Result   *cilk.Result
 	Duration time.Duration
 	Stats    core.Stats
-	// Replay is the textual steal specification reproducing this
-	// schedule, reported alongside races for regression testing (§8).
-	Replay   string
 	Counts   obs.EventCounts
 	Parallel *depa.ParallelStats
+
+	order cilk.ReduceOrder // the run's reduce order, for Replay
+}
+
+// Replay formats the textual steal specification that reproduces this
+// run's schedule, reported alongside races for regression testing (§8).
+// It is formatted from Result.Steals on each call.
+func (o *Outcome) Replay() string {
+	return sched.Format(sched.FromSteals(o.Result.Steals, o.order))
 }
 
 // NewDetector constructs a fresh instance of the named detector. The two
@@ -225,7 +231,7 @@ func run(prog func(*cilk.Ctx), dets []core.Detector, cfg Config) (out *Outcome, 
 		Detectors: dets,
 		Result:    res,
 		Duration:  time.Since(start),
-		Replay:    sched.Format(sched.FromSteals(res.Steals, orderOf(cfg.Spec))),
+		order:     orderOf(cfg.Spec),
 	}
 	span.Arg("frames", res.Frames).Arg("spawns", res.Spawns).
 		Arg("loads", res.Loads).Arg("stores", res.Stores)

@@ -51,7 +51,7 @@ func TestReplayLabelReproducesRace(t *testing.T) {
 	if out.Report.Empty() {
 		t.Fatal("expected the Figure 1 race under steal-all")
 	}
-	spec, err := sched.Parse(out.Replay)
+	spec, err := sched.Parse(out.Replay())
 	if err != nil {
 		t.Fatalf("replay label unparsable: %v", err)
 	}
@@ -106,8 +106,8 @@ func TestNoStealReplayIsNone(t *testing.T) {
 	al := mem.NewAllocator()
 	ins := apps.Ferret().Build(al, apps.Test)
 	out := MustRun(ins.Prog, Config{Detector: SPPlus})
-	if !strings.HasPrefix(out.Replay, "labels:") && out.Replay != "labels:" {
-		t.Fatalf("replay = %q", out.Replay)
+	if !strings.HasPrefix(out.Replay(), "labels:") && out.Replay() != "labels:" {
+		t.Fatalf("replay = %q", out.Replay())
 	}
 	if len(out.Result.Steals) != 0 {
 		t.Fatal("no-spec run must not steal")

@@ -346,3 +346,60 @@ func TestBagUnionRandomSequence(t *testing.T) {
 		t.Fatalf("distinct = %d, want %d", len(seen), want)
 	}
 }
+
+// intsum is cheetah's reducer_bench intsum (SNIPPETS.md §2): 99 spawned
+// strands and the final continuation, t = 1..100, each add t to one
+// op_add reducer n times, so the reducer ends at 5050·n.
+func intsum(n int, sum *int64) func(*cilk.Ctx) {
+	return func(c *cilk.Ctx) {
+		h := New[int64](c, "sum", OpAdd[int64](), 0)
+		compute := func(c *cilk.Ctx, t int64) {
+			for i := 0; i < n; i++ {
+				h.Update(c, func(_ *cilk.Ctx, v int64) int64 { return v + t })
+			}
+		}
+		for t := int64(1); t < 100; t++ {
+			c.Spawn("compute_sum", func(cc *cilk.Ctx) { compute(cc, t) })
+		}
+		compute(c, 100)
+		c.Sync()
+		*sum = h.Value(c)
+	}
+}
+
+func TestIntsum(t *testing.T) {
+	const n = 50
+	for _, spec := range []cilk.StealSpec{nil, cilk.StealAll{}, progs.RandomSpec{Seed: 3, P: 0.5}} {
+		var sum int64
+		cilk.Run(intsum(n, &sum), cilk.Config{Spec: spec})
+		if sum != 5050*n {
+			t.Errorf("spec %#v: sum = %d, want %d", spec, sum, 5050*n)
+		}
+	}
+}
+
+// BenchmarkIntsum is an update-heavy reducer benchmark: 100·n Updates per
+// op, uninstrumented. Its allocs/op record what boxing each view into
+// `any` costs per Update.
+func BenchmarkIntsum(b *testing.B) {
+	const n = 100
+	for _, s := range []struct {
+		name string
+		spec cilk.StealSpec
+	}{
+		{"no-steals", nil},
+		{"steal-all", cilk.StealAll{}},
+		{"random", progs.RandomSpec{Seed: 3, P: 0.5}},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sum int64
+			for i := 0; i < b.N; i++ {
+				cilk.Run(intsum(n, &sum), cilk.Config{Spec: s.spec})
+			}
+			if sum != 5050*n {
+				b.Fatalf("sum = %d, want %d", sum, 5050*n)
+			}
+		})
+	}
+}

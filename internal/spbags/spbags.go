@@ -31,27 +31,30 @@ const (
 	kindP
 )
 
+// bag is one SP-bags bag: a possibly-empty set in the disjoint-set
+// forest. The forest payload of the set's root is the bag's index in the
+// detector's bag table.
 type bag struct {
 	kind bagKind
-	root dsu.Elem
+	root dsu.Elem // dsu.None when empty
 }
 
 // frameRec is one frame's state. Records are reused by depth
-// (core.PushRecord), with the bags embedded: a returning frame leaves both
-// empty, so no forest payload points into a parked record.
+// (core.PushRecord), and so are their two bags: a returning frame leaves
+// both empty, so no forest payload names a parked record's bag.
 type frameRec struct {
-	id    cilk.FrameID
-	label string
-	elem  dsu.Elem
-	s     bag
-	p     bag
+	id      cilk.FrameID
+	elem    dsu.Elem
+	s, p    int32 // bag-table indices
+	slotted bool  // s and p are allocated
 }
 
 // Detector runs SP-bags over the cilk event stream. Create one per run.
 type Detector struct {
 	cilk.Empty
 
-	forest  *dsu.Forest
+	forest  dsu.Forest
+	bags    []bag
 	stack   []*frameRec
 	reader  *mem.Shadow
 	writer  *mem.Shadow
@@ -73,7 +76,6 @@ type Detector struct {
 // New returns a fresh SP-bags detector.
 func New() *Detector {
 	return &Detector{
-		forest:   dsu.NewForest(256),
 		reader:   mem.NewShadow(int32(dsu.None)),
 		writer:   mem.NewShadow(int32(dsu.None)),
 		readerEv: mem.NewShadow(0),
@@ -87,28 +89,35 @@ func (d *Detector) Name() string { return "sp-bags" }
 // Report implements core.Detector.
 func (d *Detector) Report() *core.Report { return &d.report }
 
-func (d *Detector) addToBag(b *bag, e dsu.Elem) {
+func (d *Detector) newBag(kind bagKind) int32 {
+	d.bags = append(d.bags, bag{kind: kind, root: dsu.None})
+	return int32(len(d.bags) - 1)
+}
+
+func (d *Detector) addToBag(b int32, e dsu.Elem) {
 	d.counts.BagOps++
-	if b.root == dsu.None {
-		b.root = e
+	bg := &d.bags[b]
+	if bg.root == dsu.None {
+		bg.root = e
 		d.forest.SetPayload(e, b)
 		return
 	}
-	b.root = d.forest.Union(b.root, e)
+	bg.root = d.forest.Union(bg.root, e)
 }
 
-func (d *Detector) unionInto(dst, src *bag) {
-	if src.root == dsu.None {
+func (d *Detector) unionInto(dst, src int32) {
+	sb, db := &d.bags[src], &d.bags[dst]
+	if sb.root == dsu.None {
 		return
 	}
 	d.counts.BagOps++
-	if dst.root == dsu.None {
-		dst.root = src.root
-		d.forest.SetPayload(src.root, dst)
+	if db.root == dsu.None {
+		db.root = sb.root
+		d.forest.SetPayload(sb.root, dst)
 	} else {
-		dst.root = d.forest.Union(dst.root, src.root)
+		db.root = d.forest.Union(db.root, sb.root)
 	}
-	src.root = dsu.None
+	sb.root = dsu.None
 }
 
 func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
@@ -123,11 +132,12 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 	}
 	var rec *frameRec
 	d.stack, rec = core.PushRecord(d.stack)
-	rec.id, rec.label = f.ID, f.Label
-	rec.s = bag{kind: kindS, root: dsu.None}
-	rec.p = bag{kind: kindP, root: dsu.None}
-	rec.elem = d.forest.MakeSet(nil)
-	d.addToBag(&rec.s, rec.elem)
+	rec.id = f.ID
+	if !rec.slotted {
+		rec.s, rec.p, rec.slotted = d.newBag(kindS), d.newBag(kindP), true
+	}
+	rec.elem = d.forest.MakeSet()
+	d.addToBag(rec.s, rec.elem)
 	d.lin.Add(int32(rec.elem), f.ID, f.Label, parent)
 	d.current = rec
 }
@@ -148,16 +158,16 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 		panic(core.Violatef("sp-bags", core.StreamOrder, g.ID,
 			"event order violation: return %d, top %d", g.ID, grec.id))
 	}
-	if grec.p.root != dsu.None {
+	if d.bags[grec.p].root != dsu.None {
 		panic(core.Violatef("sp-bags", core.StreamState, g.ID,
 			"frame %v returned with a non-empty P bag (missing sync)", g.ID))
 	}
 	d.stack = d.stack[:len(d.stack)-1]
 	frec := d.top()
 	if g.Spawned {
-		d.unionInto(&frec.p, &grec.s)
+		d.unionInto(frec.p, grec.s)
 	} else {
-		d.unionInto(&frec.s, &grec.s)
+		d.unionInto(frec.s, grec.s)
 	}
 	d.current = frec
 }
@@ -170,23 +180,28 @@ func (d *Detector) Sync(f *cilk.Frame) {
 		panic(core.Violatef("sp-bags", core.StreamOrder, f.ID, "sync before any frame entered"))
 	}
 	rec := d.top()
-	d.unionInto(&rec.s, &rec.p)
+	d.unionInto(rec.s, rec.p)
 }
 
-func (d *Detector) bagOf(e dsu.Elem) *bag {
-	return d.forest.Payload(e).(*bag)
-}
+func (d *Detector) kindOf(e dsu.Elem) bagKind { return d.bags[d.forest.Payload(e)].kind }
 
-func (d *Detector) access(op core.AccessOp) core.Access {
-	e := int32(d.current.elem)
-	return core.Access{Frame: d.current.id, Label: d.current.label, Path: d.lin.Path(e), Op: op}
-}
-
-func (d *Detector) prior(e dsu.Elem, op core.AccessOp) core.Access {
-	return core.Access{
-		Frame: d.lin.Frame(int32(e)), Label: d.lin.Label(int32(e)),
-		Path: d.lin.Path(int32(e)), Op: op,
+// race reports a determinacy race at a between the prior access by
+// element prior and the current strand's access, rendering it only if
+// the report keeps it.
+func (d *Detector) race(a mem.Addr, prior dsu.Elem, priorOp, op core.AccessOp, relation string) {
+	if !d.report.Admit(core.Determinacy, a, "", d.lin.Frame(int32(prior)), d.current.id) {
+		return
 	}
+	ev := d.writerEv
+	if priorOp == core.OpRead {
+		ev = d.readerEv
+	}
+	d.report.Keep(core.Race{
+		Kind: core.Determinacy, Addr: a,
+		First:  d.lin.Access(int32(prior), priorOp),
+		Second: d.lin.Access(int32(d.current.elem), op),
+		Prov:   core.Provenance{FirstEvent: int64(ev.Get(a)), SecondEvent: d.events, Relation: relation},
+	})
 }
 
 // Load implements the SP-bags read rule: a race iff the last writer is in
@@ -200,17 +215,10 @@ func (d *Detector) Load(f *cilk.Frame, a mem.Addr) {
 		panic(core.Violatef("sp-bags", core.StreamOrder, f.ID, "memory access before any frame entered"))
 	}
 	d.counts.ShadowLookups += 2
-	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None {
-		if d.bagOf(w).kind == kindP {
-			d.report.Add(core.Race{
-				Kind: core.Determinacy, Addr: a,
-				First:  d.prior(w, core.OpWrite),
-				Second: d.access(core.OpRead),
-				Prov:   d.prov(d.writerEv.Get(a), "writer in P-bag"),
-			})
-		}
+	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None && d.kindOf(w) == kindP {
+		d.race(a, w, core.OpWrite, core.OpRead, "writer in P-bag")
 	}
-	if r := dsu.Elem(d.reader.Get(a)); r == dsu.None || d.bagOf(r).kind == kindS {
+	if r := dsu.Elem(d.reader.Get(a)); r == dsu.None || d.kindOf(r) == kindS {
 		d.reader.Set(a, int32(rec.elem))
 		d.readerEv.Set(a, int32(d.events))
 	}
@@ -226,24 +234,14 @@ func (d *Detector) Store(f *cilk.Frame, a mem.Addr) {
 		panic(core.Violatef("sp-bags", core.StreamOrder, f.ID, "memory access before any frame entered"))
 	}
 	d.counts.ShadowLookups += 2
-	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None && d.bagOf(r).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(r, core.OpRead),
-			Second: d.access(core.OpWrite),
-			Prov:   d.prov(d.readerEv.Get(a), "reader in P-bag"),
-		})
+	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None && d.kindOf(r) == kindP {
+		d.race(a, r, core.OpRead, core.OpWrite, "reader in P-bag")
 	}
 	w := dsu.Elem(d.writer.Get(a))
-	if w != dsu.None && d.bagOf(w).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(w, core.OpWrite),
-			Second: d.access(core.OpWrite),
-			Prov:   d.prov(d.writerEv.Get(a), "writer in P-bag"),
-		})
+	if w != dsu.None && d.kindOf(w) == kindP {
+		d.race(a, w, core.OpWrite, core.OpWrite, "writer in P-bag")
 	}
-	if w == dsu.None || d.bagOf(w).kind == kindS {
+	if w == dsu.None || d.kindOf(w) == kindS {
 		d.writer.Set(a, int32(rec.elem))
 		d.writerEv.Set(a, int32(d.events))
 	}
@@ -253,12 +251,6 @@ var (
 	_ core.Detector = (*Detector)(nil)
 	_ cilk.Hooks    = (*Detector)(nil)
 )
-
-// prov assembles a Provenance for a race firing at the current event
-// against a prior access recorded in an ordinal shadow.
-func (d *Detector) prov(firstEv int32, relation string) core.Provenance {
-	return core.Provenance{FirstEvent: int64(firstEv), SecondEvent: d.events, Relation: relation}
-}
 
 // Stats implements core.StatsProvider.
 func (d *Detector) Stats() core.Stats {

@@ -9,20 +9,23 @@ import (
 )
 
 // Snapshot is an immutable point-in-time copy of a Detector's full state:
-// the frame stack with its S and P bags, the disjoint-set forest, the
-// lineage and race report, the four shadow spaces (copy-on-write, so the
-// cost is O(pages materialized), not O(addresses)), and the scalar
-// counters. One snapshot can seed any number of detectors via Restore —
-// the fork operation behind the prefix-sharing coverage sweep.
+// the frame stack, the bag table and its free list, the disjoint-set
+// forest, the lineage and race report, the four shadow spaces
+// (copy-on-write, so the cost is O(pages materialized), not
+// O(addresses)), and the scalar counters. One snapshot can seed any
+// number of detectors via Restore — the fork operation behind the
+// prefix-sharing coverage sweep.
 //
 // Snapshots may only be taken at a continuation-probe boundary (outside
 // view-aware sections and reduce strands): that is where the sweep's trie
 // branch points live, and it is the only place the detector has no
 // transient mid-operation state.
 type Snapshot struct {
-	forest  *dsu.Forest
-	stack   []*frameRec
-	current int // index into stack, -1 when no frame has entered
+	forest   dsu.Forest
+	bags     []bag
+	freeBags []int32
+	stack    []*frameRec
+	current  int // index into stack, -1 when no frame has entered
 
 	reader   *mem.ShadowSnap
 	writer   *mem.ShadowSnap
@@ -35,47 +38,19 @@ type Snapshot struct {
 	events int64
 }
 
-// cloneBag returns the memoized deep copy of b (nil-safe).
-func cloneBag(memo map[*bag]*bag, b *bag) *bag {
-	if b == nil {
-		return nil
-	}
-	if c, ok := memo[b]; ok {
-		return c
-	}
-	c := &bag{kind: b.kind, vid: b.vid, root: b.root}
-	memo[b] = c
-	return c
-}
-
-// cloneFramesInto deep-copies a frame stack into out's records, reusing
-// the ones out already holds. The memo maps every source bag, embedded or
-// not, to its copy, so shared references stay shared on the other side.
-func cloneFramesInto(out, stack []*frameRec, memo map[*bag]*bag) []*frameRec {
+// copyFramesInto copies a frame stack into out's records, reusing the
+// ones out already holds. Records hold only bag-table indices, so a copy
+// of the stack plus a copy of the bag table is a copy of the bags.
+func copyFramesInto(out, stack []*frameRec) []*frameRec {
 	out = out[:0]
 	for _, fr := range stack {
 		var nfr *frameRec
 		out, nfr = core.PushRecord(out)
-		nfr.id, nfr.label, nfr.elem = fr.id, fr.label, fr.elem
-		nfr.s, nfr.p = fr.s, fr.p
-		memo[&fr.s], memo[&fr.p] = &nfr.s, &nfr.p
-		nfr.pstack = nfr.pstack[:0]
-		for _, b := range fr.pstack {
-			nfr.pstack = append(nfr.pstack, cloneBag(memo, b))
-		}
+		pstack := append(nfr.pstack[:0], fr.pstack...)
+		*nfr = *fr
+		nfr.pstack = pstack
 	}
 	return out
-}
-
-// remapPayloads rewrites every *bag payload of f through the memo so the
-// forest references the cloned bags, never the source detector's.
-func remapPayloads(f *dsu.Forest, memo map[*bag]*bag) {
-	payloads := f.Payloads()
-	for i, p := range payloads {
-		if b, ok := p.(*bag); ok {
-			payloads[i] = cloneBag(memo, b)
-		}
-	}
 }
 
 // Snapshot captures the detector's state. It panics if called inside a
@@ -86,13 +61,11 @@ func (d *Detector) Snapshot() *Snapshot {
 }
 
 // SnapshotInto is Snapshot reusing a retired snapshot's containers: the
-// frame records with their embedded bags, the forest's backing arrays, the
-// shadow page maps and the report's storage. The work-stealing sweep
-// refcounts handed-off snapshots and, once every seeded thief has
-// restored, recycles the struct through a per-worker free list — the
-// capture itself then allocates only the bag memo and the stolen
-// continuations' P bags. Passing nil allocates fresh, exactly like
-// Snapshot.
+// frame records, the bag table, the forest's chunks, the shadow page maps
+// and the report's storage. The work-stealing sweep refcounts handed-off
+// snapshots and, once every seeded thief has restored, recycles the
+// struct through a per-worker free list. Passing nil allocates fresh,
+// exactly like Snapshot.
 // Recycling is safe because Restore copies state out of the snapshot; the
 // only aliased storage is the copy-on-write page buffers, which are
 // immutable once shared and are never reused here.
@@ -105,15 +78,11 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
 	}
-	memo := make(map[*bag]*bag)
-	s.stack = cloneFramesInto(s.stack, d.stack, memo)
+	s.stack = copyFramesInto(s.stack, d.stack)
+	s.bags = append(s.bags[:0], d.bags...)
+	s.freeBags = append(s.freeBags[:0], d.freeBags...)
+	s.forest.CopyFrom(&d.forest)
 	s.current = -1
-	if s.forest == nil {
-		s.forest = d.forest.Clone()
-	} else {
-		s.forest.CopyFrom(d.forest)
-	}
-	remapPayloads(s.forest, memo)
 	s.reader = d.reader.SnapshotInto(s.reader)
 	s.writer = d.writer.SnapshotInto(s.writer)
 	s.readerEv = d.readerEv.SnapshotInto(s.readerEv)
@@ -139,10 +108,11 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 // the snapshot was taken after. Restoring reuses the detector's existing
 // allocations where possible, so pooled detectors fork cheaply.
 func (d *Detector) Restore(s *Snapshot) {
-	memo := make(map[*bag]*bag)
-	d.stack = cloneFramesInto(d.stack, s.stack, memo)
-	d.forest.CopyFrom(s.forest)
-	remapPayloads(d.forest, memo)
+	d.stack = copyFramesInto(d.stack, s.stack)
+	d.unslotParked()
+	d.bags = append(d.bags[:0], s.bags...)
+	d.freeBags = append(d.freeBags[:0], s.freeBags...)
+	d.forest.CopyFrom(&s.forest)
 	d.current = nil
 	if s.current >= 0 {
 		d.current = d.stack[s.current]
@@ -163,13 +133,27 @@ func (d *Detector) Restore(s *Snapshot) {
 	d.events = s.events
 }
 
+// unslotParked clears the slotted flag of every record parked past the
+// stack top: their bag indices belong to a bag table that Reset or
+// Restore is replacing, so their next push must allocate fresh bags.
+func (d *Detector) unslotParked() {
+	for _, r := range d.stack[len(d.stack):cap(d.stack)] {
+		if r != nil {
+			r.slotted = false
+		}
+	}
+}
+
 // Reset returns the detector to its freshly constructed state, keeping
-// allocated capacity (forest slices, shadow pages, lineage and report
-// backing arrays) so pooled sweep units reuse memory across runs. The
+// allocated capacity (forest chunks, bag table, shadow pages, lineage and
+// report backing arrays) so pooled sweep units reuse memory across runs. The
 // shadow PagesCopied counters survive as lifetime totals.
 func (d *Detector) Reset() {
 	d.forest.Reset()
 	d.stack = d.stack[:0]
+	d.unslotParked()
+	d.bags = d.bags[:0]
+	d.freeBags = d.freeBags[:0]
 	d.reader.Reset()
 	d.writer.Reset()
 	d.readerEv.Reset()

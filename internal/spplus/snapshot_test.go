@@ -137,3 +137,65 @@ func TestDetectorResetReuse(t *testing.T) {
 		t.Fatal("reused detector's races differ from a fresh detector's")
 	}
 }
+
+// deepAfterShallow races at depth 1 right after its first continuation
+// probe, then nests spawns depth levels deep, racing at every level.
+func deepAfterShallow(depth int) func(*cilk.Ctx) {
+	var nest func(c *cilk.Ctx, d int)
+	nest = func(c *cilk.Ctx, d int) {
+		if d == 0 {
+			c.Store(0x10)
+			return
+		}
+		c.Spawn("nest", func(cc *cilk.Ctx) { nest(cc, d-1) })
+		c.Store(mem.Addr(0x100 + 8*d))
+		c.Store(0x10)
+		c.Sync()
+		c.Store(mem.Addr(0x100 + 8*d))
+	}
+	return func(c *cilk.Ctx) {
+		c.Spawn("a", func(cc *cilk.Ctx) { cc.Store(0x10) })
+		c.Store(0x10)
+		c.Sync()
+		nest(c, depth)
+	}
+}
+
+// A detector that has run deep keeps frame records parked past its stack
+// top. Restoring a shallow snapshot into that same detector replaces its
+// bag table, so the parked records' bag indices must not survive: the
+// resumed run's verdict must equal a fresh detector's.
+func TestRestoreShallowIntoDeepDetector(t *testing.T) {
+	const depth = 12
+	for _, spec := range []cilk.StealSpec{nil, cilk.StealAll{}} {
+		ref := New()
+		cilk.Run(deepAfterShallow(depth), cilk.Config{Spec: spec, Hooks: ref})
+		if ref.Report().Total() == 0 {
+			t.Fatal("the program must race")
+		}
+
+		d := New()
+		var snap *Snapshot
+		cilk.Run(deepAfterShallow(depth), cilk.Config{
+			Hooks: d,
+			Spec:  spec,
+			Gate: &cilk.Gate{OnProbe: func(ci cilk.ContInfo) {
+				if ci.Seq == 1 {
+					snap = d.Snapshot()
+				}
+			}},
+		})
+		if snap == nil {
+			t.Fatal("probe 1 never fired")
+		}
+		d.Restore(snap)
+		cilk.Run(deepAfterShallow(depth), cilk.Config{Hooks: d, Spec: spec, Gate: &cilk.Gate{From: 1}})
+		if !reflect.DeepEqual(d.Report().Races(), ref.Report().Races()) {
+			t.Errorf("spec %v: resumed races:\n%v\nwant:\n%v", spec, d.Report().Races(), ref.Report().Races())
+		}
+		if d.Report().Total() != ref.Report().Total() || d.Stats() != ref.Stats() {
+			t.Errorf("spec %v: resumed total %d, stats %+v; want %d, %+v",
+				spec, d.Report().Total(), d.Stats(), ref.Report().Total(), ref.Stats())
+		}
+	}
+}

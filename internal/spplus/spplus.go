@@ -46,37 +46,45 @@ const (
 
 // bag is a disjoint set with a kind and a view ID. A P bag's view ID is set
 // at creation and preserved across unions into it, mirroring Figure 6's
-// MakeBag note.
+// MakeBag note. The forest payload of the set's root is the bag's index in
+// the detector's bag table.
 type bag struct {
 	kind bagKind
 	vid  cilk.ViewID
-	root dsu.Elem
+	root dsu.Elem // dsu.None when empty
 }
 
 // frameRec is one frame's state. Records are reused by depth
-// (core.PushRecord), with the S bag and the bottom P bag embedded; the P
-// bags of stolen continuations come from the detector's free list. A
-// returning frame leaves every bag empty, so no forest payload points
-// into a parked record.
+// (core.PushRecord), and so are their S bag and bottom P bag; the P bags
+// of stolen continuations come from the detector's free list. A returning
+// frame leaves every bag empty, so no forest payload names a parked
+// record's bag.
 type frameRec struct {
 	id     cilk.FrameID
-	label  string
 	elem   dsu.Elem
-	s      bag
-	p      bag    // the bottom P bag: pstack[0] == &p
-	pstack []*bag // one P bag per unreduced view, oldest first
+	s, p   int32   // bag-table indices of the S bag and the bottom P bag
+	pstack []int32 // one P bag per unreduced view, oldest first: pstack[0] == p
+	// slotted reports that s and p are allocated in the current bag
+	// table. Reset and Restore replace the table, so they clear it on
+	// every parked record.
+	slotted bool
 }
 
-func (r *frameRec) topP() *bag { return r.pstack[len(r.pstack)-1] }
+// topP is the bag-table index of the record's newest P bag.
+func (r *frameRec) topP() int32 { return r.pstack[len(r.pstack)-1] }
 
 // Detector runs SP+ over the cilk event stream of one run.
 type Detector struct {
-	forest *dsu.Forest
-	stack  []*frameRec
-	reader *mem.Shadow
-	writer *mem.Shadow
-	lin    core.Lineage
-	report core.Report
+	forest dsu.Forest
+	bags   []bag
+	// freeBags holds the indices of P bags reductions have emptied, for
+	// the next stolen continuation.
+	freeBags []int32
+	stack    []*frameRec
+	reader   *mem.Shadow
+	writer   *mem.Shadow
+	lin      core.Lineage
+	report   core.Report
 
 	current *frameRec
 	// view-aware section state
@@ -97,10 +105,6 @@ type Detector struct {
 	reduceVID  cilk.ViewID
 	reduceElem dsu.Elem
 
-	// freeBags holds the P bags reductions have emptied, for the next
-	// stolen continuation.
-	freeBags []*bag
-
 	// readerEv/writerEv shadow the same locations with the detector-relative
 	// event ordinal of the recorded access, so a race report can point back
 	// into the stream. Ordinals are truncated to int32 — adequate for any
@@ -115,7 +119,6 @@ type Detector struct {
 // New returns a fresh SP+ detector.
 func New() *Detector {
 	return &Detector{
-		forest:   dsu.NewForest(256),
 		reader:   mem.NewShadow(int32(dsu.None)),
 		writer:   mem.NewShadow(int32(dsu.None)),
 		readerEv: mem.NewShadow(0),
@@ -129,33 +132,49 @@ func (d *Detector) Name() string { return "sp+" }
 // Report implements core.Detector.
 func (d *Detector) Report() *core.Report { return &d.report }
 
-func (d *Detector) addToBag(b *bag, e dsu.Elem) {
+// newBag returns the index of an empty bag of the given kind and view ID,
+// reusing a freed one when there is one.
+func (d *Detector) newBag(kind bagKind, vid cilk.ViewID) int32 {
+	b := bag{kind: kind, vid: vid, root: dsu.None}
+	if n := len(d.freeBags); n > 0 {
+		i := d.freeBags[n-1]
+		d.freeBags = d.freeBags[:n-1]
+		d.bags[i] = b
+		return i
+	}
+	d.bags = append(d.bags, b)
+	return int32(len(d.bags) - 1)
+}
+
+func (d *Detector) addToBag(b int32, e dsu.Elem) {
 	d.counts.BagOps++
-	if b.root == dsu.None {
-		b.root = e
+	bg := &d.bags[b]
+	if bg.root == dsu.None {
+		bg.root = e
 		d.forest.SetPayload(e, b)
 		return
 	}
-	b.root = d.forest.Union(b.root, e)
+	bg.root = d.forest.Union(bg.root, e)
 }
 
-func (d *Detector) unionInto(dst, src *bag) {
-	if src.root == dsu.None {
+func (d *Detector) unionInto(dst, src int32) {
+	sb, db := &d.bags[src], &d.bags[dst]
+	if sb.root == dsu.None {
 		return
 	}
 	d.counts.BagOps++
-	if dst.root == dsu.None {
-		dst.root = src.root
-		d.forest.SetPayload(src.root, dst)
+	if db.root == dsu.None {
+		db.root = sb.root
+		d.forest.SetPayload(sb.root, dst)
 	} else {
-		dst.root = d.forest.Union(dst.root, src.root)
+		db.root = d.forest.Union(db.root, sb.root)
 	}
-	src.root = dsu.None
+	sb.root = dsu.None
 }
 
 func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
 
-func (d *Detector) bagOf(e dsu.Elem) *bag { return d.forest.Payload(e).(*bag) }
+func (d *Detector) bagOf(e dsu.Elem) *bag { return &d.bags[d.forest.Payload(e)] }
 
 // ProgramStart implements cilk.Hooks.
 func (d *Detector) ProgramStart(*cilk.Frame) {}
@@ -173,17 +192,19 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 	parent := core.NoParent
 	if len(d.stack) > 0 {
 		top := d.top()
-		inherit = top.topP().vid
+		inherit = d.bags[top.topP()].vid
 		parent = int32(top.elem)
 	}
 	var rec *frameRec
 	d.stack, rec = core.PushRecord(d.stack)
-	rec.id, rec.label = f.ID, f.Label
-	rec.s = bag{kind: kindS, vid: inherit, root: dsu.None}
-	rec.p = bag{kind: kindP, vid: inherit, root: dsu.None}
-	rec.pstack = append(rec.pstack[:0], &rec.p)
-	rec.elem = d.forest.MakeSet(nil)
-	d.addToBag(&rec.s, rec.elem)
+	rec.id = f.ID
+	if !rec.slotted {
+		rec.s, rec.p, rec.slotted = d.newBag(kindS, inherit), d.newBag(kindP, inherit), true
+	}
+	d.bags[rec.s].vid, d.bags[rec.p].vid = inherit, inherit
+	rec.pstack = append(rec.pstack[:0], rec.p)
+	rec.elem = d.forest.MakeSet()
+	d.addToBag(rec.s, rec.elem)
 	d.lin.Add(int32(rec.elem), f.ID, f.Label, parent)
 	d.current = rec
 }
@@ -206,16 +227,16 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 		panic(core.Violatef("spplus", core.StreamState, g.ID,
 			"%v returned with %d P bags", g, len(grec.pstack)))
 	}
-	if grec.pstack[0].root != dsu.None {
+	if d.bags[grec.p].root != dsu.None {
 		panic(core.Violatef("spplus", core.StreamState, g.ID,
 			"%v returned with a non-empty P bag (missing sync)", g))
 	}
 	d.stack = d.stack[:len(d.stack)-1]
 	frec := d.top()
 	if g.Spawned {
-		d.unionInto(frec.topP(), &grec.s)
+		d.unionInto(frec.topP(), grec.s)
 	} else {
-		d.unionInto(&frec.s, &grec.s)
+		d.unionInto(frec.s, grec.s)
 	}
 	d.current = frec
 }
@@ -233,8 +254,8 @@ func (d *Detector) Sync(f *cilk.Frame) {
 		panic(core.Violatef("spplus", core.StreamState, f.ID,
 			"sync with %d P bags; reduces must precede sync", len(rec.pstack)))
 	}
-	d.unionInto(&rec.s, rec.pstack[0])
-	rec.pstack[0].vid = rec.s.vid
+	d.unionInto(rec.s, rec.p)
+	d.bags[rec.p].vid = d.bags[rec.s].vid
 }
 
 // ContinuationStolen implements "F executes a stolen continuation": push a
@@ -246,15 +267,7 @@ func (d *Detector) ContinuationStolen(f *cilk.Frame, newVID cilk.ViewID) {
 		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "stolen continuation before any frame entered"))
 	}
 	rec := d.top()
-	var b *bag
-	if n := len(d.freeBags); n > 0 {
-		b = d.freeBags[n-1]
-		d.freeBags = d.freeBags[:n-1]
-	} else {
-		b = new(bag)
-	}
-	*b = bag{kind: kindP, vid: newVID, root: dsu.None}
-	rec.pstack = append(rec.pstack, b)
+	rec.pstack = append(rec.pstack, d.newBag(kindP, newVID))
 }
 
 // ReduceStart implements "F executes Reduce": the dominated view's P bag is
@@ -272,7 +285,7 @@ func (d *Detector) ReduceStart(f *cilk.Frame, keepVID, dieVID cilk.ViewID) {
 	rec := d.top()
 	idx := -1
 	for i := len(rec.pstack) - 1; i > 0; i-- {
-		if rec.pstack[i].vid == dieVID && rec.pstack[i-1].vid == keepVID {
+		if d.bags[rec.pstack[i]].vid == dieVID && d.bags[rec.pstack[i-1]].vid == keepVID {
 			idx = i
 			break
 		}
@@ -288,7 +301,7 @@ func (d *Detector) ReduceStart(f *cilk.Frame, keepVID, dieVID cilk.ViewID) {
 	d.reduceVID = keepVID
 	// The reduce invocation's own ID joins the merged bag: in series with
 	// everything the reduction joins, parallel to the frame's other views.
-	d.reduceElem = d.forest.MakeSet(nil)
+	d.reduceElem = d.forest.MakeSet()
 	d.addToBag(rec.pstack[idx-1], d.reduceElem)
 	d.lin.AddReduce(int32(d.reduceElem), f.ID, f.Label, int32(rec.elem))
 }
@@ -329,7 +342,7 @@ func (d *Detector) currentVID() cilk.ViewID {
 	if d.inReduce {
 		return d.reduceVID
 	}
-	return d.current.topP().vid
+	return d.bags[d.current.topP()].vid
 }
 
 // curElem is the ID recorded in the shadow spaces for the executing
@@ -342,19 +355,26 @@ func (d *Detector) curElem() dsu.Elem {
 	return d.current.elem
 }
 
-func (d *Detector) access(op core.AccessOp) core.Access {
-	e := int32(d.curElem())
-	return core.Access{
-		Frame: d.lin.Frame(e), Label: d.lin.Label(e), Path: d.lin.Path(e), Op: op,
-		ViewAware: d.vaDepth > 0, ViewOp: d.vaOp, VID: d.currentVID(),
+// race reports a determinacy race at a between the prior access by
+// element prior and the executing strand's access, rendering it only if
+// the report keeps it.
+func (d *Detector) race(a mem.Addr, prior dsu.Elem, priorOp, op core.AccessOp, relation string) {
+	cur := int32(d.curElem())
+	if !d.report.Admit(core.Determinacy, a, "", d.lin.Frame(int32(prior)), d.lin.Frame(cur)) {
+		return
 	}
-}
-
-func (d *Detector) prior(e dsu.Elem, op core.AccessOp) core.Access {
-	return core.Access{
-		Frame: d.lin.Frame(int32(e)), Label: d.lin.Label(int32(e)),
-		Path: d.lin.Path(int32(e)), Op: op,
+	ev := d.writerEv
+	if priorOp == core.OpRead {
+		ev = d.readerEv
 	}
+	second := d.lin.Access(cur, op)
+	second.ViewAware, second.ViewOp, second.VID = d.vaDepth > 0, d.vaOp, d.currentVID()
+	d.report.Keep(core.Race{
+		Kind: core.Determinacy, Addr: a,
+		First:  d.lin.Access(int32(prior), priorOp),
+		Second: second,
+		Prov:   core.Provenance{FirstEvent: int64(ev.Get(a)), SecondEvent: d.events, Relation: relation},
+	})
 }
 
 // Load implements the two read rules of Figure 6.
@@ -389,12 +409,7 @@ func (d *Detector) Store(f *cilk.Frame, a mem.Addr) {
 
 func (d *Detector) loadOblivious(a mem.Addr) {
 	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None && d.bagOf(w).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(w, core.OpWrite),
-			Second: d.access(core.OpRead),
-			Prov:   d.prov(d.writerEv.Get(a), "writer in P-bag"),
-		})
+		d.race(a, w, core.OpWrite, core.OpRead, "writer in P-bag")
 	}
 	if r := dsu.Elem(d.reader.Get(a)); r == dsu.None || d.bagOf(r).kind == kindS {
 		d.reader.Set(a, int32(d.curElem()))
@@ -404,21 +419,11 @@ func (d *Detector) loadOblivious(a mem.Addr) {
 
 func (d *Detector) storeOblivious(a mem.Addr) {
 	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None && d.bagOf(r).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(r, core.OpRead),
-			Second: d.access(core.OpWrite),
-			Prov:   d.prov(d.readerEv.Get(a), "reader in P-bag"),
-		})
+		d.race(a, r, core.OpRead, core.OpWrite, "reader in P-bag")
 	}
 	w := dsu.Elem(d.writer.Get(a))
 	if w != dsu.None && d.bagOf(w).kind == kindP {
-		d.report.Add(core.Race{
-			Kind: core.Determinacy, Addr: a,
-			First:  d.prior(w, core.OpWrite),
-			Second: d.access(core.OpWrite),
-			Prov:   d.prov(d.writerEv.Get(a), "writer in P-bag"),
-		})
+		d.race(a, w, core.OpWrite, core.OpWrite, "writer in P-bag")
 	}
 	if w == dsu.None || d.bagOf(w).kind == kindS {
 		d.writer.Set(a, int32(d.curElem()))
@@ -430,12 +435,7 @@ func (d *Detector) loadAware(a mem.Addr) {
 	vid := d.currentVID()
 	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None {
 		if b := d.bagOf(w); b.kind == kindP && b.vid != vid {
-			d.report.Add(core.Race{
-				Kind: core.Determinacy, Addr: a,
-				First:  d.prior(w, core.OpWrite),
-				Second: d.access(core.OpRead),
-				Prov:   d.prov(d.writerEv.Get(a), "writer on parallel view"),
-			})
+			d.race(a, w, core.OpWrite, core.OpRead, "writer on parallel view")
 		}
 	}
 	r := dsu.Elem(d.reader.Get(a))
@@ -450,23 +450,13 @@ func (d *Detector) storeAware(a mem.Addr) {
 	vid := d.currentVID()
 	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None {
 		if b := d.bagOf(r); b.kind == kindP && b.vid != vid {
-			d.report.Add(core.Race{
-				Kind: core.Determinacy, Addr: a,
-				First:  d.prior(r, core.OpRead),
-				Second: d.access(core.OpWrite),
-				Prov:   d.prov(d.readerEv.Get(a), "reader on parallel view"),
-			})
+			d.race(a, r, core.OpRead, core.OpWrite, "reader on parallel view")
 		}
 	}
 	w := dsu.Elem(d.writer.Get(a))
 	if w != dsu.None {
 		if b := d.bagOf(w); b.kind == kindP && b.vid != vid {
-			d.report.Add(core.Race{
-				Kind: core.Determinacy, Addr: a,
-				First:  d.prior(w, core.OpWrite),
-				Second: d.access(core.OpWrite),
-				Prov:   d.prov(d.writerEv.Get(a), "writer on parallel view"),
-			})
+			d.race(a, w, core.OpWrite, core.OpWrite, "writer on parallel view")
 		}
 	}
 	if w == dsu.None || d.bagOf(w).kind == kindS ||
@@ -480,12 +470,6 @@ var (
 	_ core.Detector = (*Detector)(nil)
 	_ cilk.Hooks    = (*Detector)(nil)
 )
-
-// prov assembles a Provenance for a race firing at the current event
-// against a prior access recorded in an ordinal shadow.
-func (d *Detector) prov(firstEv int32, relation string) core.Provenance {
-	return core.Provenance{FirstEvent: int64(firstEv), SecondEvent: d.events, Relation: relation}
-}
 
 // Stats implements core.StatsProvider: the disjoint-set accounting behind
 // the O((T+Mτ)·α(v,v)) bound of Theorem 5.
