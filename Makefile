@@ -16,21 +16,23 @@ test: vet
 	$(GO) test ./...
 
 # Full suite under the Go race detector (exercises the parallel runtime
-# and the lock-free deques).
+# and the work-stealing sweep).
 race:
 	$(GO) test -race ./...
 
-# Short fuzzing passes over every fuzz target.
+# Short fuzzing passes over every fuzz target, FUZZTIME each (CI runs
+# `make fuzz FUZZTIME=20s`).
+FUZZTIME ?= 15s
 fuzz:
-	$(GO) test -fuzz FuzzParse -fuzztime 15s ./internal/sched/
-	$(GO) test -fuzz FuzzDedupDecode -fuzztime 15s ./internal/apps/
-	$(GO) test -fuzz FuzzDedupRoundTrip -fuzztime 15s ./internal/apps/
-	$(GO) test -fuzz FuzzReplay -fuzztime 15s ./internal/trace/
-	$(GO) test -fuzz FuzzFaultPlan -fuzztime 15s ./internal/faults/
-	$(GO) test -fuzz FuzzStoreRecovery -fuzztime 15s ./internal/store/
-	$(GO) test -fuzz FuzzVerdictDecode -fuzztime 15s ./internal/store/
-	$(GO) test -fuzz FuzzDepaOracle -fuzztime 15s ./internal/depa/
-	$(GO) test -fuzz FuzzElide -fuzztime 15s ./internal/elide/
+	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sched/
+	$(GO) test -fuzz FuzzDedupDecode -fuzztime $(FUZZTIME) ./internal/apps/
+	$(GO) test -fuzz FuzzDedupRoundTrip -fuzztime $(FUZZTIME) ./internal/apps/
+	$(GO) test -fuzz FuzzReplay -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME) ./internal/faults/
+	$(GO) test -fuzz FuzzStoreRecovery -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -fuzz FuzzVerdictDecode -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -fuzz FuzzDepaOracle -fuzztime $(FUZZTIME) ./internal/depa/
+	$(GO) test -fuzz FuzzElide -fuzztime $(FUZZTIME) ./internal/elide/
 
 # The crash-recovery chaos suite: kill the store at every fault-injection
 # point, reopen, and assert byte-identical verdicts (docs/ROBUSTNESS.md,
@@ -46,7 +48,7 @@ obs:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/service/
 	$(GO) test -race -count=1 -run 'Trace|Profile|Progress|Stream|Events' ./cmd/rader/
 
-# The testing.B suite: theorem scaling, ablations, sweep speedups.
+# The root testing.B suite: theorem scaling, sweep speedups.
 bench:
 	$(GO) test -bench . -benchmem .
 

@@ -1,9 +1,9 @@
 // Package repro's root benchmarks check the asymptotic claims — Theorem
 // 1 (Peer-Set in O(T·α)), Theorem 5 (SP+ in O((T+Mτ)·α)), Theorems 6/7
-// (specification family generation) — the ablations DESIGN.md calls out,
-// and the §7 sweep's two speedups: prefix sharing over the per-spec
-// reference and work stealing across eight lanes. The paper's Figures 7
-// and 8 come from the repository benchmark's live workload (bench/).
+// (specification family generation) — and the §7 sweep's two speedups:
+// prefix sharing over the per-spec reference and work stealing across
+// eight lanes. The paper's Figures 7 and 8 come from the repository
+// benchmark's live workload (bench/).
 package repro
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/rader"
 	"repro/internal/reducer"
 	"repro/internal/sched"
-	"repro/internal/spbags"
 	"repro/internal/specgen"
 	"repro/internal/spplus"
 	"repro/internal/wsrt"
@@ -113,25 +112,6 @@ func BenchmarkSPPlusScalingTau(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationPStacks measures what SP+'s P stacks and view IDs cost
-// over plain SP-bags on a reducer-free workload (DESIGN.md ablation 1).
-func BenchmarkAblationPStacks(b *testing.B) {
-	al := mem.NewAllocator()
-	prog := progs.Random(al, progs.RandomOpts{Seed: 42, NoReducers: true, MaxDepth: 7, MaxStmts: 8})
-	b.Run("sp-bags", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := spbags.New()
-			cilk.Run(prog, cilk.Config{Hooks: d})
-		}
-	})
-	b.Run("sp-plus", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := spplus.New()
-			cilk.Run(prog, cilk.Config{Hooks: d})
-		}
-	})
 }
 
 // BenchmarkSpecGenFamilies times the §7 family construction (Theorems 6

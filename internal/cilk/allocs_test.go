@@ -9,7 +9,6 @@ import (
 	"repro/internal/depa"
 	"repro/internal/mem"
 	"repro/internal/peerset"
-	"repro/internal/spbags"
 	"repro/internal/spplus"
 )
 
@@ -51,7 +50,7 @@ func TestRunAllocsFlatInFrames(t *testing.T) {
 // forest.
 var bagDetectors = []func() core.Detector{
 	func() core.Detector { return peerset.New() },
-	func() core.Detector { return spbags.New() },
+	func() core.Detector { return spplus.NewSPBags() },
 	func() core.Detector { return spplus.New() },
 }
 
@@ -120,7 +119,7 @@ func racyStores(n int) func(*cilk.Ctx) {
 func TestDetectorAllocsPerExtraRace(t *testing.T) {
 	const small, large = 2048, 8192
 	for _, det := range []func() core.Detector{
-		func() core.Detector { return spbags.New() },
+		func() core.Detector { return spplus.NewSPBags() },
 		func() core.Detector { return spplus.New() },
 		func() core.Detector { return depa.New() },
 	} {

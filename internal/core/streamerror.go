@@ -5,30 +5,9 @@ import (
 	"repro/internal/streamerr"
 )
 
-// StreamError is the single structured error (and contract-panic value)
-// type of the analysis pipeline. It is defined in internal/streamerr —
-// below internal/cilk, so the executor can use it too — and re-exported
-// here because detector code programs against package core.
-type StreamError = streamerr.Error
-
-// StreamErrorKind classifies a StreamError.
-type StreamErrorKind = streamerr.Kind
-
-// The stream-fault classes, re-exported from internal/streamerr.
-const (
-	StreamOrder     = streamerr.KindOrder
-	StreamState     = streamerr.KindState
-	StreamMalformed = streamerr.KindMalformed
-	StreamTruncated = streamerr.KindTruncated
-	StreamCorrupt   = streamerr.KindCorrupt
-	StreamConsumer  = streamerr.KindConsumer
-	StreamBudget    = streamerr.KindBudget
-	StreamDeadline  = streamerr.KindDeadline
-)
-
-// Violatef builds the *StreamError a detector panics with on an event
+// Violatef builds the *streamerr.Error a detector panics with on an event
 // contract violation. The event index is unknown at the detection site
 // (detectors do not count events); the recovery point fills it in.
-func Violatef(layer string, kind StreamErrorKind, frame cilk.FrameID, format string, a ...any) *StreamError {
+func Violatef(layer string, kind streamerr.Kind, frame cilk.FrameID, format string, a ...any) *streamerr.Error {
 	return streamerr.Errorf(layer, kind, format, a...).WithFrame(int64(frame))
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/peerset"
 	"repro/internal/progs"
-	"repro/internal/spbags"
 	"repro/internal/spplus"
 )
 
@@ -265,7 +264,7 @@ func TestQuickObliviousExactEquivalence(t *testing.T) {
 			prog := progs.Random(al, progs.RandomOpts{Seed: seed, NoReducers: true})
 			rec := NewRecorder()
 			plus := spplus.New()
-			bags := spbags.New()
+			bags := spplus.NewSPBags()
 			spec := progs.RandomSpec{Seed: seed + 3, P: p}
 			cilk.Run(prog, cilk.Config{Spec: spec, Hooks: cilk.Multi{rec, plus, bags}})
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/streamerr"
 )
 
 // noStrand is the shadow-space sentinel: no strand has accessed the
@@ -184,12 +185,12 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 	d.events++
 	d.counts.FrameReturns++
 	if len(d.stack) < 2 {
-		panic(core.Violatef("depa", core.StreamOrder, g.ID,
+		panic(core.Violatef("depa", streamerr.KindOrder, g.ID,
 			"return of frame %d with %d frames on the stack", g.ID, len(d.stack)))
 	}
 	grec := d.top()
 	if grec.id != g.ID {
-		panic(core.Violatef("depa", core.StreamOrder, g.ID,
+		panic(core.Violatef("depa", streamerr.KindOrder, g.ID,
 			"event order violation: return %d, top %d", g.ID, grec.id))
 	}
 	d.stack = d.stack[:len(d.stack)-1]
@@ -204,7 +205,7 @@ func (d *Detector) Sync(f *cilk.Frame) {
 	d.events++
 	d.counts.Syncs++
 	if len(d.stack) == 0 {
-		panic(core.Violatef("depa", core.StreamOrder, f.ID, "sync before any frame entered"))
+		panic(core.Violatef("depa", streamerr.KindOrder, f.ID, "sync before any frame entered"))
 	}
 	d.cursor.Sync()
 	d.newStrand()
@@ -217,7 +218,7 @@ func (d *Detector) Sync(f *cilk.Frame) {
 // events of one strand and collapse losslessly (see entry).
 func (d *Detector) logAccess(f *cilk.Frame, a mem.Addr, op uint8) {
 	if len(d.stack) == 0 {
-		panic(core.Violatef("depa", core.StreamOrder, f.ID, "memory access before any frame entered"))
+		panic(core.Violatef("depa", streamerr.KindOrder, f.ID, "memory access before any frame entered"))
 	}
 	s := d.curStrand()
 	if n := len(d.entries); n > 0 {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/cilk"
 	"repro/internal/mem"
 	"repro/internal/progs"
-	"repro/internal/spbags"
+	"repro/internal/spplus"
 )
 
 // FuzzDepaOracle cross-validates the three authorities on fuzzer-chosen
@@ -44,7 +44,7 @@ func FuzzDepaOracle(f *testing.F) {
 		// allocator (identical address stream) and feed one serial run to
 		// SP-bags and a fresh depa detector side by side.
 		al2 := mem.NewAllocator()
-		bags := spbags.New()
+		bags := spplus.NewSPBags()
 		dep := New()
 		cilk.Run(progs.Random(al2, opts), cilk.Config{Spec: spec, Hooks: cilk.Multi{bags, dep}})
 		requireParity(t, "fuzz", bags, dep)

@@ -8,7 +8,7 @@ import (
 	"repro/internal/cilk"
 	"repro/internal/corpus"
 	"repro/internal/progs"
-	"repro/internal/spbags"
+	"repro/internal/spplus"
 	"repro/internal/wsrt"
 )
 
@@ -42,8 +42,8 @@ func lookupBridged(t *testing.T, name string) bridgedProgram {
 
 // serialBaseline runs a bridged program under the serial executor with
 // SP-bags and a replay-mode depa detector attached.
-func serialBaseline(w bridgedProgram) (*spbags.Detector, *Detector) {
-	bags := spbags.New()
+func serialBaseline(w bridgedProgram) (*spplus.SPBags, *Detector) {
+	bags := spplus.NewSPBags()
 	dep := New()
 	cilk.Run(progs.CilkProg(w.Build()), cilk.Config{Hooks: cilk.Multi{bags, dep}})
 	return bags, dep
@@ -51,10 +51,10 @@ func serialBaseline(w bridgedProgram) (*spbags.Detector, *Detector) {
 
 // TestLiveSPBagsParity is the live-mode half of the acceptance criterion:
 // for every bridged program, running it live on wsrt at 1/2/4/8 workers
-// (both deque implementations) yields verdicts byte-identical to the
-// serial SP-bags baseline — including event ordinals, frame numbering and
-// dedup counts, which only survive because the finalize step reconstructs
-// the canonical serial stream exactly.
+// yields verdicts byte-identical to the serial SP-bags baseline —
+// including event ordinals, frame numbering and dedup counts, which only
+// survive because the finalize step reconstructs the canonical serial
+// stream exactly.
 func TestLiveSPBagsParity(t *testing.T) {
 	for _, w := range bridgedPrograms(t) {
 		bags, _ := serialBaseline(w)
@@ -65,25 +65,19 @@ func TestLiveSPBagsParity(t *testing.T) {
 				w.Name, racy, bags.Report().Distinct())
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, lockFree := range []bool{false, true} {
-				name := fmt.Sprintf("%s/w%d/lockfree=%v", w.Name, workers, lockFree)
-				live := NewLive()
-				rt := wsrt.New(workers)
-				if lockFree {
-					rt = wsrt.NewLockFree(workers)
-				}
-				live.Run(rt, w.Build())
-				if got := renderReport(live.Report(), true); got != want {
-					t.Fatalf("%s: live verdict diverges from serial SP-bags\n--- serial ---\n%s--- live ---\n%s",
-						name, want, got)
-				}
-				st := live.ParallelStats()
-				if st.Workers != workers {
-					t.Fatalf("%s: stats.Workers = %d, want %d", name, st.Workers, workers)
-				}
-				if st.Accesses == 0 {
-					t.Fatalf("%s: no accesses observed", name)
-				}
+			name := fmt.Sprintf("%s/w%d", w.Name, workers)
+			live := NewLive()
+			live.Run(wsrt.New(workers), w.Build())
+			if got := renderReport(live.Report(), true); got != want {
+				t.Fatalf("%s: live verdict diverges from serial SP-bags\n--- serial ---\n%s--- live ---\n%s",
+					name, want, got)
+			}
+			st := live.ParallelStats()
+			if st.Workers != workers {
+				t.Fatalf("%s: stats.Workers = %d, want %d", name, st.Workers, workers)
+			}
+			if st.Accesses == 0 {
+				t.Fatalf("%s: no accesses observed", name)
 			}
 		}
 	}

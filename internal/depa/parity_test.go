@@ -11,7 +11,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/mem"
 	"repro/internal/progs"
-	"repro/internal/spbags"
+	"repro/internal/spplus"
 	"repro/internal/trace"
 )
 
@@ -34,7 +34,7 @@ func renderReport(rp *core.Report, stripRelation bool) string {
 	return b.String()
 }
 
-func requireParity(t *testing.T, name string, bags *spbags.Detector, dep *Detector) {
+func requireParity(t *testing.T, name string, bags *spplus.SPBags, dep *Detector) {
 	t.Helper()
 	want := renderReport(bags.Report(), true)
 	got := renderReport(dep.Report(), true)
@@ -52,7 +52,7 @@ func TestDepaSPBagsParityLive(t *testing.T) {
 	for _, e := range corpus.All() {
 		for si, spec := range []cilk.StealSpec{cilk.NoSteals{}, cilk.StealAll{}} {
 			al := mem.NewAllocator()
-			bags := spbags.New()
+			bags := spplus.NewSPBags()
 			dep := New()
 			cilk.Run(e.Build(al), cilk.Config{Spec: spec, Hooks: cilk.Multi{bags, dep}})
 			requireParity(t, fmt.Sprintf("%s/spec%d", e.Name, si), bags, dep)
@@ -71,7 +71,7 @@ func TestDepaSPBagsParityRandom(t *testing.T) {
 			for _, p := range []float64{0, 0.5, 1} {
 				al := mem.NewAllocator()
 				prog := progs.Random(al, o)
-				bags := spbags.New()
+				bags := spplus.NewSPBags()
 				dep := New()
 				spec := progs.RandomSpec{Seed: seed + 9, P: p}
 				cilk.Run(prog, cilk.Config{Spec: spec, Hooks: cilk.Multi{bags, dep}})
@@ -123,7 +123,7 @@ func TestDepaSPBagsParityReplay(t *testing.T) {
 			name := fmt.Sprintf("%s/spec%d", in.name, si)
 			data := recordTrace(t, name, in.build(mem.NewAllocator()), spec)
 
-			bags := spbags.New()
+			bags := spplus.NewSPBags()
 			dep := New()
 			if _, err := trace.ReplayAll(data, nil, nil, bags, dep); err != nil {
 				t.Fatalf("%s: replay: %v", name, err)
@@ -174,7 +174,7 @@ func TestDepaSPBagsParityTruncated(t *testing.T) {
 	}
 	data := recordTrace(t, entry.Name, entry.Build(mem.NewAllocator()), cilk.StealAll{})
 	for cut := 0; cut <= len(data); cut += 7 {
-		bags := spbags.New()
+		bags := spplus.NewSPBags()
 		dep := New()
 		_, errB := trace.ReplayAll(data[:cut], nil, nil, bags)
 		_, errD := trace.ReplayAll(data[:cut], nil, nil, dep)

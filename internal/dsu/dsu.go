@@ -1,9 +1,9 @@
 // Package dsu implements a fast disjoint-set (union-find) data structure
 // with union by rank and path compression, following CLRS chapter 21, which
 // is the structure the Peer-Set and SP+ algorithms use to maintain their
-// "bags" of procedure IDs. Each set root carries an int32 payload — the
-// index of the bag in its detector's bag table — so FindBag is a Find plus
-// one table lookup.
+// "bags" of procedure IDs. Each set root carries an int32 payload, which
+// Bags, the bag table all three bag detectors keep, sets to the index of
+// the bag the set belongs to.
 //
 // Nodes hold no pointers and live in a chunk.Store: the collector never
 // scans the forest, and growing it never copies a node.
@@ -40,7 +40,7 @@ type Forest struct {
 func (f *Forest) Len() int { return f.nodes.Len() }
 
 // MakeSet creates a fresh singleton set and returns its element. The new
-// set's payload is -1 until SetPayload or a Union gives it one.
+// set's payload is -1 until setPayload or a Union gives it one.
 func (f *Forest) MakeSet() Elem {
 	e := Elem(f.nodes.Len())
 	f.nodes.Append(node{parent: e, payload: -1})
@@ -62,13 +62,13 @@ func (f *Forest) Find(e Elem) Elem {
 	return root
 }
 
-// Payload returns the payload attached to the set containing e.
-func (f *Forest) Payload(e Elem) int32 {
+// payload returns the payload attached to the set containing e.
+func (f *Forest) payload(e Elem) int32 {
 	return f.nodes.At(int32(f.Find(e))).payload
 }
 
-// SetPayload replaces the payload of the set containing e.
-func (f *Forest) SetPayload(e Elem, p int32) {
+// setPayload replaces the payload of the set containing e.
+func (f *Forest) setPayload(e Elem, p int32) {
 	f.nodes.At(int32(f.Find(e))).payload = p
 }
 

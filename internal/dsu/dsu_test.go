@@ -14,26 +14,26 @@ func TestMakeSetSingleton(t *testing.T) {
 	if f.Same(a, b) {
 		t.Fatal("fresh sets must be disjoint")
 	}
-	if got := f.Payload(a); got != -1 {
+	if got := f.payload(a); got != -1 {
 		t.Fatalf("fresh payload = %d, want -1", got)
 	}
-	f.SetPayload(a, 7)
-	f.SetPayload(b, 8)
-	if f.Payload(a) != 7 || f.Payload(b) != 8 {
-		t.Fatalf("payloads = %d, %d, want 7, 8", f.Payload(a), f.Payload(b))
+	f.setPayload(a, 7)
+	f.setPayload(b, 8)
+	if f.payload(a) != 7 || f.payload(b) != 8 {
+		t.Fatalf("payloads = %d, %d, want 7, 8", f.payload(a), f.payload(b))
 	}
 }
 
 func TestUnionKeepsDstPayload(t *testing.T) {
 	var f Forest
 	a, b := f.MakeSet(), f.MakeSet()
-	f.SetPayload(a, 1)
-	f.SetPayload(b, 2)
+	f.setPayload(a, 1)
+	f.setPayload(b, 2)
 	f.Union(a, b)
 	if !f.Same(a, b) {
 		t.Fatal("union failed")
 	}
-	if got := f.Payload(b); got != 1 {
+	if got := f.payload(b); got != 1 {
 		t.Fatalf("payload after union = %d, want 1 (dst payload survives)", got)
 	}
 }
@@ -44,16 +44,16 @@ func TestUnionChainPayload(t *testing.T) {
 	// whichever root union by rank picks.
 	var f Forest
 	dst := f.MakeSet()
-	f.SetPayload(dst, 42)
+	f.setPayload(dst, 42)
 	for i := 0; i < 50; i++ {
 		e := f.MakeSet()
-		f.SetPayload(e, int32(i))
+		f.setPayload(e, int32(i))
 		if i%3 == 0 {
 			g := f.MakeSet()
 			f.Union(e, g)
 		}
 		f.Union(dst, e)
-		if got := f.Payload(e); got != 42 {
+		if got := f.payload(e); got != 42 {
 			t.Fatalf("after union %d payload = %d, want 42", i, got)
 		}
 	}
@@ -62,11 +62,11 @@ func TestUnionChainPayload(t *testing.T) {
 func TestUnionSelf(t *testing.T) {
 	var f Forest
 	a := f.MakeSet()
-	f.SetPayload(a, 3)
+	f.setPayload(a, 3)
 	if r := f.Union(a, a); r != f.Find(a) {
 		t.Fatal("self union should be a no-op returning the root")
 	}
-	if f.Payload(a) != 3 {
+	if f.payload(a) != 3 {
 		t.Fatal("self union must not drop payload")
 	}
 }
@@ -74,10 +74,10 @@ func TestUnionSelf(t *testing.T) {
 func TestSetPayload(t *testing.T) {
 	var f Forest
 	a, b := f.MakeSet(), f.MakeSet()
-	f.SetPayload(a, 1)
+	f.setPayload(a, 1)
 	f.Union(a, b)
-	f.SetPayload(b, 9)
-	if got := f.Payload(a); got != 9 {
+	f.setPayload(b, 9)
+	if got := f.payload(a); got != 9 {
 		t.Fatalf("payload = %d, want 9", got)
 	}
 }
@@ -145,7 +145,7 @@ func (r *refDSU) pay(e int) int32 { return r.payload[r.color[e]] }
 
 // TestQuickAgainstReference drives Forest and a reference implementation with
 // the same random operation sequence and requires identical observable
-// behaviour (Same and Payload on random pairs).
+// behaviour (Same and payload on random pairs).
 func TestQuickAgainstReference(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -158,7 +158,7 @@ func TestQuickAgainstReference(t *testing.T) {
 			case len(elems) < 2 || rng.Intn(3) == 0:
 				p := rng.Int31n(1000)
 				e := f.MakeSet()
-				f.SetPayload(e, p)
+				f.setPayload(e, p)
 				elems = append(elems, e)
 				refs = append(refs, ref.makeSet(p))
 			default:
@@ -170,7 +170,7 @@ func TestQuickAgainstReference(t *testing.T) {
 			if f.Same(elems[a], elems[b]) != ref.same(refs[a], refs[b]) {
 				return false
 			}
-			if f.Payload(elems[a]) != ref.pay(refs[a]) {
+			if f.payload(elems[a]) != ref.pay(refs[a]) {
 				return false
 			}
 		}
@@ -185,8 +185,8 @@ func TestQuickAgainstReference(t *testing.T) {
 // union by rank: the reference the differential tests check Forest
 // against, and the baseline of BenchmarkAblationPathCompression.
 type naiveForest struct {
-	parent  []Elem
-	payload []int32
+	parent []Elem
+	pay    []int32
 }
 
 // newNaiveForest returns an empty naive forest.
@@ -196,7 +196,7 @@ func newNaiveForest() *naiveForest { return &naiveForest{} }
 func (f *naiveForest) MakeSet() Elem {
 	e := Elem(len(f.parent))
 	f.parent = append(f.parent, e)
-	f.payload = append(f.payload, -1)
+	f.pay = append(f.pay, -1)
 	return e
 }
 
@@ -208,11 +208,11 @@ func (f *naiveForest) Find(e Elem) Elem {
 	return e
 }
 
-// Payload returns the payload of e's set.
-func (f *naiveForest) Payload(e Elem) int32 { return f.payload[f.Find(e)] }
+// payload returns the payload of e's set.
+func (f *naiveForest) payload(e Elem) int32 { return f.pay[f.Find(e)] }
 
-// SetPayload replaces the payload of e's set.
-func (f *naiveForest) SetPayload(e Elem, p int32) { f.payload[f.Find(e)] = p }
+// setPayload replaces the payload of e's set.
+func (f *naiveForest) setPayload(e Elem, p int32) { f.pay[f.Find(e)] = p }
 
 // Union merges src's set into dst's, keeping dst's payload.
 func (f *naiveForest) Union(dst, src Elem) Elem {
@@ -225,7 +225,7 @@ func (f *naiveForest) Union(dst, src Elem) Elem {
 }
 
 func (f *naiveForest) clone() *naiveForest {
-	return &naiveForest{parent: append([]Elem(nil), f.parent...), payload: append([]int32(nil), f.payload...)}
+	return &naiveForest{parent: append([]Elem(nil), f.parent...), pay: append([]int32(nil), f.pay...)}
 }
 
 // drive applies ops random operations to f and n in lockstep and fails t
@@ -243,8 +243,8 @@ func drive(t *testing.T, rng *rand.Rand, f *Forest, n *naiveForest, ops int) {
 			}
 			if rng.Intn(2) == 0 {
 				p := rng.Int31n(100)
-				f.SetPayload(e, p)
-				n.SetPayload(e, p)
+				f.setPayload(e, p)
+				n.setPayload(e, p)
 			}
 		default:
 			i := Elem(rng.Intn(size))
@@ -259,8 +259,8 @@ func drive(t *testing.T, rng *rand.Rand, f *Forest, n *naiveForest, ops int) {
 		if f.Same(a, b) != (n.Find(a) == n.Find(b)) {
 			t.Fatalf("op %d: naive and fast forests disagree on Same(%d, %d)", op, a, b)
 		}
-		if f.Payload(a) != n.Payload(a) {
-			t.Fatalf("op %d: Payload(%d) = %d, naive %d", op, a, f.Payload(a), n.Payload(a))
+		if f.payload(a) != n.payload(a) {
+			t.Fatalf("op %d: payload(%d) = %d, naive %d", op, a, f.payload(a), n.payload(a))
 		}
 	}
 	if f.Len() != len(n.parent) {

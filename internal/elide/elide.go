@@ -240,7 +240,7 @@ func (c *classifier) FrameEnter(f *cilk.Frame) {
 // FrameReturn implements cilk.Hooks.
 func (c *classifier) FrameReturn(g, f *cilk.Frame) {
 	if c.cursor.Open() < 2 {
-		panic(core.Violatef("elide", core.StreamOrder, g.ID,
+		panic(core.Violatef("elide", streamerr.KindOrder, g.ID,
 			"return of frame %d with %d frames open", g.ID, c.cursor.Open()))
 	}
 	c.cursor.Return()
@@ -251,7 +251,7 @@ func (c *classifier) FrameReturn(g, f *cilk.Frame) {
 // Sync implements cilk.Hooks.
 func (c *classifier) Sync(f *cilk.Frame) {
 	if c.cursor.Open() == 0 {
-		panic(core.Violatef("elide", core.StreamOrder, f.ID, "sync before any frame entered"))
+		panic(core.Violatef("elide", streamerr.KindOrder, f.ID, "sync before any frame entered"))
 	}
 	c.cursor.Sync()
 	c.bump()
@@ -289,7 +289,7 @@ func (c *classifier) Store(f *cilk.Frame, a mem.Addr) { c.access(f, a, opStore) 
 
 func (c *classifier) access(f *cilk.Frame, a mem.Addr, op uint8) {
 	if c.cursor.Open() == 0 {
-		panic(core.Violatef("elide", core.StreamOrder, f.ID, "memory access before any frame entered"))
+		panic(core.Violatef("elide", streamerr.KindOrder, f.ID, "memory access before any frame entered"))
 	}
 	c.accesses++
 	var s uint32

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/depa"
 	"repro/internal/mem"
+	"repro/internal/streamerr"
 	"repro/internal/trace"
 )
 
@@ -60,7 +61,7 @@ func (c *refClassifier) FrameEnter(f *cilk.Frame) {
 
 func (c *refClassifier) FrameReturn(g, f *cilk.Frame) {
 	if c.cursor.Open() < 2 {
-		panic(core.Violatef("elide", core.StreamOrder, g.ID,
+		panic(core.Violatef("elide", streamerr.KindOrder, g.ID,
 			"return of frame %d with %d frames open", g.ID, c.cursor.Open()))
 	}
 	c.cursor.Return()
@@ -69,7 +70,7 @@ func (c *refClassifier) FrameReturn(g, f *cilk.Frame) {
 
 func (c *refClassifier) Sync(f *cilk.Frame) {
 	if c.cursor.Open() == 0 {
-		panic(core.Violatef("elide", core.StreamOrder, f.ID, "sync before any frame entered"))
+		panic(core.Violatef("elide", streamerr.KindOrder, f.ID, "sync before any frame entered"))
 	}
 	c.cursor.Sync()
 	c.bump()
@@ -90,7 +91,7 @@ func (c *refClassifier) Store(f *cilk.Frame, a mem.Addr) { c.access(f, a, opStor
 
 func (c *refClassifier) access(f *cilk.Frame, a mem.Addr, op uint8) {
 	if c.cursor.Open() == 0 {
-		panic(core.Violatef("elide", core.StreamOrder, f.ID, "memory access before any frame entered"))
+		panic(core.Violatef("elide", streamerr.KindOrder, f.ID, "memory access before any frame entered"))
 	}
 	c.accesses++
 	if c.haveLast && c.lastGen == c.gen && c.lastAddr == a && c.lastOp == op {

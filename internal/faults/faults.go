@@ -37,8 +37,9 @@ const (
 	CorruptKind
 	// Truncate stops delivering events from the chosen index onward.
 	Truncate
-	// ConsumerPanic panics with a non-StreamError value when the chosen
-	// event is delivered, simulating a crashing downstream consumer.
+	// ConsumerPanic panics with a value that is not a *streamerr.Error
+	// when the chosen event is delivered, simulating a crashing
+	// downstream consumer.
 	ConsumerPanic
 	// NumKinds is the number of fault classes, for plan generators.
 	NumKinds

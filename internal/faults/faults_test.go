@@ -11,7 +11,6 @@ import (
 	"repro/internal/peerset"
 	"repro/internal/progs"
 	"repro/internal/rader"
-	"repro/internal/spbags"
 	"repro/internal/spplus"
 	"repro/internal/streamerr"
 	"repro/internal/trace"
@@ -127,21 +126,22 @@ func TestFaultVerdictTable(t *testing.T) {
 	}
 }
 
-// bagDetectors are the three detectors that keep per-frame bags.
+// bagDetectors are the three detectors that keep per-frame bags, with
+// the layer their typed errors carry.
 var bagDetectors = []struct {
-	name string
-	mk   func() cilk.Hooks
+	name, layer string
+	mk          func() cilk.Hooks
 }{
-	{"peer-set", func() cilk.Hooks { return peerset.New() }},
-	{"sp-bags", func() cilk.Hooks { return spbags.New() }},
-	{"sp+", func() cilk.Hooks { return spplus.New() }},
+	{"peer-set", "peerset", func() cilk.Hooks { return peerset.New() }},
+	{"sp-bags", "sp-bags", func() cilk.Hooks { return spplus.NewSPBags() }},
+	{"sp+", "spplus", func() cilk.Hooks { return spplus.New() }},
 }
 
 // TestDroppedSyncBeforeReturn pins the one fault that would let a frame
 // return with a non-empty bag: the frame's own Sync is lost. g spawns a
 // and then calls b, so at g's return Peer-Set's SP bag holds b, and the
 // P bags of SP-bags and SP+ hold a. Each detector must reject the return
-// with a KindState error.
+// with a KindState error from its own layer.
 func TestDroppedSyncBeforeReturn(t *testing.T) {
 	data, _ := record(t, func(c *cilk.Ctx) {
 		c.Call("g", func(g *cilk.Ctx) {
@@ -159,6 +159,8 @@ func TestDroppedSyncBeforeReturn(t *testing.T) {
 		var se *streamerr.Error
 		if !errors.As(err, &se) || se.Kind != streamerr.KindState {
 			t.Errorf("%s: want a KindState *streamerr.Error, got %v", det.name, err)
+		} else if se.Layer != det.layer {
+			t.Errorf("%s: error layer = %q, want %q (%v)", det.name, se.Layer, det.layer, err)
 		}
 	}
 }

@@ -32,24 +32,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/dsu"
 	"repro/internal/obs"
+	"repro/internal/streamerr"
 )
 
-type bagKind int8
-
+// The kinds of Peer-Set's bags.
 const (
-	kindSS bagKind = iota
+	kindSS = iota
 	kindSP
 	kindP
 )
-
-// bag is one Peer-Set bag: a possibly-empty set in the disjoint-set forest.
-// The forest payload of the set's root is the bag's index in the
-// detector's bag table, so finding the bag containing a frame is a Find
-// plus one table lookup.
-type bag struct {
-	kind bagKind
-	root dsu.Elem // dsu.None when empty
-}
 
 // frameRec is one frame's state. Records are reused by depth
 // (core.PushRecord), and so are their three bags: a returning frame leaves
@@ -75,8 +66,7 @@ type readerInfo struct {
 type Detector struct {
 	cilk.Empty // Peer-Set ignores memory accesses and view events
 
-	forest dsu.Forest
-	bags   []bag
+	bags   dsu.Bags
 	stack  []*frameRec
 	reader map[*cilk.Reducer]readerInfo
 	lin    core.Lineage
@@ -97,39 +87,6 @@ func (d *Detector) Name() string { return "peer-set" }
 // Report implements core.Detector.
 func (d *Detector) Report() *core.Report { return &d.report }
 
-func (d *Detector) newBag(kind bagKind) int32 {
-	d.bags = append(d.bags, bag{kind: kind, root: dsu.None})
-	return int32(len(d.bags) - 1)
-}
-
-// addToBag inserts a fresh forest element into bag b.
-func (d *Detector) addToBag(b int32, e dsu.Elem) {
-	d.counts.BagOps++
-	bg := &d.bags[b]
-	if bg.root == dsu.None {
-		bg.root = e
-		d.forest.SetPayload(e, b)
-		return
-	}
-	bg.root = d.forest.Union(bg.root, e)
-}
-
-// unionInto unions src's contents into dst and empties src.
-func (d *Detector) unionInto(dst, src int32) {
-	sb, db := &d.bags[src], &d.bags[dst]
-	if sb.root == dsu.None {
-		return
-	}
-	d.counts.BagOps++
-	if db.root == dsu.None {
-		db.root = sb.root
-		d.forest.SetPayload(sb.root, dst)
-	} else {
-		db.root = d.forest.Union(db.root, sb.root)
-	}
-	sb.root = dsu.None
-}
-
 func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
 
 // FrameEnter implements the "F calls or spawns G" case of Figure 3.
@@ -144,7 +101,7 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 			// A new spawn changes the peer set of F's subsequent strands:
 			// descendants matching the previous continuation no longer
 			// match any strand of F.
-			d.unionInto(parent.p, parent.sp)
+			d.bags.Union(parent.p, parent.sp)
 		}
 		as = parent.as + parent.ls
 		parentElem = int32(parent.elem)
@@ -154,11 +111,10 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 	rec.id = f.ID
 	rec.ls, rec.as = 0, as
 	if !rec.slotted {
-		rec.ss, rec.sp, rec.p = d.newBag(kindSS), d.newBag(kindSP), d.newBag(kindP)
+		rec.ss, rec.sp, rec.p = d.bags.New(kindSS, 0), d.bags.New(kindSP, 0), d.bags.New(kindP, 0)
 		rec.slotted = true
 	}
-	rec.elem = d.forest.MakeSet()
-	d.addToBag(rec.ss, rec.elem) // G.SS = MakeBag(G)
+	rec.elem = d.bags.Add(rec.ss) // G.SS = MakeBag(G)
 	d.lin.Add(int32(rec.elem), f.ID, f.Label, parentElem)
 }
 
@@ -167,41 +123,41 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 	d.events++
 	d.counts.FrameReturns++
 	if len(d.stack) < 2 {
-		panic(core.Violatef("peerset", core.StreamOrder, g.ID,
+		panic(core.Violatef("peerset", streamerr.KindOrder, g.ID,
 			"return of frame %d with %d frames on the stack", g.ID, len(d.stack)))
 	}
 	grec := d.top()
 	if grec.id != g.ID {
-		panic(core.Violatef("peerset", core.StreamOrder, g.ID,
+		panic(core.Violatef("peerset", streamerr.KindOrder, g.ID,
 			"event order violation: returning %v, top is %v", g.ID, grec.id))
 	}
 	// Functions sync before returning, which empties G.SP; only a stream
 	// that lost a Sync gets here with it full.
-	if d.bags[grec.sp].root != dsu.None {
-		panic(core.Violatef("peerset", core.StreamState, g.ID,
+	if !d.bags.At(grec.sp).Empty() {
+		panic(core.Violatef("peerset", streamerr.KindState, g.ID,
 			"frame %v returned with a non-empty SP bag (missing sync)", g.ID))
 	}
 	d.stack = d.stack[:len(d.stack)-1]
 	frec := d.top()
 	if frec.id != f.ID {
-		panic(core.Violatef("peerset", core.StreamOrder, f.ID,
+		panic(core.Violatef("peerset", streamerr.KindOrder, f.ID,
 			"parent mismatch on return: returning to %v, below top is %v", f.ID, frec.id))
 	}
-	d.unionInto(frec.p, grec.p)
+	d.bags.Union(frec.p, grec.p)
 	switch {
 	case g.Spawned:
 		// Everything under a spawned child is parallel to F's later
 		// strands' peers differently — G's descendants can never share a
 		// peer set with a strand of F.
-		d.unionInto(frec.p, grec.ss)
+		d.bags.Union(frec.p, grec.ss)
 	case frec.ls == 0:
 		// Called with no outstanding spawns: G's first strand has the
 		// same peer set as F's first strand.
-		d.unionInto(frec.ss, grec.ss)
+		d.bags.Union(frec.ss, grec.ss)
 	default:
 		// Called with outstanding spawns: G's first strand matches F's
 		// last executed continuation strand.
-		d.unionInto(frec.sp, grec.ss)
+		d.bags.Union(frec.sp, grec.ss)
 	}
 }
 
@@ -210,15 +166,15 @@ func (d *Detector) Sync(f *cilk.Frame) {
 	d.events++
 	d.counts.Syncs++
 	if len(d.stack) == 0 {
-		panic(core.Violatef("peerset", core.StreamOrder, f.ID, "sync before any frame entered"))
+		panic(core.Violatef("peerset", streamerr.KindOrder, f.ID, "sync before any frame entered"))
 	}
 	rec := d.top()
 	if rec.id != f.ID {
-		panic(core.Violatef("peerset", core.StreamOrder, f.ID,
+		panic(core.Violatef("peerset", streamerr.KindOrder, f.ID,
 			"sync frame mismatch: syncing %v, top is %v", f.ID, rec.id))
 	}
 	rec.ls = 0
-	d.unionInto(rec.p, rec.sp)
+	d.bags.Union(rec.p, rec.sp)
 }
 
 // ReducerCreate treats reducer creation as a reducer-read (§3 defines
@@ -239,17 +195,17 @@ func (d *Detector) ReducerRead(f *cilk.Frame, r *cilk.Reducer) {
 // readReducer implements the "F reads reducer h" case of Figure 3.
 func (d *Detector) readReducer(f *cilk.Frame, r *cilk.Reducer) {
 	if len(d.stack) == 0 {
-		panic(core.Violatef("peerset", core.StreamOrder, f.ID, "reducer-read before any frame entered"))
+		panic(core.Violatef("peerset", streamerr.KindOrder, f.ID, "reducer-read before any frame entered"))
 	}
 	rec := d.top()
 	if rec.id != f.ID {
-		panic(core.Violatef("peerset", core.StreamOrder, f.ID,
+		panic(core.Violatef("peerset", streamerr.KindOrder, f.ID,
 			"read frame mismatch: reading in %v, top is %v", f.ID, rec.id))
 	}
 	s := rec.as + rec.ls
 	d.counts.ShadowLookups++
 	if prev, ok := d.reader[r]; ok {
-		if kind := d.bags[d.forest.Payload(prev.elem)].kind; kind == kindP || prev.s != s {
+		if kind := d.bags.Of(prev.elem).Kind; kind == kindP || prev.s != s {
 			d.race(r, prev, rec, kind)
 		}
 	}
@@ -259,8 +215,7 @@ func (d *Detector) readReducer(f *cilk.Frame, r *cilk.Reducer) {
 		// tracks F's first strand, not this one: record a fresh element in
 		// F.SP instead, which follows this strand's peer set into F.P at
 		// F's next spawn or sync. It renders F's path.
-		elem = d.forest.MakeSet()
-		d.addToBag(rec.sp, elem)
+		elem = d.bags.Add(rec.sp)
 		d.lin.AddCopy(int32(elem), int32(rec.elem))
 	}
 	d.reader[r] = readerInfo{elem: elem, frame: rec.id, s: s, event: d.events}
@@ -269,7 +224,7 @@ func (d *Detector) readReducer(f *cilk.Frame, r *cilk.Reducer) {
 // race reports a view-read race on r between the read prev recorded and
 // the current read in rec, rendering it only if the report keeps it.
 // kind is the kind of the bag prev's reader sits in.
-func (d *Detector) race(r *cilk.Reducer, prev readerInfo, rec *frameRec, kind bagKind) {
+func (d *Detector) race(r *cilk.Reducer, prev readerInfo, rec *frameRec, kind int8) {
 	if !d.report.Admit(core.ViewRead, 0, r.Name, prev.frame, rec.id) {
 		return
 	}
@@ -299,11 +254,15 @@ var (
 // Stats implements core.StatsProvider: the disjoint-set accounting behind
 // the O(T·α(x,x)) bound of Theorem 1.
 func (d *Detector) Stats() core.Stats {
-	finds, unions := d.forest.Stats()
-	return core.Stats{Elems: d.forest.Len(), Finds: finds, Unions: unions}
+	elems, finds, unions := d.bags.Stats()
+	return core.Stats{Elems: elems, Finds: finds, Unions: unions}
 }
 
 // EventCounts implements core.EventCountsProvider. Peer-Set is oblivious
 // to memory traffic and view boundaries, so only the control and reducer
 // classes (and bag/shadow bookkeeping) accumulate.
-func (d *Detector) EventCounts() obs.EventCounts { return d.counts }
+func (d *Detector) EventCounts() obs.EventCounts {
+	c := d.counts
+	c.BagOps = d.bags.Ops()
+	return c
+}

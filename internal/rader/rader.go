@@ -26,7 +26,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/peerset"
 	"repro/internal/sched"
-	"repro/internal/spbags"
 	"repro/internal/specgen"
 	"repro/internal/spplus"
 	"repro/internal/streamerr"
@@ -133,7 +132,7 @@ func NewDetector(name DetectorName) (core.Detector, cilk.Hooks, error) {
 		d := peerset.New()
 		return d, d, nil
 	case SPBags:
-		d := spbags.New()
+		d := spplus.NewSPBags()
 		return d, d, nil
 	case SPPlus:
 		d := spplus.New()

@@ -13,7 +13,7 @@ import (
 	"repro/internal/depa"
 	"repro/internal/mem"
 	"repro/internal/rader"
-	"repro/internal/spbags"
+	"repro/internal/spplus"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -165,7 +165,7 @@ func TestFromDetectorAttachesParallel(t *testing.T) {
 	if doc.Parallel.Workers != 2 || doc.Parallel.Accesses != 2 || doc.Parallel.FastPathHits != 1 {
 		t.Fatalf("parallel section = %+v, want workers=2 accesses=2 fastPathHits=1", doc.Parallel)
 	}
-	serial := FromDetector("sp-bags", "", 0, spbags.New())
+	serial := FromDetector("sp-bags", "", 0, spplus.NewSPBags())
 	if serial.Parallel != nil {
 		t.Fatal("serial detector report grew a parallel section")
 	}

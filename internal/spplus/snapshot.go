@@ -6,26 +6,24 @@ import (
 	"repro/internal/dsu"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/streamerr"
 )
 
 // Snapshot is an immutable point-in-time copy of a Detector's full state:
-// the frame stack, the bag table and its free list, the disjoint-set
-// forest, the lineage and race report, the four shadow spaces
-// (copy-on-write, so the cost is O(pages materialized), not
-// O(addresses)), and the scalar counters. One snapshot can seed any
-// number of detectors via Restore — the fork operation behind the
-// prefix-sharing coverage sweep.
+// the frame stack, the bag table with its free list and forest, the
+// lineage and race report, the four shadow spaces (copy-on-write, so the
+// cost is O(pages materialized), not O(addresses)), and the scalar
+// counters. One snapshot can seed any number of detectors via Restore —
+// the fork operation behind the prefix-sharing coverage sweep.
 //
 // Snapshots may only be taken at a continuation-probe boundary (outside
 // view-aware sections and reduce strands): that is where the sweep's trie
 // branch points live, and it is the only place the detector has no
 // transient mid-operation state.
 type Snapshot struct {
-	forest   dsu.Forest
-	bags     []bag
-	freeBags []int32
-	stack    []*frameRec
-	current  int // index into stack, -1 when no frame has entered
+	bags    dsu.Bags
+	stack   []*frameRec
+	current int // index into stack, -1 when no frame has entered
 
 	reader   *mem.ShadowSnap
 	writer   *mem.ShadowSnap
@@ -71,7 +69,7 @@ func (d *Detector) Snapshot() *Snapshot {
 // immutable once shared and are never reused here.
 func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 	if d.vaDepth != 0 || d.inReduce {
-		panic(core.Violatef("spplus", core.StreamState, d.currentFrameID(),
+		panic(core.Violatef(d.layer, streamerr.KindState, d.currentFrameID(),
 			"snapshot inside a view-aware or reduce strand (vaDepth=%d inReduce=%v)",
 			d.vaDepth, d.inReduce))
 	}
@@ -79,9 +77,7 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 		s = &Snapshot{}
 	}
 	s.stack = copyFramesInto(s.stack, d.stack)
-	s.bags = append(s.bags[:0], d.bags...)
-	s.freeBags = append(s.freeBags[:0], d.freeBags...)
-	s.forest.CopyFrom(&d.forest)
+	s.bags.CopyFrom(&d.bags)
 	s.current = -1
 	s.reader = d.reader.SnapshotInto(s.reader)
 	s.writer = d.writer.SnapshotInto(s.writer)
@@ -110,9 +106,7 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 func (d *Detector) Restore(s *Snapshot) {
 	d.stack = copyFramesInto(d.stack, s.stack)
 	d.unslotParked()
-	d.bags = append(d.bags[:0], s.bags...)
-	d.freeBags = append(d.freeBags[:0], s.freeBags...)
-	d.forest.CopyFrom(&s.forest)
+	d.bags.CopyFrom(&s.bags)
 	d.current = nil
 	if s.current >= 0 {
 		d.current = d.stack[s.current]
@@ -125,7 +119,6 @@ func (d *Detector) Restore(s *Snapshot) {
 	d.report.CopyFrom(s.report)
 	d.vaDepth = 0
 	d.vaOp = 0
-	d.vaReducer = nil
 	d.inReduce = false
 	d.reduceVID = 0
 	d.reduceElem = dsu.None
@@ -145,15 +138,13 @@ func (d *Detector) unslotParked() {
 }
 
 // Reset returns the detector to its freshly constructed state, keeping
-// allocated capacity (forest chunks, bag table, shadow pages, lineage and
+// allocated capacity (bag table, forest chunks, shadow pages, lineage and
 // report backing arrays) so pooled sweep units reuse memory across runs. The
 // shadow PagesCopied counters survive as lifetime totals.
 func (d *Detector) Reset() {
-	d.forest.Reset()
+	d.bags.Reset()
 	d.stack = d.stack[:0]
 	d.unslotParked()
-	d.bags = d.bags[:0]
-	d.freeBags = d.freeBags[:0]
 	d.reader.Reset()
 	d.writer.Reset()
 	d.readerEv.Reset()
@@ -163,7 +154,6 @@ func (d *Detector) Reset() {
 	d.current = nil
 	d.vaDepth = 0
 	d.vaOp = 0
-	d.vaReducer = nil
 	d.inReduce = false
 	d.reduceVID = 0
 	d.reduceElem = dsu.None

@@ -1,6 +1,7 @@
 // Package spplus implements the SP+ algorithm (§5–§6 of the paper), which
 // detects determinacy races in Cilk computations that use reducer
-// hyperobjects. SP+ extends SP-bags in two ways:
+// hyperobjects, and SP-bags, the algorithm it extends: SPBags is SP+ with
+// its reducer events ignored. SP+ extends SP-bags in two ways:
 //
 //  1. Each function's single P bag becomes a *stack* of P bags, one per
 //     unreduced parallel view of the function's current sync block. Each P
@@ -35,28 +36,19 @@ import (
 	"repro/internal/dsu"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/streamerr"
 )
 
-type bagKind int8
-
+// The kinds of SP+'s bags. A bag's view is a view ID, set when the bag is
+// made and kept across unions into it, mirroring Figure 6's MakeBag note.
 const (
-	kindS bagKind = iota
+	kindS = iota
 	kindP
 )
 
-// bag is a disjoint set with a kind and a view ID. A P bag's view ID is set
-// at creation and preserved across unions into it, mirroring Figure 6's
-// MakeBag note. The forest payload of the set's root is the bag's index in
-// the detector's bag table.
-type bag struct {
-	kind bagKind
-	vid  cilk.ViewID
-	root dsu.Elem // dsu.None when empty
-}
-
 // frameRec is one frame's state. Records are reused by depth
 // (core.PushRecord), and so are their S bag and bottom P bag; the P bags
-// of stolen continuations come from the detector's free list. A returning
+// of stolen continuations come from the bag table's free list. A returning
 // frame leaves every bag empty, so no forest payload names a parked
 // record's bag.
 type frameRec struct {
@@ -75,22 +67,20 @@ func (r *frameRec) topP() int32 { return r.pstack[len(r.pstack)-1] }
 
 // Detector runs SP+ over the cilk event stream of one run.
 type Detector struct {
-	forest dsu.Forest
-	bags   []bag
-	// freeBags holds the indices of P bags reductions have emptied, for
-	// the next stolen continuation.
-	freeBags []int32
-	stack    []*frameRec
-	reader   *mem.Shadow
-	writer   *mem.Shadow
-	lin      core.Lineage
-	report   core.Report
+	// bags holds every frame's bags; the P bags reductions empty go back
+	// to it for the next stolen continuation.
+	bags   dsu.Bags
+	stack  []*frameRec
+	reader *mem.Shadow
+	writer *mem.Shadow
+	lin    core.Lineage
+	report core.Report
+	layer  string // the layer of the detector's typed errors
 
 	current *frameRec
 	// view-aware section state
-	vaDepth   int
-	vaOp      cilk.ViewOp
-	vaReducer *cilk.Reducer
+	vaDepth int
+	vaOp    cilk.ViewOp
 	// inReduce marks that the executing strand is a runtime Reduce
 	// invocation; reduceVID is the surviving view ID of that reduction,
 	// which is the strand's view context (Top(F.P).vid in Figure 6's
@@ -102,7 +92,7 @@ type Detector struct {
 	// contexts, so parking it in the frame's S bag would wrongly
 	// serialize it with everything that follows.
 	inReduce   bool
-	reduceVID  cilk.ViewID
+	reduceVID  int64
 	reduceElem dsu.Elem
 
 	// readerEv/writerEv shadow the same locations with the detector-relative
@@ -119,6 +109,7 @@ type Detector struct {
 // New returns a fresh SP+ detector.
 func New() *Detector {
 	return &Detector{
+		layer:    "spplus",
 		reader:   mem.NewShadow(int32(dsu.None)),
 		writer:   mem.NewShadow(int32(dsu.None)),
 		readerEv: mem.NewShadow(0),
@@ -132,49 +123,7 @@ func (d *Detector) Name() string { return "sp+" }
 // Report implements core.Detector.
 func (d *Detector) Report() *core.Report { return &d.report }
 
-// newBag returns the index of an empty bag of the given kind and view ID,
-// reusing a freed one when there is one.
-func (d *Detector) newBag(kind bagKind, vid cilk.ViewID) int32 {
-	b := bag{kind: kind, vid: vid, root: dsu.None}
-	if n := len(d.freeBags); n > 0 {
-		i := d.freeBags[n-1]
-		d.freeBags = d.freeBags[:n-1]
-		d.bags[i] = b
-		return i
-	}
-	d.bags = append(d.bags, b)
-	return int32(len(d.bags) - 1)
-}
-
-func (d *Detector) addToBag(b int32, e dsu.Elem) {
-	d.counts.BagOps++
-	bg := &d.bags[b]
-	if bg.root == dsu.None {
-		bg.root = e
-		d.forest.SetPayload(e, b)
-		return
-	}
-	bg.root = d.forest.Union(bg.root, e)
-}
-
-func (d *Detector) unionInto(dst, src int32) {
-	sb, db := &d.bags[src], &d.bags[dst]
-	if sb.root == dsu.None {
-		return
-	}
-	d.counts.BagOps++
-	if db.root == dsu.None {
-		db.root = sb.root
-		d.forest.SetPayload(sb.root, dst)
-	} else {
-		db.root = d.forest.Union(db.root, sb.root)
-	}
-	sb.root = dsu.None
-}
-
 func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
-
-func (d *Detector) bagOf(e dsu.Elem) *bag { return &d.bags[d.forest.Payload(e)] }
 
 // ProgramStart implements cilk.Hooks.
 func (d *Detector) ProgramStart(*cilk.Frame) {}
@@ -188,23 +137,22 @@ func (d *Detector) ProgramEnd(*cilk.Frame) {}
 func (d *Detector) FrameEnter(f *cilk.Frame) {
 	d.events++
 	d.counts.FrameEnters++
-	var inherit cilk.ViewID
+	var inherit int64
 	parent := core.NoParent
 	if len(d.stack) > 0 {
 		top := d.top()
-		inherit = d.bags[top.topP()].vid
+		inherit = d.bags.At(top.topP()).View
 		parent = int32(top.elem)
 	}
 	var rec *frameRec
 	d.stack, rec = core.PushRecord(d.stack)
 	rec.id = f.ID
 	if !rec.slotted {
-		rec.s, rec.p, rec.slotted = d.newBag(kindS, inherit), d.newBag(kindP, inherit), true
+		rec.s, rec.p, rec.slotted = d.bags.New(kindS, inherit), d.bags.New(kindP, inherit), true
 	}
-	d.bags[rec.s].vid, d.bags[rec.p].vid = inherit, inherit
+	d.bags.At(rec.s).View, d.bags.At(rec.p).View = inherit, inherit
 	rec.pstack = append(rec.pstack[:0], rec.p)
-	rec.elem = d.forest.MakeSet()
-	d.addToBag(rec.s, rec.elem)
+	rec.elem = d.bags.Add(rec.s)
 	d.lin.Add(int32(rec.elem), f.ID, f.Label, parent)
 	d.current = rec
 }
@@ -215,28 +163,28 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 	d.events++
 	d.counts.FrameReturns++
 	if len(d.stack) < 2 {
-		panic(core.Violatef("spplus", core.StreamOrder, g.ID,
+		panic(core.Violatef(d.layer, streamerr.KindOrder, g.ID,
 			"return of frame %d with %d frames on the stack", g.ID, len(d.stack)))
 	}
 	grec := d.top()
 	if grec.id != g.ID {
-		panic(core.Violatef("spplus", core.StreamOrder, g.ID,
+		panic(core.Violatef(d.layer, streamerr.KindOrder, g.ID,
 			"event order violation: return %d, top %d", g.ID, grec.id))
 	}
 	if len(grec.pstack) != 1 {
-		panic(core.Violatef("spplus", core.StreamState, g.ID,
+		panic(core.Violatef(d.layer, streamerr.KindState, g.ID,
 			"%v returned with %d P bags", g, len(grec.pstack)))
 	}
-	if d.bags[grec.p].root != dsu.None {
-		panic(core.Violatef("spplus", core.StreamState, g.ID,
-			"%v returned with a non-empty P bag (missing sync)", g))
+	if !d.bags.At(grec.p).Empty() {
+		panic(core.Violatef(d.layer, streamerr.KindState, g.ID,
+			"frame %v returned with a non-empty P bag (missing sync)", g.ID))
 	}
 	d.stack = d.stack[:len(d.stack)-1]
 	frec := d.top()
 	if g.Spawned {
-		d.unionInto(frec.topP(), grec.s)
+		d.bags.Union(frec.topP(), grec.s)
 	} else {
-		d.unionInto(frec.s, grec.s)
+		d.bags.Union(frec.s, grec.s)
 	}
 	d.current = frec
 }
@@ -247,15 +195,15 @@ func (d *Detector) Sync(f *cilk.Frame) {
 	d.events++
 	d.counts.Syncs++
 	if len(d.stack) == 0 {
-		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "sync before any frame entered"))
+		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "sync before any frame entered"))
 	}
 	rec := d.top()
 	if len(rec.pstack) != 1 {
-		panic(core.Violatef("spplus", core.StreamState, f.ID,
+		panic(core.Violatef(d.layer, streamerr.KindState, f.ID,
 			"sync with %d P bags; reduces must precede sync", len(rec.pstack)))
 	}
-	d.unionInto(rec.s, rec.p)
-	d.bags[rec.p].vid = d.bags[rec.s].vid
+	d.bags.Union(rec.s, rec.p)
+	d.bags.At(rec.p).View = d.bags.At(rec.s).View
 }
 
 // ContinuationStolen implements "F executes a stolen continuation": push a
@@ -264,10 +212,10 @@ func (d *Detector) ContinuationStolen(f *cilk.Frame, newVID cilk.ViewID) {
 	d.events++
 	d.counts.Steals++
 	if len(d.stack) == 0 {
-		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "stolen continuation before any frame entered"))
+		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "stolen continuation before any frame entered"))
 	}
 	rec := d.top()
-	rec.pstack = append(rec.pstack, d.newBag(kindP, newVID))
+	rec.pstack = append(rec.pstack, d.bags.New(kindP, int64(newVID)))
 }
 
 // ReduceStart implements "F executes Reduce": the dominated view's P bag is
@@ -280,29 +228,29 @@ func (d *Detector) ReduceStart(f *cilk.Frame, keepVID, dieVID cilk.ViewID) {
 	d.events++
 	d.counts.Reduces++
 	if len(d.stack) == 0 {
-		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "reduce before any frame entered"))
+		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "reduce before any frame entered"))
 	}
 	rec := d.top()
+	keep, die := int64(keepVID), int64(dieVID)
 	idx := -1
 	for i := len(rec.pstack) - 1; i > 0; i-- {
-		if d.bags[rec.pstack[i]].vid == dieVID && d.bags[rec.pstack[i-1]].vid == keepVID {
+		if d.bags.At(rec.pstack[i]).View == die && d.bags.At(rec.pstack[i-1]).View == keep {
 			idx = i
 			break
 		}
 	}
 	if idx < 0 {
-		panic(core.Violatef("spplus", core.StreamState, f.ID,
+		panic(core.Violatef(d.layer, streamerr.KindState, f.ID,
 			"reduce of unknown view pair (%d,%d)", keepVID, dieVID))
 	}
-	d.unionInto(rec.pstack[idx-1], rec.pstack[idx])
-	d.freeBags = append(d.freeBags, rec.pstack[idx])
+	d.bags.Union(rec.pstack[idx-1], rec.pstack[idx])
+	d.bags.Free(rec.pstack[idx])
 	rec.pstack = append(rec.pstack[:idx], rec.pstack[idx+1:]...)
 	d.inReduce = true
-	d.reduceVID = keepVID
+	d.reduceVID = keep
 	// The reduce invocation's own ID joins the merged bag: in series with
 	// everything the reduction joins, parallel to the frame's other views.
-	d.reduceElem = d.forest.MakeSet()
-	d.addToBag(rec.pstack[idx-1], d.reduceElem)
+	d.reduceElem = d.bags.Add(rec.pstack[idx-1])
 	d.lin.AddReduce(int32(d.reduceElem), f.ID, f.Label, int32(rec.elem))
 }
 
@@ -320,7 +268,6 @@ func (d *Detector) ViewAwareBegin(f *cilk.Frame, op cilk.ViewOp, r *cilk.Reducer
 	d.counts.ViewAwares++
 	d.vaDepth++
 	d.vaOp = op
-	d.vaReducer = r
 }
 
 // ViewAwareEnd implements cilk.Hooks.
@@ -338,11 +285,11 @@ func (d *Detector) ReducerRead(*cilk.Frame, *cilk.Reducer) {}
 
 // currentVID is the view ID of the executing strand's view context: the
 // surviving view for a reduce strand, the top P bag's view otherwise.
-func (d *Detector) currentVID() cilk.ViewID {
+func (d *Detector) currentVID() int64 {
 	if d.inReduce {
 		return d.reduceVID
 	}
-	return d.bags[d.current.topP()].vid
+	return d.bags.At(d.current.topP()).View
 }
 
 // curElem is the ID recorded in the shadow spaces for the executing
@@ -368,7 +315,7 @@ func (d *Detector) race(a mem.Addr, prior dsu.Elem, priorOp, op core.AccessOp, r
 		ev = d.readerEv
 	}
 	second := d.lin.Access(cur, op)
-	second.ViewAware, second.ViewOp, second.VID = d.vaDepth > 0, d.vaOp, d.currentVID()
+	second.ViewAware, second.ViewOp, second.VID = d.vaDepth > 0, d.vaOp, cilk.ViewID(d.currentVID())
 	d.report.Keep(core.Race{
 		Kind: core.Determinacy, Addr: a,
 		First:  d.lin.Access(int32(prior), priorOp),
@@ -382,7 +329,7 @@ func (d *Detector) Load(f *cilk.Frame, a mem.Addr) {
 	d.events++
 	d.counts.Loads++
 	if d.current == nil {
-		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "memory access before any frame entered"))
+		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "memory access before any frame entered"))
 	}
 	d.counts.ShadowLookups += 2
 	if d.vaDepth == 0 {
@@ -397,7 +344,7 @@ func (d *Detector) Store(f *cilk.Frame, a mem.Addr) {
 	d.events++
 	d.counts.Stores++
 	if d.current == nil {
-		panic(core.Violatef("spplus", core.StreamOrder, f.ID, "memory access before any frame entered"))
+		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "memory access before any frame entered"))
 	}
 	d.counts.ShadowLookups += 2
 	if d.vaDepth == 0 {
@@ -408,24 +355,24 @@ func (d *Detector) Store(f *cilk.Frame, a mem.Addr) {
 }
 
 func (d *Detector) loadOblivious(a mem.Addr) {
-	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None && d.bagOf(w).kind == kindP {
+	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None && d.bags.Of(w).Kind == kindP {
 		d.race(a, w, core.OpWrite, core.OpRead, "writer in P-bag")
 	}
-	if r := dsu.Elem(d.reader.Get(a)); r == dsu.None || d.bagOf(r).kind == kindS {
+	if r := dsu.Elem(d.reader.Get(a)); r == dsu.None || d.bags.Of(r).Kind == kindS {
 		d.reader.Set(a, int32(d.curElem()))
 		d.readerEv.Set(a, int32(d.events))
 	}
 }
 
 func (d *Detector) storeOblivious(a mem.Addr) {
-	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None && d.bagOf(r).kind == kindP {
+	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None && d.bags.Of(r).Kind == kindP {
 		d.race(a, r, core.OpRead, core.OpWrite, "reader in P-bag")
 	}
 	w := dsu.Elem(d.writer.Get(a))
-	if w != dsu.None && d.bagOf(w).kind == kindP {
+	if w != dsu.None && d.bags.Of(w).Kind == kindP {
 		d.race(a, w, core.OpWrite, core.OpWrite, "writer in P-bag")
 	}
-	if w == dsu.None || d.bagOf(w).kind == kindS {
+	if w == dsu.None || d.bags.Of(w).Kind == kindS {
 		d.writer.Set(a, int32(d.curElem()))
 		d.writerEv.Set(a, int32(d.events))
 	}
@@ -434,13 +381,13 @@ func (d *Detector) storeOblivious(a mem.Addr) {
 func (d *Detector) loadAware(a mem.Addr) {
 	vid := d.currentVID()
 	if w := dsu.Elem(d.writer.Get(a)); w != dsu.None {
-		if b := d.bagOf(w); b.kind == kindP && b.vid != vid {
+		if b := d.bags.Of(w); b.Kind == kindP && b.View != vid {
 			d.race(a, w, core.OpWrite, core.OpRead, "writer on parallel view")
 		}
 	}
 	r := dsu.Elem(d.reader.Get(a))
-	if r == dsu.None || d.bagOf(r).kind == kindS ||
-		(d.inReduce && d.bagOf(r).vid == vid) {
+	if r == dsu.None || d.bags.Of(r).Kind == kindS ||
+		(d.inReduce && d.bags.Of(r).View == vid) {
 		d.reader.Set(a, int32(d.curElem()))
 		d.readerEv.Set(a, int32(d.events))
 	}
@@ -449,18 +396,18 @@ func (d *Detector) loadAware(a mem.Addr) {
 func (d *Detector) storeAware(a mem.Addr) {
 	vid := d.currentVID()
 	if r := dsu.Elem(d.reader.Get(a)); r != dsu.None {
-		if b := d.bagOf(r); b.kind == kindP && b.vid != vid {
+		if b := d.bags.Of(r); b.Kind == kindP && b.View != vid {
 			d.race(a, r, core.OpRead, core.OpWrite, "reader on parallel view")
 		}
 	}
 	w := dsu.Elem(d.writer.Get(a))
 	if w != dsu.None {
-		if b := d.bagOf(w); b.kind == kindP && b.vid != vid {
+		if b := d.bags.Of(w); b.Kind == kindP && b.View != vid {
 			d.race(a, w, core.OpWrite, core.OpWrite, "writer on parallel view")
 		}
 	}
-	if w == dsu.None || d.bagOf(w).kind == kindS ||
-		(d.inReduce && d.bagOf(w).vid == vid) {
+	if w == dsu.None || d.bags.Of(w).Kind == kindS ||
+		(d.inReduce && d.bags.Of(w).View == vid) {
 		d.writer.Set(a, int32(d.curElem()))
 		d.writerEv.Set(a, int32(d.events))
 	}
@@ -474,9 +421,13 @@ var (
 // Stats implements core.StatsProvider: the disjoint-set accounting behind
 // the O((T+Mτ)·α(v,v)) bound of Theorem 5.
 func (d *Detector) Stats() core.Stats {
-	finds, unions := d.forest.Stats()
-	return core.Stats{Elems: d.forest.Len(), Finds: finds, Unions: unions}
+	elems, finds, unions := d.bags.Stats()
+	return core.Stats{Elems: elems, Finds: finds, Unions: unions}
 }
 
 // EventCounts implements core.EventCountsProvider.
-func (d *Detector) EventCounts() obs.EventCounts { return d.counts }
+func (d *Detector) EventCounts() obs.EventCounts {
+	c := d.counts
+	c.BagOps = d.bags.Ops()
+	return c
+}

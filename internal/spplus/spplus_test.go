@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/progs"
-	"repro/internal/spbags"
 )
 
 func run(prog func(*cilk.Ctx), spec cilk.StealSpec) *core.Report {
@@ -135,7 +134,7 @@ func TestAgainstSPBagsOnObliviousPrograms(t *testing.T) {
 	for pi, mk := range progsList {
 		for si, spec := range specs {
 			plus := run(mk(mem.NewAllocator()), spec)
-			bags := spbags.New()
+			bags := NewSPBags()
 			cilk.Run(mk(mem.NewAllocator()), cilk.Config{Spec: spec, Hooks: bags})
 			if plus.Empty() != bags.Report().Empty() {
 				t.Errorf("prog %d spec %d: SP+ empty=%v, SP-bags empty=%v",
@@ -294,7 +293,7 @@ func TestFig5SPBagsFalsePositive(t *testing.T) {
 	// SP+ at all.
 	al := mem.NewAllocator()
 	l := al.Alloc("l", 1)
-	d := spbags.New()
+	d := NewSPBags()
 	prog := progs.Fig5(
 		func(c *cilk.Ctx, site string) {
 			if site == "f" {

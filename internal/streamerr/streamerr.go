@@ -15,8 +15,8 @@
 // never dies.
 //
 // This package sits below internal/cilk on purpose: the executor itself
-// panics with *Error, and internal/core re-exports the type as
-// core.StreamError for detector-facing code.
+// panics with *Error, and the detectors build theirs with core.Violatef,
+// which adds the offending cilk.FrameID.
 package streamerr
 
 import "fmt"

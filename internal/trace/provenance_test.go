@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/peerset"
 	"repro/internal/progs"
-	"repro/internal/spbags"
 	"repro/internal/spplus"
 )
 
@@ -21,7 +20,7 @@ func TestDetectorProvenanceAndCounts(t *testing.T) {
 	al := mem.NewAllocator()
 	data := traceOf(t, progs.Fig1(al, progs.Fig1Options{}), cilk.StealAll{})
 
-	dets := []core.Detector{peerset.New(), spbags.New(), spplus.New()}
+	dets := []core.Detector{peerset.New(), spplus.NewSPBags(), spplus.New()}
 	hooks := make([]cilk.Hooks, len(dets))
 	for i, d := range dets {
 		hooks[i] = d.(cilk.Hooks)

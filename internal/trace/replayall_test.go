@@ -12,7 +12,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/peerset"
 	"repro/internal/progs"
-	"repro/internal/spbags"
 	"repro/internal/specgen"
 	"repro/internal/spplus"
 	"repro/internal/streamerr"
@@ -21,7 +20,7 @@ import (
 // allDets returns fresh instances of the paper's three detectors in
 // canonical order.
 func allDets() []core.Detector {
-	return []core.Detector{peerset.New(), spbags.New(), spplus.New()}
+	return []core.Detector{peerset.New(), spplus.NewSPBags(), spplus.New()}
 }
 
 // verdict flattens a detector report into one comparable string: the

@@ -15,7 +15,6 @@ import (
 	"repro/internal/peerset"
 	"repro/internal/progs"
 	"repro/internal/report"
-	"repro/internal/spbags"
 	"repro/internal/spplus"
 	"repro/internal/streamerr"
 )
@@ -80,7 +79,7 @@ func TestReplayReproducesPeerSet(t *testing.T) {
 // *cilk.Frame past its FrameReturn would diverge here.
 func TestQuickReplayIdenticalOnRandomPrograms(t *testing.T) {
 	detectors := func() []core.Detector {
-		return []core.Detector{peerset.New(), spbags.New(), spplus.New()}
+		return []core.Detector{peerset.New(), spplus.NewSPBags(), spplus.New()}
 	}
 	check := func(seed int64, p8 uint8) bool {
 		p := float64(p8%4) / 4

@@ -1,21 +1,11 @@
 package wsrt
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// workQueue is the per-worker task store: the owner pushes and pops at the
-// bottom (LIFO, preserving the serial order locally), thieves steal from
-// the top (FIFO, taking the oldest — and typically largest — work first),
-// the Blumofe–Leiserson discipline.
-type workQueue interface {
-	pushBottom(*task)
-	popBottom() *task
-	stealTop() *task
-}
-
-// mutexDeque is the obviously-correct baseline implementation.
+// mutexDeque is the per-worker task store: the owner pushes and pops at
+// the bottom (LIFO, preserving the serial order locally), thieves steal
+// from the top (FIFO, taking the oldest — and typically largest — work
+// first), the Blumofe–Leiserson discipline. One mutex guards it.
 type mutexDeque struct {
 	mu    sync.Mutex
 	tasks []*task
@@ -48,98 +38,3 @@ func (d *mutexDeque) stealTop() *task {
 	d.tasks = d.tasks[1:]
 	return t
 }
-
-// chaseLev is the lock-free Chase–Lev work-stealing deque (Chase & Lev,
-// SPAA 2005; the formulation follows Lê, Pop, Cohen & Zappa Nardelli,
-// PPoPP 2013). The owner manipulates bottom without contention; thieves
-// race on top with a compare-and-swap; the circular buffer grows on
-// demand, and superseded buffers stay reachable until the garbage
-// collector proves no thief still reads them — which is what makes the
-// classic algorithm so much simpler in Go than in C. Go's atomics are
-// sequentially consistent, covering the algorithm's fence requirements.
-type chaseLev struct {
-	top    atomic.Int64
-	bottom atomic.Int64
-	buf    atomic.Pointer[clBuffer]
-}
-
-type clBuffer struct {
-	mask int64 // size-1; size is a power of two
-	data []atomic.Pointer[task]
-}
-
-func newCLBuffer(size int64) *clBuffer {
-	return &clBuffer{mask: size - 1, data: make([]atomic.Pointer[task], size)}
-}
-
-func (b *clBuffer) get(i int64) *task    { return b.data[i&b.mask].Load() }
-func (b *clBuffer) put(i int64, t *task) { b.data[i&b.mask].Store(t) }
-func (b *clBuffer) size() int64          { return b.mask + 1 }
-
-func newChaseLev() *chaseLev {
-	d := &chaseLev{}
-	d.buf.Store(newCLBuffer(64))
-	return d
-}
-
-// pushBottom appends a task; owner only.
-func (d *chaseLev) pushBottom(t *task) {
-	b := d.bottom.Load()
-	top := d.top.Load()
-	buf := d.buf.Load()
-	if b-top >= buf.size() {
-		// Grow: copy live entries to a doubled buffer at the same
-		// logical indices. Only the owner resizes.
-		nb := newCLBuffer(buf.size() * 2)
-		for i := top; i < b; i++ {
-			nb.put(i, buf.get(i))
-		}
-		d.buf.Store(nb)
-		buf = nb
-	}
-	buf.put(b, t)
-	d.bottom.Store(b + 1)
-}
-
-// popBottom takes the newest task; owner only.
-func (d *chaseLev) popBottom() *task {
-	b := d.bottom.Load() - 1
-	buf := d.buf.Load()
-	d.bottom.Store(b)
-	t := d.top.Load()
-	if t > b {
-		// Empty: restore.
-		d.bottom.Store(t)
-		return nil
-	}
-	task := buf.get(b)
-	if t == b {
-		// Last element: race the thieves for it.
-		if !d.top.CompareAndSwap(t, t+1) {
-			task = nil // a thief got it
-		}
-		d.bottom.Store(t + 1)
-		return task
-	}
-	return task
-}
-
-// stealTop takes the oldest task; any thief.
-func (d *chaseLev) stealTop() *task {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
-		return nil
-	}
-	buf := d.buf.Load()
-	task := buf.get(t)
-	if !d.top.CompareAndSwap(t, t+1) {
-		return nil // lost the race; caller will try elsewhere
-	}
-	return task
-}
-
-var (
-	_ workQueue = (*mutexDeque)(nil)
-	_ workQueue = (*chaseLev)(nil)
-)

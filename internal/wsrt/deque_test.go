@@ -1,16 +1,15 @@
 package wsrt
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// stressQueue hammers one workQueue with its ownership contract — a single
+// stressQueue hammers one deque with its ownership contract — a single
 // owner pushing and popping, many concurrent thieves — and checks that
 // every task is delivered exactly once and none are lost.
-func stressQueue(t *testing.T, q workQueue, total, thieves int) {
+func stressQueue(t *testing.T, q *mutexDeque, total, thieves int) {
 	t.Helper()
 	delivered := make([]atomic.Int32, total)
 	var wg sync.WaitGroup
@@ -79,123 +78,4 @@ func stressQueue(t *testing.T, q workQueue, total, thieves int) {
 
 func TestMutexDequeStress(t *testing.T) {
 	stressQueue(t, &mutexDeque{}, 20000, 4)
-}
-
-func TestChaseLevStress(t *testing.T) {
-	stressQueue(t, newChaseLev(), 20000, 4)
-}
-
-func TestChaseLevGrowth(t *testing.T) {
-	// Push far past the initial buffer size with no consumers, then drain
-	// in order.
-	q := newChaseLev()
-	const n = 1000
-	for i := 0; i < n; i++ {
-		q.pushBottom(&task{owner: i})
-	}
-	for i := n - 1; i >= 0; i-- {
-		tk := q.popBottom()
-		if tk == nil || tk.owner != i {
-			t.Fatalf("pop %d: got %v", i, tk)
-		}
-	}
-	if q.popBottom() != nil || q.stealTop() != nil {
-		t.Fatal("drained deque must be empty")
-	}
-}
-
-func TestChaseLevStealOrder(t *testing.T) {
-	q := newChaseLev()
-	for i := 0; i < 10; i++ {
-		q.pushBottom(&task{owner: i})
-	}
-	// Thieves take the oldest first.
-	for i := 0; i < 10; i++ {
-		tk := q.stealTop()
-		if tk == nil || tk.owner != i {
-			t.Fatalf("steal %d: got %v", i, tk)
-		}
-	}
-}
-
-func TestChaseLevSingleElementRace(t *testing.T) {
-	// One element, owner and thief compete: exactly one wins, many times.
-	for trial := 0; trial < 2000; trial++ {
-		q := newChaseLev()
-		q.pushBottom(&task{owner: 1})
-		var got atomic.Int32
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if q.popBottom() != nil {
-				got.Add(1)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if q.stealTop() != nil {
-				got.Add(1)
-			}
-		}()
-		wg.Wait()
-		if got.Load() != 1 {
-			t.Fatalf("trial %d: element taken %d times", trial, got.Load())
-		}
-	}
-}
-
-func TestLockFreeRuntimeDeterministic(t *testing.T) {
-	listM := MonoidFuncs(
-		func() any { return []int(nil) },
-		func(l, r any) any { return append(l.([]int), r.([]int)...) },
-	)
-	for _, w := range []int{1, 2, 4, 8} {
-		var got []int
-		NewLockFree(w).Run(func(c *Ctx) {
-			r := c.NewReducer("list", listM, []int(nil))
-			c.ParFor(400, 8, func(cc *Ctx, i int) {
-				cc.Update(r, func(v any) any { return append(v.([]int), i) })
-			})
-			got = c.Value(r).([]int)
-		})
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("workers=%d: out of order at %d", w, i)
-			}
-		}
-		if len(got) != 400 {
-			t.Fatalf("workers=%d: len %d", w, len(got))
-		}
-	}
-}
-
-func BenchmarkWSRTDeques(b *testing.B) {
-	m := MonoidFuncs(func() any { return 0 }, func(l, r any) any { return l.(int) + r.(int) })
-	for _, mk := range []struct {
-		name string
-		rt   func(int) *Runtime
-	}{
-		{"mutex", New},
-		{"chase-lev", NewLockFree},
-	} {
-		mk := mk
-		for _, w := range []int{1, 4} {
-			w := w
-			b.Run(fmt.Sprintf("%s/workers=%d", mk.name, w), func(b *testing.B) {
-				rt := mk.rt(w)
-				for i := 0; i < b.N; i++ {
-					rt.Run(func(c *Ctx) {
-						h := c.NewReducer("sum", m, 0)
-						c.ParFor(4096, 16, func(cc *Ctx, j int) {
-							cc.Update(h, func(v any) any { return v.(int) + 1 })
-						})
-						if c.Value(h).(int) != 4096 {
-							b.Fatal("bad sum")
-						}
-					})
-				}
-			})
-		}
-	}
 }

@@ -34,38 +34,29 @@ func runExpectingPanic(t *testing.T, rt *Runtime, root func(*Ctx)) any {
 // TestPanicUnderActiveThieves panics a single task in the middle of a wide
 // spawn storm, with every sibling doing real reducer work to keep thieves
 // busy: the exact panic value must come back out of Run, and the join must
-// complete on both deque implementations.
+// complete on the mutex deque.
 func TestPanicUnderActiveThieves(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(int) *Runtime
-	}{
-		{"mutex", New},
-		{"chase-lev", NewLockFree},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rt := tc.mk(8)
-			sum := MonoidFuncs(func() any { return 0 }, func(l, r any) any { return l.(int) + r.(int) })
-			p := runExpectingPanic(t, rt, func(c *Ctx) {
-				r := c.NewReducer("sum", sum, 0)
-				for i := 0; i < 400; i++ {
-					i := i
-					c.Spawn(func(cc *Ctx) {
-						if i == 137 {
-							panic("poison-137")
-						}
-						for j := 0; j < 50; j++ {
-							cc.Update(r, func(v any) any { return v.(int) + 1 })
-						}
-					})
-				}
-				c.Sync()
-			})
-			if s, ok := p.(string); !ok || s != "poison-137" {
-				t.Fatalf("panic value = %v (%T), want the first task's exact value", p, p)
+	t.Run("mutex", func(t *testing.T) {
+		sum := MonoidFuncs(func() any { return 0 }, func(l, r any) any { return l.(int) + r.(int) })
+		p := runExpectingPanic(t, New(8), func(c *Ctx) {
+			r := c.NewReducer("sum", sum, 0)
+			for i := 0; i < 400; i++ {
+				i := i
+				c.Spawn(func(cc *Ctx) {
+					if i == 137 {
+						panic("poison-137")
+					}
+					for j := 0; j < 50; j++ {
+						cc.Update(r, func(v any) any { return v.(int) + 1 })
+					}
+				})
 			}
+			c.Sync()
 		})
-	}
+		if s, ok := p.(string); !ok || s != "poison-137" {
+			t.Fatalf("panic value = %v (%T), want the first task's exact value", p, p)
+		}
+	})
 }
 
 // TestManyPanicsLatchFirst fires many concurrent panicking tasks: exactly
@@ -73,7 +64,7 @@ func TestPanicUnderActiveThieves(t *testing.T) {
 // runtime still quiesces. Repeated rounds shake out latch races under the
 // race detector.
 func TestManyPanicsLatchFirst(t *testing.T) {
-	rt := NewLockFree(8)
+	rt := New(8)
 	for round := 0; round < 10; round++ {
 		var fired atomic.Int64
 		p := runExpectingPanic(t, rt, func(c *Ctx) {

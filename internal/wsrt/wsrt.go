@@ -51,10 +51,9 @@ func (m monoidFuncs) Combine(l, r any) any { return m.combine(l, r) }
 // Runtime is one work-stealing scheduler instance.
 type Runtime struct {
 	workers  int
-	lockFree bool
 	steals   atomic.Int64
 	spawns   atomic.Int64
-	deques   []workQueue
+	deques   []*mutexDeque
 	states   []*workerState
 	panicked atomic.Pointer[panicBox]
 	guard    *guard
@@ -63,22 +62,12 @@ type Runtime struct {
 // panicBox carries a panic value from a worker to Run.
 type panicBox struct{ value any }
 
-// New creates a runtime with n workers (0 means GOMAXPROCS) using the
-// mutex-guarded deques.
+// New creates a runtime with n workers (0 means GOMAXPROCS).
 func New(n int) *Runtime {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	return &Runtime{workers: n}
-}
-
-// NewLockFree creates a runtime whose workers use the lock-free Chase–Lev
-// deques instead of the mutex baseline (BenchmarkWSRTDeques compares the
-// two).
-func NewLockFree(n int) *Runtime {
-	rt := New(n)
-	rt.lockFree = true
-	return rt
 }
 
 // Workers reports the worker count.
@@ -141,7 +130,7 @@ type joinItem struct {
 type workerState struct {
 	id    int
 	rt    *Runtime
-	deque workQueue
+	deque *mutexDeque
 	rng   *rand.Rand
 }
 
@@ -149,13 +138,9 @@ type workerState struct {
 func (rt *Runtime) Run(root func(*Ctx)) {
 	rt.steals.Store(0)
 	rt.spawns.Store(0)
-	deques := make([]workQueue, rt.workers)
+	deques := make([]*mutexDeque, rt.workers)
 	for i := range deques {
-		if rt.lockFree {
-			deques[i] = newChaseLev()
-		} else {
-			deques[i] = &mutexDeque{}
-		}
+		deques[i] = &mutexDeque{}
 	}
 	states := make([]*workerState, rt.workers)
 	for i := range states {
