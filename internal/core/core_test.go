@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -159,52 +158,5 @@ func TestStringers(t *testing.T) {
 	a := Access{Frame: 3, Label: "f", Op: OpWrite, ViewAware: true, VID: 7}
 	if !strings.Contains(a.String(), "view-aware") {
 		t.Fatalf("access string missing view-aware: %q", a)
-	}
-}
-
-func TestReportJSON(t *testing.T) {
-	var rp Report
-	rp.Add(Race{Kind: Determinacy, Addr: 3,
-		First:  Access{Frame: 1, Label: "r", Path: "main>r", Op: OpRead},
-		Second: Access{Frame: 2, Label: "w", Op: OpWrite, ViewAware: true, ViewOp: cilk.OpReduce, VID: 4}})
-	rp.Add(Race{Kind: ViewRead, Reducer: "sum",
-		First:  Access{Frame: 1, Label: "a", Op: OpReducerRead},
-		Second: Access{Frame: 2, Label: "b", Op: OpReducerRead}})
-	b, err := json.Marshal(&rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Races []struct {
-			Kind    string `json:"kind"`
-			Addr    uint64 `json:"addr"`
-			Reducer string `json:"reducer"`
-			Second  struct {
-				ViewAware bool   `json:"viewAware"`
-				ViewOp    string `json:"viewOp"`
-				VID       int64  `json:"vid"`
-			} `json:"second"`
-		} `json:"races"`
-		Distinct int `json:"distinct"`
-		Total    int `json:"total"`
-	}
-	if err := json.Unmarshal(b, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Distinct != 2 || decoded.Total != 2 || len(decoded.Races) != 2 {
-		t.Fatalf("counts wrong: %+v", decoded)
-	}
-	if decoded.Races[0].Addr != 3 || !decoded.Races[0].Second.ViewAware ||
-		decoded.Races[0].Second.ViewOp != "Reduce" || decoded.Races[0].Second.VID != 4 {
-		t.Fatalf("determinacy race JSON wrong: %s", b)
-	}
-	if decoded.Races[1].Reducer != "sum" || decoded.Races[1].Addr != 0 {
-		t.Fatalf("view-read race JSON wrong: %s", b)
-	}
-	// An empty report still renders a valid document.
-	var empty Report
-	b2, err := json.Marshal(&empty)
-	if err != nil || string(b2) != `{"races":[],"distinct":0,"total":0}` {
-		t.Fatalf("empty report JSON = %s (%v)", b2, err)
 	}
 }

@@ -54,9 +54,10 @@ type frameMeta struct {
 }
 
 // ParallelStats accounts for the parallel detection machinery: how many
-// shards (or live workers) ran, how many shard result sets were merged at
-// the join, and how much of the access stream the lock-free coalescing
-// fast path absorbed before it ever reached a shadow lookup.
+// detection shards ran (in live mode, one per runtime worker), how many
+// result sets were merged (one per shard, plus in live mode one per
+// spawned child joined at a sync), and how much of the access stream the
+// coalescing fast path absorbed before it ever reached a shadow lookup.
 type ParallelStats struct {
 	Workers      int
 	ShardMerges  int64

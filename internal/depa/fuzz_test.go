@@ -14,7 +14,7 @@ import (
 // probability and a nesting budget; for the resulting program it asserts
 // (a) the depa timestamps reproduce the dag oracle's SP relations for
 // every pair of accesses — Parallel, Precedes both ways, mutual
-// exclusion, SerialLess — and (b) the depa verdict agrees with SP-bags'
+// exclusion — and (b) the depa verdict agrees with SP-bags'
 // byte for byte (modulo the relation wording the two provenance styles
 // use). The explicit seeds cover the depths at which fork paths cross
 // graduation-word boundaries; the fuzzer explores everything in between.

@@ -41,23 +41,27 @@ func lookupBridged(t *testing.T, name string) bridgedProgram {
 }
 
 // serialBaseline runs a bridged program under the serial executor with
-// SP-bags and a replay-mode depa detector attached.
-func serialBaseline(w bridgedProgram) (*spplus.SPBags, *Detector) {
+// SP-bags and a replay-mode depa detector attached, and returns them with
+// the run's spawn count.
+func serialBaseline(w bridgedProgram) (*spplus.SPBags, *Detector, int) {
 	bags := spplus.NewSPBags()
 	dep := New()
-	cilk.Run(progs.CilkProg(w.Build()), cilk.Config{Hooks: cilk.Multi{bags, dep}})
-	return bags, dep
+	res := cilk.Run(progs.CilkProg(w.Build()), cilk.Config{Hooks: cilk.Multi{bags, dep}})
+	return bags, dep, res.Spawns
 }
 
 // TestLiveSPBagsParity is the live-mode half of the acceptance criterion:
 // for every bridged program, running it live on wsrt at 1/2/4/8 workers
 // yields verdicts byte-identical to the serial SP-bags baseline —
 // including event ordinals, frame numbering and dedup counts, which only
-// survive because the finalize step reconstructs the canonical serial
-// stream exactly.
+// survive because the walk of the frame logs reproduces the serial
+// stream exactly. Its parallel stats are pinned too: the replay
+// detector's access and fast-path counts, one shard per worker, and one
+// merge per shard plus one per spawned child joined at a sync.
 func TestLiveSPBagsParity(t *testing.T) {
 	for _, w := range bridgedPrograms(t) {
-		bags, _ := serialBaseline(w)
+		bags, rep, spawns := serialBaseline(w)
+		replay := rep.ParallelStats()
 		want := renderReport(bags.Report(), true)
 		// The racy variants are named so, and must race.
 		if racy := strings.HasSuffix(w.Name, "-racy"); racy == bags.Report().Empty() {
@@ -72,12 +76,14 @@ func TestLiveSPBagsParity(t *testing.T) {
 				t.Fatalf("%s: live verdict diverges from serial SP-bags\n--- serial ---\n%s--- live ---\n%s",
 					name, want, got)
 			}
-			st := live.ParallelStats()
-			if st.Workers != workers {
-				t.Fatalf("%s: stats.Workers = %d, want %d", name, st.Workers, workers)
+			want := ParallelStats{
+				Workers:      workers,
+				ShardMerges:  int64(spawns + workers),
+				FastPathHits: replay.FastPathHits,
+				Accesses:     replay.Accesses,
 			}
-			if st.Accesses == 0 {
-				t.Fatalf("%s: no accesses observed", name)
+			if st := live.ParallelStats(); st != want {
+				t.Fatalf("%s: stats = %+v, want %+v", name, st, want)
 			}
 		}
 	}
@@ -88,7 +94,7 @@ func TestLiveSPBagsParity(t *testing.T) {
 // the relation strings.
 func TestLiveMatchesReplayExactly(t *testing.T) {
 	for _, w := range bridgedPrograms(t) {
-		_, rep := serialBaseline(w)
+		_, rep, _ := serialBaseline(w)
 		want := renderReport(rep.Report(), false)
 		live := NewLive()
 		live.Run(wsrt.New(4), w.Build())
@@ -98,11 +104,11 @@ func TestLiveMatchesReplayExactly(t *testing.T) {
 	}
 }
 
-// TestLiveEventCountsMatchSerial checks that the reconstructed canonical
-// stream has the serial stream's exact event population.
+// TestLiveEventCountsMatchSerial checks that the walked stream has the
+// serial stream's exact event population.
 func TestLiveEventCountsMatchSerial(t *testing.T) {
 	for _, w := range bridgedPrograms(t) {
-		_, rep := serialBaseline(w)
+		_, rep, _ := serialBaseline(w)
 		want := rep.EventCounts()
 		live := NewLive()
 		live.Run(wsrt.New(3), w.Build())
@@ -132,5 +138,17 @@ func TestLiveShardMerges(t *testing.T) {
 	// fast-path hits per leaf against the scattered stores that don't.
 	if st.FastPathRate() <= 0.15 {
 		t.Fatalf("fast-path rate = %v, want > 0.15 on the stress workload", st.FastPathRate())
+	}
+}
+
+// TestLiveNeverRun checks that a live detector that never ran reports an
+// empty, clean verdict.
+func TestLiveNeverRun(t *testing.T) {
+	live := NewLive()
+	if rp := live.Report(); !rp.Empty() {
+		t.Fatalf("never-run live detector reports %d races", rp.Total())
+	}
+	if ec := live.EventCounts(); ec.FrameEnters != 0 || ec.Loads+ec.Stores != 0 {
+		t.Fatalf("never-run live detector counted events: %+v", ec)
 	}
 }

@@ -161,35 +161,3 @@ func Precedes(a, b Timestamp) bool {
 	}
 	return a.depth < b.depth
 }
-
-// SerialLess is the total order of strands in the canonical serial
-// (depth-first, child before continuation) execution. It refines ≺ on
-// serially ordered strands and orders parallel strands by which executes
-// first serially — the order the live detector's merge step uses to
-// linearize per-worker logs into the canonical event stream.
-func SerialLess(a, b Timestamp) bool {
-	ea, eb, ok := divergence(a, b)
-	if ok {
-		// Same fork: child (branch 0) runs first serially. Different
-		// forks: the shallower fork's subtree runs first. Both cases are
-		// the numeric entry order.
-		return ea < eb
-	}
-	if a.depth != b.depth {
-		return a.depth < b.depth
-	}
-	return a.n < b.n // unreachable for well-formed streams; keeps the order total
-}
-
-// Equal reports whether a and b name the same strand.
-func Equal(a, b Timestamp) bool {
-	if a.depth != b.depth || a.n != b.n {
-		return false
-	}
-	for i := range a.words {
-		if a.words[i] != b.words[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -95,29 +95,19 @@ func TestHandRelations(t *testing.T) {
 		if n != 1 {
 			t.Errorf("case %d: relations not mutually exclusive", i)
 		}
-		// SerialLess refines ≺ and totally orders the pair.
-		if c.precedes && !SerialLess(c.a, c.b) {
-			t.Errorf("case %d: a ≺ b but !SerialLess(a, b)", i)
-		}
-		if SerialLess(c.a, c.b) == SerialLess(c.b, c.a) {
-			t.Errorf("case %d: SerialLess not antisymmetric on distinct strands", i)
-		}
 	}
 }
 
 func TestSelfRelations(t *testing.T) {
 	for _, ts := range []Timestamp{mk(0), mk(5, [2]int32{1, 0}, [2]int32{4, 1}), mk(9, [2]int32{2, 1}, [2]int32{5, 0}, [2]int32{7, 1})} {
-		if !Equal(ts, ts) {
-			t.Fatalf("Equal(%v, %v) = false", ts, ts)
+		if !equal(ts, ts) {
+			t.Fatalf("equal(%v, %v) = false", ts, ts)
 		}
 		if Parallel(ts, ts) {
 			t.Fatalf("Parallel(%v, self) = true", ts)
 		}
 		if Precedes(ts, ts) {
 			t.Fatalf("Precedes(%v, self) = true", ts)
-		}
-		if SerialLess(ts, ts) {
-			t.Fatalf("SerialLess(%v, self) = true", ts)
 		}
 	}
 }

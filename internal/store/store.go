@@ -197,16 +197,7 @@ func (s *Store) partialPath(digest string) string {
 
 // writeAtomic writes data to path via the temp+fsync+rename+dirsync
 // protocol. Every step passes the injection seam first.
-func (s *Store) writeAtomic(path string, data []byte) error {
-	return s.writeAtomicFrom(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
-// writeAtomicFrom is writeAtomic for streamed content: fill writes the
-// payload to the temp file without ever holding it whole in memory.
-func (s *Store) writeAtomicFrom(path string, fill func(io.Writer) error) (err error) {
+func (s *Store) writeAtomic(path string, data []byte) (err error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -227,7 +218,7 @@ func (s *Store) writeAtomicFrom(path string, fill func(io.Writer) error) (err er
 	if err := s.inject(OpTempWrite, tmpName); err != nil {
 		return abort(err)
 	}
-	if err := fill(tmp); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		return fmt.Errorf("store: writing %s: %w", filepath.Base(path), err)
 	}
 	if err := s.inject(OpTempSync, tmpName); err != nil {
@@ -258,10 +249,6 @@ func (s *Store) writeAtomicFrom(path string, fill func(io.Writer) error) (err er
 var errAborted = errors.New("store: operation aborted by fault injection")
 
 func abort(cause error) error { return fmt.Errorf("%w: %w", errAborted, cause) }
-
-// Aborted reports whether err came from the injection seam (as opposed
-// to a real I/O failure).
-func Aborted(err error) bool { return errors.Is(err, errAborted) }
 
 // syncDir fsyncs a directory so a rename into it survives power loss.
 // Best effort: some filesystems reject directory fsync.
@@ -315,38 +302,6 @@ func (s *Store) OpenTrace(digest string) (io.ReadCloser, int64, error) {
 		return nil, 0, err
 	}
 	return f, st.Size(), nil
-}
-
-// PutTrace durably stores trace content under its claimed digest,
-// verifying the SHA-256 while streaming. The write is atomic; a
-// pre-existing trace for the digest is left untouched (content-addressed
-// files are immutable).
-func (s *Store) PutTrace(digest string, r io.Reader) error {
-	if !ValidDigest(digest) {
-		return fmt.Errorf("store: bad digest %q", digest)
-	}
-	path := s.tracePath(digest)
-	if _, err := os.Stat(path); err == nil {
-		_, err := io.Copy(io.Discard, r)
-		return err
-	}
-	h := sha256.New()
-	err := s.writeAtomicFrom(path, func(w io.Writer) error {
-		_, err := io.Copy(io.MultiWriter(w, h), r)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != digest {
-		// The rename already happened with wrong content — undo it.
-		// (Verification-before-rename is the partial-upload path's job;
-		// PutTrace re-checks for defense in depth.)
-		s.quarantine(path, "digest mismatch")
-		return fmt.Errorf("store: content digest %s does not match claimed %s", got, digest)
-	}
-	s.traceWrites.Add(1)
-	return nil
 }
 
 // ---- verdict records ----
@@ -533,16 +488,6 @@ func (s *Store) CommitPartial(digest string) error {
 	syncDir(filepath.Dir(final))
 	s.traceWrites.Add(1)
 	return nil
-}
-
-// AbortPartial discards an in-flight resumable upload.
-func (s *Store) AbortPartial(digest string) {
-	if !ValidDigest(digest) {
-		return
-	}
-	s.partialMu.Lock()
-	defer s.partialMu.Unlock()
-	_ = os.Remove(s.partialPath(digest))
 }
 
 // ---- helpers shared with recovery ----

@@ -286,24 +286,6 @@ func TestCommitRunsVerifier(t *testing.T) {
 	}
 }
 
-func TestPutTraceVerifiesDigest(t *testing.T) {
-	s, _ := open(t, t.TempDir(), Options{})
-	content := []byte("some trace bytes")
-	if err := s.PutTrace(digestOf(content), bytes.NewReader(content)); err != nil {
-		t.Fatal(err)
-	}
-	if !s.HasTrace(digestOf(content)) {
-		t.Fatal("trace must be stored")
-	}
-	err := s.PutTrace(digestOf([]byte("other")), bytes.NewReader(content))
-	if err == nil {
-		t.Fatal("wrong digest must be rejected")
-	}
-	if s.HasTrace(digestOf([]byte("other"))) {
-		t.Fatal("mismatched trace must not remain stored")
-	}
-}
-
 func TestJournalLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := open(t, dir, Options{})

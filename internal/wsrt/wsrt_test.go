@@ -241,14 +241,15 @@ func TestPanicPropagation(t *testing.T) {
 
 func TestParForEdgeCases(t *testing.T) {
 	rt := New(2)
-	ran := 0
+	// Both workers may run bodies, so the count must be atomic.
+	var ran atomic.Int64
 	rt.Run(func(c *Ctx) {
-		c.ParFor(0, 4, func(*Ctx, int) { ran++ })
-		c.ParFor(-5, 4, func(*Ctx, int) { ran++ })
-		c.ParFor(3, -1, func(*Ctx, int) { ran++ }) // grain repaired to 1
+		c.ParFor(0, 4, func(*Ctx, int) { ran.Add(1) })
+		c.ParFor(-5, 4, func(*Ctx, int) { ran.Add(1) })
+		c.ParFor(3, -1, func(*Ctx, int) { ran.Add(1) }) // grain repaired to 1
 	})
-	if ran != 3 {
-		t.Fatalf("ran = %d, want 3", ran)
+	if n := ran.Load(); n != 3 {
+		t.Fatalf("ran = %d, want 3", n)
 	}
 }
 
