@@ -62,6 +62,7 @@ import (
 
 	"repro/internal/analyze"
 	"repro/internal/cilk"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dag"
 	"repro/internal/depa"
@@ -289,9 +290,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r := out.Result
 		fmt.Fprintf(stdout, "frames=%d spawns=%d syncs=%d steals=%d views=%d reduces=%d loads=%d stores=%d reducer-reads=%d updates=%d\n",
 			r.Frames, r.Spawns, r.Syncs, len(r.Steals), r.Views, r.Reduces, r.Loads, r.Stores, r.Reads, r.Updates)
-		if out.Stats.Elems > 0 {
-			fmt.Fprintf(stdout, "disjoint-set: %d elements, %d finds, %d unions (each amortized O(α))\n",
-				out.Stats.Elems, out.Stats.Finds, out.Stats.Unions)
+		// A bag detector mints a disjoint-set element only for an ID it
+		// stores, so a run may mint none.
+		if len(out.Detectors) > 0 {
+			if _, ok := out.Detectors[0].(core.StatsProvider); ok {
+				fmt.Fprintf(stdout, "disjoint-set: %d minted IDs, %d finds, %d unions (each amortized O(α))\n",
+					out.Stats.Elems, out.Stats.Finds, out.Stats.Unions)
+			}
 		}
 	}
 	if !*jsonOut && ins.Verify != nil {

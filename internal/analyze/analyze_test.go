@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cilk"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/progs"
 	"repro/internal/rader"
 	"repro/internal/streamerr"
@@ -94,5 +95,32 @@ func TestTraceErrors(t *testing.T) {
 	}
 	if _, err := Trace(data, Options{Detector: "bogus"}); err == nil {
 		t.Fatal("unknown detector accepted")
+	}
+}
+
+// Each detector span carries the detector's event counts, shadow lookups
+// included: depa counts its lookups while detecting, so the span must
+// read them after detection has run.
+func TestDetectorSpansCarryShadowLookups(t *testing.T) {
+	data := record(t, progs.Fig1(mem.NewAllocator(), progs.Fig1Options{}))
+	for _, det := range []rader.DetectorName{rader.Depa, rader.SPBags} {
+		tr := obs.NewTrace()
+		if _, err := Trace(data, Options{Detector: det, Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		var lookups any
+		for _, s := range tr.Spans() {
+			if s.Name != "detector:"+string(det) {
+				continue
+			}
+			for _, a := range s.Args {
+				if a.Key == "shadowLookups" {
+					lookups = a.Value
+				}
+			}
+		}
+		if n, ok := lookups.(uint64); !ok || n == 0 {
+			t.Errorf("detector:%s span: shadowLookups = %v, want a positive count", det, lookups)
+		}
 	}
 }

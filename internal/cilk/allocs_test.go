@@ -71,10 +71,12 @@ func TestDetectorAllocsFlatInFrames(t *testing.T) {
 	}
 }
 
-// TestDetectorBytesPerFrame: the bag detectors store one forest node and
-// one lineage entry per frame, in chunks that growth never copies, and no
-// bag points into the forest, so a 64k-frame run allocates about 28 bytes
-// per frame. The CI allocation-regression step runs this test.
+// TestDetectorBytesPerFrame: the bag detectors mint a forest node and a
+// lineage entry only for an ID they store, in chunks that growth never
+// copies, and no bag points into the forest. A 64k-frame run that stores
+// nothing allocates about 0.1 bytes per frame; the bound of 40 also holds
+// a detector that mints every frame's ID (about 28 bytes). The CI
+// allocation-regression step runs this test.
 func TestDetectorBytesPerFrame(t *testing.T) {
 	const height, runs = 15, 4
 	frames := float64(int(1)<<(height+1) - 1)
@@ -93,6 +95,52 @@ func TestDetectorBytesPerFrame(t *testing.T) {
 			t.Errorf("%s: %.1f bytes per frame, want at most 40", name, perFrame)
 		}
 		t.Logf("%s: %.1f bytes per frame", name, perFrame)
+	}
+}
+
+// leftStoreTree is tree(height) in which only the leftmost leaf, the one
+// reached by spawns alone, performs a memory access: a store.
+func leftStoreTree(height int) func(*cilk.Ctx) {
+	var body func(c *cilk.Ctx, left bool)
+	body = func(c *cilk.Ctx, left bool) {
+		if c.Frame().Depth == height {
+			if left {
+				c.Store(0x1000)
+			}
+			return
+		}
+		c.Spawn("l", func(c *cilk.Ctx) { body(c, left) })
+		c.Call("r", func(c *cilk.Ctx) { body(c, false) })
+		c.Sync()
+	}
+	return func(c *cilk.Ctx) { body(c, true) }
+}
+
+// TestBagDetectorsMintOnlyStoredIDs: a bag detector mints a disjoint-set
+// element only for an ID a shadow cell or reader record stores, together
+// with its unminted ancestors for the lineage. A tree that stores nothing
+// mints nothing; when only the leftmost leaf stores, SP-bags and SP+ mint
+// the leaf and its height ancestors, and Peer-Set, which stores only
+// reducer readers, still mints nothing. The CI allocation-regression step
+// runs this test.
+func TestBagDetectorsMintOnlyStoredIDs(t *testing.T) {
+	const height = 15
+	elems := func(det core.Detector, prog func(*cilk.Ctx)) int {
+		cilk.Run(prog, cilk.Config{Hooks: det})
+		return det.(core.StatsProvider).Stats().Elems
+	}
+	for _, det := range bagDetectors {
+		name := det().Name()
+		if got := elems(det(), tree(height)); got != 0 {
+			t.Errorf("%s: %d elements on a tree that stores nothing, want 0", name, got)
+		}
+		want := height + 1
+		if name == "peer-set" {
+			want = 0
+		}
+		if got := elems(det(), leftStoreTree(height)); got != want {
+			t.Errorf("%s: %d elements when only the leftmost leaf stores, want %d", name, got, want)
+		}
 	}
 }
 

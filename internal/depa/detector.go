@@ -142,8 +142,12 @@ func (d *Detector) ParallelStats() ParallelStats {
 	return d.stats
 }
 
-// EventCounts implements core.EventCountsProvider.
-func (d *Detector) EventCounts() obs.EventCounts { return d.counts }
+// EventCounts implements core.EventCountsProvider. The shadow lookups
+// are counted by detection, so it finalizes first, like ParallelStats.
+func (d *Detector) EventCounts() obs.EventCounts {
+	d.finalize()
+	return d.counts
+}
 
 func (d *Detector) top() frameMeta { return d.stack[len(d.stack)-1] }
 

@@ -145,19 +145,23 @@ func NewShadow(sentinel int32) *Shadow {
 	return &Shadow{pages: make(map[uint64]*shadowPage), sentinel: sentinel}
 }
 
-// newPage hands out a sentinel-filled buffer, recycling one from the free
-// list when available.
-func (s *Shadow) newPage() []int32 {
-	var buf []int32
+// buffer hands out a page buffer of unspecified contents, recycling one
+// from the free list when available.
+func (s *Shadow) buffer() []int32 {
 	if n := len(s.free); n > 0 {
-		buf = s.free[n-1]
+		buf := s.free[n-1]
 		s.free = s.free[:n-1]
-	} else {
-		buf = make([]int32, pageSize)
-		if s.sentinel == 0 {
-			return buf
-		}
+		return buf
 	}
+	return make([]int32, pageSize)
+}
+
+// newPage hands out a sentinel-filled buffer.
+func (s *Shadow) newPage() []int32 {
+	if len(s.free) == 0 && s.sentinel == 0 {
+		return make([]int32, pageSize) // already all sentinel
+	}
+	buf := s.buffer()
 	for i := range buf {
 		buf[i] = s.sentinel
 	}
@@ -196,7 +200,8 @@ func (s *Shadow) Get(a Addr) int32 {
 func (s *Shadow) Set(a Addr, v int32) {
 	pg := s.page(a, true)
 	if pg.shared {
-		clone := &shadowPage{buf: s.newPage()}
+		// The copy overwrites every cell, so the clone skips the fill.
+		clone := &shadowPage{buf: s.buffer()}
 		copy(clone.buf, pg.buf)
 		pn := uint64(a) >> PageBits
 		s.pages[pn] = clone

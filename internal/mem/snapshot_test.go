@@ -110,3 +110,42 @@ func TestMapShadowReset(t *testing.T) {
 		t.Fatalf("after Reset MapShadow reads %d, want sentinel", got)
 	}
 }
+
+// A copy-on-write clone may be backed by a recycled buffer that still
+// holds another page's values: the clone skips the sentinel fill, so the
+// copy alone must make every cell equal the snapshot's.
+func TestShadowCloneOverDirtyRecycledBuffer(t *testing.T) {
+	s := NewShadow(-1)
+	for i := 0; i < pageSize; i++ {
+		s.Set(Addr(i), int32(1000+i)) // page 0: no cell holds the sentinel
+	}
+	src := NewShadow(-1)
+	src.Set(pageSize+5, 42)
+	snap := src.Snapshot()
+
+	s.Restore(snap) // parks page 0's dirty buffer on the free list
+	if s.PagesPooled() != 1 {
+		t.Fatalf("%d pooled buffers after Restore, want the one dirty page", s.PagesPooled())
+	}
+	s.Set(pageSize+6, 43) // clones the shared page into the dirty buffer
+	if s.PagesPooled() != 0 || s.PagesCopied() != 1 {
+		t.Fatalf("pooled %d, copied %d: the clone did not take the recycled buffer",
+			s.PagesPooled(), s.PagesCopied())
+	}
+	for i := 0; i < pageSize; i++ {
+		a := Addr(pageSize + i)
+		want := int32(-1)
+		switch i {
+		case 5:
+			want = 42
+		case 6:
+			want = 43
+		}
+		if got := s.Get(a); got != want {
+			t.Fatalf("cell %d of the clone reads %d, want %d", i, got, want)
+		}
+	}
+	if got := src.Get(pageSize + 6); got != -1 {
+		t.Fatalf("write through the clone leaked into the snapshot's page: %d", got)
+	}
+}

@@ -18,13 +18,15 @@
 //   - F.P, a bag with the IDs of all other completed descendants of F.
 //
 // Bags live in a disjoint-set forest (package dsu), so each operation costs
-// amortized O(alpha). A shadow space maps every reducer h to reader(h), the
-// function that last read h, together with the spawn count it read at. By
-// Lemmas 2 and 3, the reads at strands u then v have equal peer sets iff
-// reader(h) is found in an SS or SP bag and the spawn counts match; the
-// detector reports a view-read race otherwise (Theorem 4: it reports a race
-// iff one exists). Total cost is O(T·alpha(x,x)) for a program running in
-// time T with x reducers (Theorem 1).
+// amortized O(alpha). A frame's ID enters the forest only when a reader
+// record or a rendered race first needs it (elemAt); until then its SS bag
+// just holds its place. A shadow space maps every reducer h to reader(h),
+// the function that last read h, together with the spawn count it read at.
+// By Lemmas 2 and 3, the reads at strands u then v have equal peer sets
+// iff reader(h) is found in an SS or SP bag and the spawn counts match;
+// the detector reports a view-read race otherwise (Theorem 4: it reports a
+// race iff one exists). Total cost is O(T·alpha(x,x)) for a program
+// running in time T with x reducers (Theorem 1).
 package peerset
 
 import (
@@ -47,11 +49,12 @@ const (
 // all three empty, so no forest payload names a parked record's bag.
 type frameRec struct {
 	id        cilk.FrameID
-	elem      dsu.Elem
-	ls        int   // local-spawn count
-	as        int   // ancestor-spawn count
-	ss, sp, p int32 // bag-table indices
-	slotted   bool  // ss, sp and p are allocated
+	label     string
+	elem      dsu.Elem // dsu.None until elemAt mints it
+	ls        int      // local-spawn count
+	as        int      // ancestor-spawn count
+	ss, sp, p int32    // bag-table indices
+	slotted   bool     // ss, sp and p are allocated
 }
 
 type readerInfo struct {
@@ -93,7 +96,7 @@ func (d *Detector) top() *frameRec { return d.stack[len(d.stack)-1] }
 func (d *Detector) FrameEnter(f *cilk.Frame) {
 	d.events++
 	d.counts.FrameEnters++
-	as, parentElem := 0, core.NoParent
+	as := 0
 	if len(d.stack) > 0 {
 		parent := d.top()
 		if f.Spawned {
@@ -104,18 +107,34 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 			d.bags.Union(parent.p, parent.sp)
 		}
 		as = parent.as + parent.ls
-		parentElem = int32(parent.elem)
 	}
 	var rec *frameRec
 	d.stack, rec = core.PushRecord(d.stack)
-	rec.id = f.ID
+	rec.id, rec.label, rec.elem = f.ID, f.Label, dsu.None
 	rec.ls, rec.as = 0, as
 	if !rec.slotted {
 		rec.ss, rec.sp, rec.p = d.bags.New(kindSS, 0), d.bags.New(kindSP, 0), d.bags.New(kindP, 0)
 		rec.slotted = true
 	}
-	rec.elem = d.bags.Add(rec.ss) // G.SS = MakeBag(G)
-	d.lin.Add(int32(rec.elem), f.ID, f.Label, parentElem)
+	d.bags.Hold(rec.ss) // G.SS = MakeBag(G)
+}
+
+// elemAt returns the ID of the frame at stack depth i, minting it on first
+// use. FrameEnter only holds the ID's place in the frame's SS bag, and a
+// live frame's ID never leaves that bag, so minting it there late puts it
+// where minting at entry would have. Unminted ancestors are minted first,
+// so the lineage keeps the same parent chain.
+func (d *Detector) elemAt(i int) dsu.Elem {
+	rec := d.stack[i]
+	if rec.elem == dsu.None {
+		parent := core.NoParent
+		if i > 0 {
+			parent = int32(d.elemAt(i - 1))
+		}
+		rec.elem = d.bags.Mint(rec.ss)
+		d.lin.Add(int32(rec.elem), rec.id, rec.label, parent)
+	}
+	return rec.elem
 }
 
 // FrameReturn implements the "G returns to F" case of Figure 3.
@@ -209,7 +228,7 @@ func (d *Detector) readReducer(f *cilk.Frame, r *cilk.Reducer) {
 			d.race(r, prev, rec, kind)
 		}
 	}
-	elem := rec.elem
+	elem := d.elemAt(len(d.stack) - 1)
 	if rec.ls > 0 {
 		// A read at a continuation strand. F's own ID sits in F.SS, which
 		// tracks F's first strand, not this one: record a fresh element in
@@ -239,7 +258,7 @@ func (d *Detector) race(r *cilk.Reducer, prev readerInfo, rec *frameRec, kind in
 		Kind:    core.ViewRead,
 		Reducer: r.Name,
 		First:   d.lin.Access(int32(prev.elem), core.OpReducerRead),
-		Second:  d.lin.Access(int32(rec.elem), core.OpReducerRead),
+		Second:  d.lin.Access(int32(d.elemAt(len(d.stack)-1)), core.OpReducerRead),
 		Prov:    core.Provenance{FirstEvent: prev.event, SecondEvent: d.events, Relation: relation},
 	})
 }
@@ -252,7 +271,7 @@ var (
 )
 
 // Stats implements core.StatsProvider: the disjoint-set accounting behind
-// the O(T·α(x,x)) bound of Theorem 1.
+// the O(T·α(x,x)) bound of Theorem 1. Elems counts the minted IDs.
 func (d *Detector) Stats() core.Stats {
 	elems, finds, unions := d.bags.Stats()
 	return core.Stats{Elems: elems, Finds: finds, Unions: unions}

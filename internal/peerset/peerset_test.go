@@ -248,8 +248,32 @@ func TestReadAtContinuationStrand(t *testing.T) {
 	if got := races[0].First; got.Label != "c" || got.Path != "main>c" {
 		t.Fatalf("first reader = %+v, want c at main>c", got)
 	}
+	// The second read is main's first store of its own ID: the race must
+	// mint it before rendering it.
+	if got := races[0].Second; got.Frame != 0 || got.Label != "main" || got.Path != "main" {
+		t.Fatalf("second reader = %+v, want frame 0, main at main", got)
+	}
 	if got := races[0].Prov.Relation; got != "reader in P-bag" {
 		t.Fatalf("relation = %q, want reader in P-bag", got)
+	}
+}
+
+// TestRaceMintsSecondReader: b's read is the first use of b's ID, and it
+// races with a's, so the race must mint b's ID before rendering it.
+func TestRaceMintsSecondReader(t *testing.T) {
+	d := New()
+	cilk.Run(func(c *cilk.Ctx) {
+		r := c.NewReducerQuiet("r", progs.SumMonoid, 0)
+		c.Spawn("a", func(cc *cilk.Ctx) { cc.Value(r) })
+		c.Call("b", func(cc *cilk.Ctx) { cc.Value(r) })
+		c.Sync()
+	}, cilk.Config{Hooks: d})
+	races := d.Report().Races()
+	if len(races) != 1 {
+		t.Fatalf("want one view-read race, got:\n%s", d.Report().Summary())
+	}
+	if got := races[0].Second; got.Label != "b" || got.Path != "main>b" {
+		t.Fatalf("second reader = %+v, want b at main>b", got)
 	}
 }
 

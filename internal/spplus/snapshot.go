@@ -21,9 +21,8 @@ import (
 // branch points live, and it is the only place the detector has no
 // transient mid-operation state.
 type Snapshot struct {
-	bags    dsu.Bags
-	stack   []*frameRec
-	current int // index into stack, -1 when no frame has entered
+	bags  dsu.Bags
+	stack []*frameRec
 
 	reader   *mem.ShadowSnap
 	writer   *mem.ShadowSnap
@@ -78,7 +77,6 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 	}
 	s.stack = copyFramesInto(s.stack, d.stack)
 	s.bags.CopyFrom(&d.bags)
-	s.current = -1
 	s.reader = d.reader.SnapshotInto(s.reader)
 	s.writer = d.writer.SnapshotInto(s.writer)
 	s.readerEv = d.readerEv.SnapshotInto(s.readerEv)
@@ -90,11 +88,6 @@ func (d *Detector) SnapshotInto(s *Snapshot) *Snapshot {
 	}
 	s.counts = d.counts
 	s.events = d.events
-	for i, fr := range d.stack {
-		if fr == d.current {
-			s.current = i
-		}
-	}
 	s.lin.CopyFrom(&d.lin)
 	return s
 }
@@ -107,10 +100,6 @@ func (d *Detector) Restore(s *Snapshot) {
 	d.stack = copyFramesInto(d.stack, s.stack)
 	d.unslotParked()
 	d.bags.CopyFrom(&s.bags)
-	d.current = nil
-	if s.current >= 0 {
-		d.current = d.stack[s.current]
-	}
 	d.reader.Restore(s.reader)
 	d.writer.Restore(s.writer)
 	d.readerEv.Restore(s.readerEv)
@@ -151,7 +140,6 @@ func (d *Detector) Reset() {
 	d.writerEv.Reset()
 	d.lin.Reset()
 	d.report.Reset()
-	d.current = nil
 	d.vaDepth = 0
 	d.vaOp = 0
 	d.inReduce = false
@@ -180,8 +168,8 @@ func (d *Detector) PagesPooled() int {
 func (d *Detector) Events() int64 { return d.events }
 
 func (d *Detector) currentFrameID() cilk.FrameID {
-	if d.current == nil {
+	if len(d.stack) == 0 {
 		return cilk.NoFrame
 	}
-	return d.current.id
+	return d.top().id
 }

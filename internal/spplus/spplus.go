@@ -28,6 +28,10 @@
 // fixed execution contains one (§6), in time O((T + Mτ)·α(v,v)) for a
 // program with running time T, M specified steals and worst-case reduce
 // cost τ (Theorem 5).
+//
+// An ID enters the disjoint-set forest only when a shadow write or a
+// rendered race first needs it: a frame's S bag, or the bag a reduction
+// merged into, holds its place until then (curElem).
 package spplus
 
 import (
@@ -53,9 +57,10 @@ const (
 // record's bag.
 type frameRec struct {
 	id     cilk.FrameID
-	elem   dsu.Elem
-	s, p   int32   // bag-table indices of the S bag and the bottom P bag
-	pstack []int32 // one P bag per unreduced view, oldest first: pstack[0] == p
+	label  string
+	elem   dsu.Elem // dsu.None until elemAt mints it
+	s, p   int32    // bag-table indices of the S bag and the bottom P bag
+	pstack []int32  // one P bag per unreduced view, oldest first: pstack[0] == p
 	// slotted reports that s and p are allocated in the current bag
 	// table. Reset and Restore replace the table, so they clear it on
 	// every parked record.
@@ -77,7 +82,6 @@ type Detector struct {
 	report core.Report
 	layer  string // the layer of the detector's typed errors
 
-	current *frameRec
 	// view-aware section state
 	vaDepth int
 	vaOp    cilk.ViewOp
@@ -90,10 +94,15 @@ type Detector struct {
 	// in the merged P bag — the reduce strand is in series with the
 	// descendants it joins but parallel to the frame's newer view
 	// contexts, so parking it in the frame's S bag would wrongly
-	// serialize it with everything that follows.
-	inReduce   bool
-	reduceVID  int64
-	reduceElem dsu.Elem
+	// serialize it with everything that follows. It stays dsu.None until
+	// reduceID mints it into reduceBag, rendering as reduceFrame and
+	// reduceLabel, the frame of the ReduceStart event.
+	inReduce    bool
+	reduceVID   int64
+	reduceElem  dsu.Elem
+	reduceBag   int32
+	reduceFrame cilk.FrameID
+	reduceLabel string
 
 	// readerEv/writerEv shadow the same locations with the detector-relative
 	// event ordinal of the recorded access, so a race report can point back
@@ -137,24 +146,59 @@ func (d *Detector) ProgramEnd(*cilk.Frame) {}
 func (d *Detector) FrameEnter(f *cilk.Frame) {
 	d.events++
 	d.counts.FrameEnters++
+	d.settleReduce()
 	var inherit int64
-	parent := core.NoParent
 	if len(d.stack) > 0 {
-		top := d.top()
-		inherit = d.bags.At(top.topP()).View
-		parent = int32(top.elem)
+		inherit = d.bags.At(d.top().topP()).View
 	}
 	var rec *frameRec
 	d.stack, rec = core.PushRecord(d.stack)
-	rec.id = f.ID
+	rec.id, rec.label, rec.elem = f.ID, f.Label, dsu.None
 	if !rec.slotted {
 		rec.s, rec.p, rec.slotted = d.bags.New(kindS, inherit), d.bags.New(kindP, inherit), true
 	}
 	d.bags.At(rec.s).View, d.bags.At(rec.p).View = inherit, inherit
 	rec.pstack = append(rec.pstack[:0], rec.p)
-	rec.elem = d.bags.Add(rec.s)
-	d.lin.Add(int32(rec.elem), f.ID, f.Label, parent)
-	d.current = rec
+	d.bags.Hold(rec.s)
+}
+
+// elemAt returns the ID of the frame at stack depth i, minting it on first
+// use. FrameEnter only holds the ID's place in the frame's S bag, and a
+// live frame's ID never leaves that bag, so minting it there late puts it
+// where minting at entry would have. Unminted ancestors are minted first,
+// so the lineage keeps the same parent chain.
+func (d *Detector) elemAt(i int) dsu.Elem {
+	rec := d.stack[i]
+	if rec.elem == dsu.None {
+		parent := core.NoParent
+		if i > 0 {
+			parent = int32(d.elemAt(i - 1))
+		}
+		rec.elem = d.bags.Mint(rec.s)
+		d.lin.Add(int32(rec.elem), rec.id, rec.label, parent)
+	}
+	return rec.elem
+}
+
+// reduceID returns the executing reduce invocation's ID, minting it on
+// first use into the bag its ReduceStart merged into.
+func (d *Detector) reduceID() dsu.Elem {
+	if d.reduceElem == dsu.None {
+		parent := int32(d.elemAt(len(d.stack) - 1))
+		d.reduceElem = d.bags.Mint(d.reduceBag)
+		d.lin.AddReduce(int32(d.reduceElem), d.reduceFrame, d.reduceLabel, parent)
+	}
+	return d.reduceElem
+}
+
+// settleReduce mints a reduce invocation's pending ID before an event that
+// can move bags or the stack: reduceBag holds the ID's place only until
+// then. Only a stream that interleaves these events with a reduce strand
+// gets here with one pending.
+func (d *Detector) settleReduce() {
+	if d.inReduce && d.reduceElem == dsu.None {
+		d.reduceID()
+	}
 }
 
 // FrameReturn implements "spawned G returns" (Top(F.P) ∪= G.S) and
@@ -162,6 +206,7 @@ func (d *Detector) FrameEnter(f *cilk.Frame) {
 func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 	d.events++
 	d.counts.FrameReturns++
+	d.settleReduce()
 	if len(d.stack) < 2 {
 		panic(core.Violatef(d.layer, streamerr.KindOrder, g.ID,
 			"return of frame %d with %d frames on the stack", g.ID, len(d.stack)))
@@ -186,7 +231,6 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 	} else {
 		d.bags.Union(frec.s, grec.s)
 	}
-	d.current = frec
 }
 
 // Sync implements "F syncs": the single remaining P bag's contents move
@@ -194,6 +238,7 @@ func (d *Detector) FrameReturn(g, f *cilk.Frame) {
 func (d *Detector) Sync(f *cilk.Frame) {
 	d.events++
 	d.counts.Syncs++
+	d.settleReduce()
 	if len(d.stack) == 0 {
 		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "sync before any frame entered"))
 	}
@@ -211,6 +256,7 @@ func (d *Detector) Sync(f *cilk.Frame) {
 func (d *Detector) ContinuationStolen(f *cilk.Frame, newVID cilk.ViewID) {
 	d.events++
 	d.counts.Steals++
+	d.settleReduce()
 	if len(d.stack) == 0 {
 		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "stolen continuation before any frame entered"))
 	}
@@ -227,6 +273,7 @@ func (d *Detector) ContinuationStolen(f *cilk.Frame, newVID cilk.ViewID) {
 func (d *Detector) ReduceStart(f *cilk.Frame, keepVID, dieVID cilk.ViewID) {
 	d.events++
 	d.counts.Reduces++
+	d.settleReduce()
 	if len(d.stack) == 0 {
 		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "reduce before any frame entered"))
 	}
@@ -250,8 +297,9 @@ func (d *Detector) ReduceStart(f *cilk.Frame, keepVID, dieVID cilk.ViewID) {
 	d.reduceVID = keep
 	// The reduce invocation's own ID joins the merged bag: in series with
 	// everything the reduction joins, parallel to the frame's other views.
-	d.reduceElem = d.bags.Add(rec.pstack[idx-1])
-	d.lin.AddReduce(int32(d.reduceElem), f.ID, f.Label, int32(rec.elem))
+	d.reduceBag, d.reduceElem = rec.pstack[idx-1], dsu.None
+	d.reduceFrame, d.reduceLabel = f.ID, f.Label
+	d.bags.Hold(d.reduceBag)
 }
 
 // ReduceEnd implements cilk.Hooks.
@@ -289,32 +337,39 @@ func (d *Detector) currentVID() int64 {
 	if d.inReduce {
 		return d.reduceVID
 	}
-	return d.bags.At(d.current.topP()).View
+	return d.bags.At(d.top().topP()).View
 }
 
 // curElem is the ID recorded in the shadow spaces for the executing
 // strand: the reduce invocation's own ID inside a Reduce, the enclosing
-// function's otherwise.
+// function's otherwise. It mints the ID on its first store.
 func (d *Detector) curElem() dsu.Elem {
 	if d.inReduce {
-		return d.reduceElem
+		return d.reduceID()
 	}
-	return d.current.elem
+	return d.elemAt(len(d.stack) - 1)
+}
+
+// curFrame is the frame curElem's ID renders as, known without minting it.
+func (d *Detector) curFrame() cilk.FrameID {
+	if d.inReduce {
+		return d.reduceFrame
+	}
+	return d.top().id
 }
 
 // race reports a determinacy race at a between the prior access by
 // element prior and the executing strand's access, rendering it only if
 // the report keeps it.
 func (d *Detector) race(a mem.Addr, prior dsu.Elem, priorOp, op core.AccessOp, relation string) {
-	cur := int32(d.curElem())
-	if !d.report.Admit(core.Determinacy, a, "", d.lin.Frame(int32(prior)), d.lin.Frame(cur)) {
+	if !d.report.Admit(core.Determinacy, a, "", d.lin.Frame(int32(prior)), d.curFrame()) {
 		return
 	}
 	ev := d.writerEv
 	if priorOp == core.OpRead {
 		ev = d.readerEv
 	}
-	second := d.lin.Access(cur, op)
+	second := d.lin.Access(int32(d.curElem()), op)
 	second.ViewAware, second.ViewOp, second.VID = d.vaDepth > 0, d.vaOp, cilk.ViewID(d.currentVID())
 	d.report.Keep(core.Race{
 		Kind: core.Determinacy, Addr: a,
@@ -328,7 +383,7 @@ func (d *Detector) race(a mem.Addr, prior dsu.Elem, priorOp, op core.AccessOp, r
 func (d *Detector) Load(f *cilk.Frame, a mem.Addr) {
 	d.events++
 	d.counts.Loads++
-	if d.current == nil {
+	if len(d.stack) == 0 {
 		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "memory access before any frame entered"))
 	}
 	d.counts.ShadowLookups += 2
@@ -343,7 +398,7 @@ func (d *Detector) Load(f *cilk.Frame, a mem.Addr) {
 func (d *Detector) Store(f *cilk.Frame, a mem.Addr) {
 	d.events++
 	d.counts.Stores++
-	if d.current == nil {
+	if len(d.stack) == 0 {
 		panic(core.Violatef(d.layer, streamerr.KindOrder, f.ID, "memory access before any frame entered"))
 	}
 	d.counts.ShadowLookups += 2
@@ -419,7 +474,7 @@ var (
 )
 
 // Stats implements core.StatsProvider: the disjoint-set accounting behind
-// the O((T+Mτ)·α(v,v)) bound of Theorem 5.
+// the O((T+Mτ)·α(v,v)) bound of Theorem 5. Elems counts the minted IDs.
 func (d *Detector) Stats() core.Stats {
 	elems, finds, unions := d.bags.Stats()
 	return core.Stats{Elems: elems, Finds: finds, Unions: unions}

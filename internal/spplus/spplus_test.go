@@ -411,6 +411,46 @@ func TestTwoReduceStrandsSequence(t *testing.T) {
 	}
 }
 
+// TestReduceStrandRaceRendersReduce: a race whose second side is a
+// Reduce strand's first store renders that strand as a reduce invocation
+// of the frame whose ReduceStart began it, on that frame's path.
+func TestReduceStrandRaceRendersReduce(t *testing.T) {
+	al := mem.NewAllocator()
+	x := al.Alloc("x", 1)
+	m := cilk.MonoidFuncs(
+		func(*cilk.Ctx) any { return 0 },
+		func(c *cilk.Ctx, l, r any) any {
+			c.Store(x.At(0))
+			return l.(int) + r.(int)
+		},
+	)
+	inc := func(_ *cilk.Ctx, v any) any { return v.(int) + 1 }
+	prog := func(c *cilk.Ctx) {
+		c.Call("f", func(c *cilk.Ctx) {
+			r := c.NewReducer("h", m, 0)
+			// b reads x in f's first view. The next two views both update
+			// h, so the sync reduces them first, and that Reduce stores x
+			// on a view parallel to b's.
+			c.Spawn("b", func(c *cilk.Ctx) { c.Load(x.At(0)) })
+			c.Spawn("u", func(c *cilk.Ctx) { c.Update(r, inc) })
+			c.Update(r, inc)
+			c.Sync()
+		})
+	}
+	races := run(prog, cilk.StealAll{}).Races()
+	if len(races) != 1 {
+		t.Fatalf("want one race, got %d: %+v", len(races), races)
+	}
+	first, second := races[0].First, races[0].Second
+	if first.Label != "b" || first.Path != "main>f>b" {
+		t.Fatalf("first = %+v, want b at main>f>b", first)
+	}
+	if second.Frame != 1 || second.Label != "f/reduce" || second.Path != "main>f>f/reduce" ||
+		second.ViewOp != cilk.OpReduce {
+		t.Fatalf("second = %+v, want frame 1's reduce, f/reduce at main>f>f/reduce", second)
+	}
+}
+
 func TestStealSpecChangesVerdict(t *testing.T) {
 	// The same program is racy under one spec and clean under another —
 	// the reason §7 needs many specs for coverage.

@@ -232,13 +232,6 @@ func (ws *workerState) execute(t *task) {
 	t.views = fr.cur
 }
 
-// Worker reports the ID of the worker executing this task, in
-// [0, Workers()). Tasks never migrate mid-execution, so the value is
-// stable for the lifetime of the Ctx; instrumentation layered on the
-// runtime (the depa live detector's per-worker lanes) keys its logs and
-// spans on it.
-func (c *Ctx) Worker() int { return c.worker.id }
-
 // Call runs body as a called (not spawned) child scope on the same
 // worker: a nested join context whose spawns are joined by body's own
 // Sync — plus an implicit one at return — without joining the caller's
